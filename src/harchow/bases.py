@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BreakTooExtreme, NotPositiveDefinite
 from .numkit import cholesky, leading_spd_rank, solve_triangular
+from .numkit.linalg import _pivot_factor
 
 FOURIER_RAW = "fourier-raw"
 FOURIER_TRANSFORMED = "fourier-transformed"
@@ -185,10 +186,8 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
         If the Gram matrix is rank deficient, e.g. a raw column is constant
         within both regimes or ``K`` exceeds the kernel rank available.
     """
-    g = gram_matrix(raw, kern)
-    u = cholesky(g)
-    floor = _TRANSFORM_PIVOT_RTOL * float(np.max(np.diagonal(g)))
-    if float(np.min(np.diagonal(u)) ** 2) <= floor:
+    u, rank = _pivot_factor(gram_matrix(raw, kern), _TRANSFORM_PIVOT_RTOL)
+    if rank < raw.k:
         raise NotPositiveDefinite(
             "Gram matrix is too close to singular for a reliable transform"
         )

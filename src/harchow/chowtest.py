@@ -1,28 +1,28 @@
 """Break-test statistics, reference distributions, and the full test pipeline.
 
-Four statistic forms are reported for every run:
+One statistic core serves :func:`run_test` and the Monte Carlo engine:
 
-* the raw Wald or t statistic from the sandwich variance;
-* a "modified" form rescaled by the break weight ``lam (1 - lam)`` and the
-  average squared demeaned basis value (``norm_factor``), which a chi-square
-  or normal reference approximates;
-* a "df-scaled" form ``(K - p + 1) / (K p) * lam (1 - lam)`` times the Wald
-  statistic (just ``sqrt(lam (1 - lam))`` times the t statistic), which is
-  asymptotically ``F(p, K - p + 1)`` (``t(K)``) when the basis is
-  orthonormal under the break-kernel inner product;
-* for the kernel-orthonormal chi-square test, the "break-weighted" form
+* :func:`raw_statistic`: the Wald or t statistic from the score sums ``G``
+  of the K basis vectors in use, via ``Omega = G'G / K`` and the sandwich;
+* :func:`statistic_forms`, on scalars or arrays: the "modified" form,
+  rescaled by ``lam (1 - lam)`` and the average squared demeaned basis value
+  (``norm_factor``) for a chi-square or normal reference; the "df-scaled"
+  form ``(K - p + 1) / (K p) * lam (1 - lam)`` times the Wald statistic
+  (``sqrt(lam (1 - lam))`` times t), asymptotically ``F(p, K - p + 1)``
+  (``t(K)``) with a kernel-orthonormal basis; and the "break-weighted" form
   ``lam (1 - lam)`` times the Wald statistic against a plain chi-square,
-  which is decision-identical to comparing the df-scaled form against the
-  correspondingly rescaled chi-square quantile.
-
-Named variants pair a basis family with a statistic and reference. The
-simulated ("nonstandard") references come from :mod:`harchow.fixedlimit`.
+  decision-identical to the df-scaled form against the rescaled quantile;
+* :func:`decision_form`: which form a variant decides on;
+* :func:`reference`: the law of a variant for ``(p, K)``, with its name,
+  critical value and p-value; simulated laws come from
+  :mod:`harchow.fixedlimit`; :meth:`Reference.decide` rejects iff
+  ``p < alpha``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .bases import (
 )
 from .errors import KTooSmall, NotPositiveDefinite
 from .numkit import (
+    DistFamily,
     chi_square,
     dist_cdf,
     dist_quantile,
@@ -47,7 +48,15 @@ from .numkit import (
     spd_solve,
     student_t,
 )
-from .regression import BreakHypothesis, RegressionData, full_break_hypothesis, ols_fit
+from .regression import (
+    BreakHypothesis,
+    FitResult,
+    RegressionData,
+    full_break_hypothesis,
+    ols_fit,
+)
+
+Values = float | np.ndarray  # a statistic, or one per replication
 
 
 @dataclass(frozen=True)
@@ -100,26 +109,11 @@ class TestReport:
     plugin: autok.PluginModel | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "statistic_raw": self.statistic_raw,
-            "statistic_modified": self.statistic_modified,
-            "statistic_scaled": self.statistic_scaled,
-            "decision_statistic": self.decision_statistic,
-            "decision_statistic_name": self.decision_statistic_name,
-            "reference": self.reference,
-            "p": self.p,
-            "k": self.k,
-            "k_requested": self.k_requested,
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "p_value": self.p_value,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-            "norm_factor": self.norm_factor,
-        }
-        if self.plugin is not None:
-            out["plugin"] = self.plugin.to_dict()
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["lambda"] = out.pop("lam")
+        plugin = out.pop("plugin")
+        if plugin is not None:
+            out["plugin"] = plugin.to_dict()
         return out
 
 
@@ -142,30 +136,154 @@ def t_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> float:
     return math.sqrt(t) * rb / math.sqrt(float(v[0, 0]))
 
 
-def modified_f(f_t: float, nf: float, lam: float) -> float:
-    """Chi-square-referenced modification ``lam (1 - lam) nf F``."""
-    if nf <= 0.0:
+def modified_f(f_t: Values, nf: Values, lam: float) -> Values:
+    """Chi-square-referenced modification ``lam (1 - lam) nf F``; array-safe."""
+    if np.any(np.asarray(nf) <= 0.0):
         raise ValueError("norm factor must be positive")
     return lam * (1.0 - lam) * nf * f_t
 
 
-def modified_t(t_t: float, nf: float, lam: float) -> float:
-    """Normal-referenced modification ``sqrt(lam (1 - lam) nf) t``."""
-    if nf <= 0.0:
+def modified_t(t_t: Values, nf: Values, lam: float) -> Values:
+    """Normal-referenced modification ``sqrt(lam (1 - lam) nf) t``; array-safe."""
+    if np.any(np.asarray(nf) <= 0.0):
         raise ValueError("norm factor must be positive")
-    return math.sqrt(lam * (1.0 - lam) * nf) * t_t
+    return np.sqrt(lam * (1.0 - lam) * nf) * t_t
 
 
-def scaled_f(f_t: float, p: int, k: int, lam: float) -> float:
-    """Degrees-of-freedom scaled form ``(K - p + 1)/(K p) lam (1 - lam) F``."""
-    if k < p:
-        raise KTooSmall(f"need K >= p, got K={k}, p={p}")
+def scaled_f(f_t: Values, p: int, k: int | np.ndarray, lam: float) -> Values:
+    """Degrees-of-freedom scaled form ``(K - p + 1)/(K p) lam (1 - lam) F``;
+    array-safe in ``F`` and ``K``."""
+    if np.any(np.asarray(k) < p):
+        raise KTooSmall(f"need K >= p, got K={np.min(k)}, p={p}")
     return (k - p + 1) / (k * p) * lam * (1.0 - lam) * f_t
 
 
-def scaled_t(t_t: float, lam: float) -> float:
-    """Degrees-of-freedom scaled form ``sqrt(lam (1 - lam)) t``."""
-    return math.sqrt(lam * (1.0 - lam)) * t_t
+def scaled_t(t_t: Values, lam: float) -> Values:
+    """Degrees-of-freedom scaled form ``sqrt(lam (1 - lam)) t``; array-safe."""
+    return np.sqrt(lam * (1.0 - lam)) * t_t
+
+
+def variant_spec(name: str, statistic: str | None = None) -> TestVariant:
+    """The named variant; ``ValueError`` for an unknown name or, when
+    ``statistic`` is given, a variant of the other statistic kind."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}")
+    spec = VARIANTS[name]
+    if statistic is not None and spec.statistic != statistic:
+        raise ValueError(
+            f"expected a variant with a {statistic} statistic, got {name!r}"
+        )
+    return spec
+
+
+def raw_statistic(
+    g: np.ndarray, fit: FitResult, r: np.ndarray, statistic: str
+) -> float:
+    """Wald (``"F"``) or t statistic from the score sums of the K basis
+    vectors in use (:func:`longrun.score_sums`, one row per vector)."""
+    v_mat = longrun.sandwich_variance(r, fit.q_hat, longrun.sums_outer(g))
+    stat = wald_stat if statistic == "F" else t_stat
+    return stat(fit.beta_hat, r, v_mat, len(fit.residuals))
+
+
+def statistic_forms(
+    raw: Values, statistic: str, nf: Values, p: int, k: int | np.ndarray, lam: float
+) -> dict[str, Values]:
+    """Every form of a raw statistic keyed by name; array-safe.
+
+    The keys are ``raw``, ``modified``, ``df-scaled`` and ``break-weighted``;
+    for a t statistic the last two coincide.
+    """
+    if statistic == "F":
+        scaled, weighted = scaled_f(raw, p, k, lam), lam * (1.0 - lam) * raw
+        modified = modified_f(raw, nf, lam)
+    else:
+        scaled = weighted = scaled_t(raw, lam)
+        modified = modified_t(raw, nf, lam)
+    return {
+        "raw": raw, "modified": modified, "df-scaled": scaled,
+        "break-weighted": weighted,
+    }
+
+
+def decision_form(spec: TestVariant) -> str:
+    """The form a variant decides on.
+
+    Simulated references and the raw Fourier basis use the modified form.
+    The kernel-orthonormal basis uses the df-scaled form against ``F`` or
+    ``t(K)``, and the break-weighted form against chi-square or normal.
+    """
+    if spec.reference == "nonstandard" or spec.basis_family == FOURIER_RAW:
+        return "modified"
+    if spec.reference in ("fisher-f", "student-t"):
+        return "df-scaled"
+    return "break-weighted"
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The law a decision statistic is compared with at level ``alpha``.
+
+    Two-sided references compare ``|x|``; a simulated two-sided law already
+    holds absolute draws.
+    """
+
+    name: str
+    law: DistFamily | fixedlimit.SimulatedDistribution
+    alpha: float
+    two_sided: bool = False
+
+    @property
+    def critical_value(self) -> float:
+        if isinstance(self.law, fixedlimit.SimulatedDistribution):
+            return fixedlimit.critical_value(self.law, self.alpha)
+        level = self.alpha / 2.0 if self.two_sided else self.alpha
+        return dist_quantile(self.law, 1.0 - level)
+
+    def p_value(self, x: Values) -> Values:
+        """Tail probability of ``x``; elementwise on arrays."""
+        if np.ndim(x):
+            return np.vectorize(self.p_value, otypes=[float])(x)
+        if self.two_sided:
+            x = abs(x)
+        if isinstance(self.law, fixedlimit.SimulatedDistribution):
+            return fixedlimit.empirical_p(self.law, x)
+        tail = 1.0 - dist_cdf(self.law, x)
+        return 2.0 * tail if self.two_sided else tail
+
+    def decide(self, x: Values) -> tuple[Values, bool | np.ndarray]:
+        """``(p_value, reject)``; every entry point rejects iff ``p < alpha``."""
+        p_value = self.p_value(x)
+        return p_value, p_value < self.alpha
+
+
+def reference(
+    spec: TestVariant, p: int, k: int, lam: float, alpha: float,
+    cv_seed: int = 0, cv_replications: int = 10_000, cv_grid: int = 1000,
+    cache: fixedlimit.CriticalValueCache | None = None,
+) -> Reference:
+    """Reference law of a variant for ``p`` restrictions and ``K`` vectors;
+    simulated laws come from ``cache`` (default: the process-wide cache)."""
+    if spec.reference == "chi-square":
+        return Reference(f"chi-square({p})", chi_square(p), alpha)
+    if spec.reference == "fisher-f":
+        return Reference(f"F({p}, {k - p + 1})", fisher_f(p, k - p + 1), alpha)
+    if spec.reference == "normal":
+        return Reference("normal", normal(), alpha, two_sided=True)
+    if spec.reference == "student-t":
+        return Reference(f"t({k})", student_t(k), alpha, two_sided=True)
+    cache = cache if cache is not None else fixedlimit.shared_cache
+    limit = fixedlimit.LimitSpec(
+        p=p, k=k, lam=lam, family=spec.basis_family, grid_n=cv_grid,
+        replications=cv_replications, seed=cv_seed,
+    )
+    settings = f"n={cv_grid}, reps={cv_replications}, seed={cv_seed}"
+    if spec.statistic == "F":
+        dist = cache.get(limit, fixedlimit.F_STAR_INF)
+        return Reference(f"simulated F_star_inf({settings})", dist, alpha)
+    dist = cache.get(limit, fixedlimit.T_STAR_INF)
+    dist = replace(dist, draws=np.sort(np.abs(dist.draws)))
+    return Reference(f"simulated t_star_inf({settings}), two-sided", dist, alpha, True)
 
 
 def _resolve_basis(
@@ -186,12 +304,6 @@ def _resolve_basis(
             t=t, k=usable, lam=lam, family=FOURIER_RAW, matrix=raw.matrix[:, :usable]
         )
         return gram_transform(trimmed, kern), k_requested
-
-
-def _abs_distribution(
-    dist: fixedlimit.SimulatedDistribution,
-) -> fixedlimit.SimulatedDistribution:
-    return replace(dist, draws=np.sort(np.abs(dist.draws)))
 
 
 def run_test(
@@ -227,9 +339,7 @@ def run_test(
     cache : CriticalValueCache, optional
         Cache for simulated references; a process-wide cache is the default.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    spec = VARIANTS[variant]
+    spec = variant_spec(variant)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
     if hyp is None:
@@ -259,98 +369,39 @@ def run_test(
     if k_used < p:
         raise KTooSmall(f"only {k_used} usable basis vectors for p={p}")
 
-    omega = longrun.series_lrv(basis, fit.xz, fit.residuals)
-    v_mat = longrun.sandwich_variance(r, fit.q_hat, omega)
+    g = longrun.score_sums(basis, fit.xz * fit.residuals[:, None])
+    stat_raw = raw_statistic(g, fit, r, spec.statistic)
     nf = norm_factor(basis)
-    lam = data.lam
-    lam_weight = lam * (1.0 - lam)
-
-    if spec.statistic == "F":
-        stat_raw = wald_stat(fit.beta_hat, r, v_mat, t)
-        stat_mod = modified_f(stat_raw, nf, lam)
-        stat_scaled = scaled_f(stat_raw, p, k_used, lam)
-    else:
-        stat_raw = t_stat(fit.beta_hat, r, v_mat, t)
-        stat_mod = modified_t(stat_raw, nf, lam)
-        stat_scaled = scaled_t(stat_raw, lam)
-
-    if spec.reference == "chi-square":
-        ref_dist = chi_square(p)
-        quantile = dist_quantile(ref_dist, 1.0 - alpha)
-        if spec.basis_family == FOURIER_RAW:
-            decision_value, decision_name = stat_mod, "modified"
-            critical = quantile
-        else:
-            # break-weighted form against a plain chi-square; decision must
-            # match the df-scaled form against the rescaled quantile exactly
-            decision_value, decision_name = lam_weight * stat_raw, "break-weighted"
-            critical = quantile
-            scaled_critical = (k_used - p + 1) / (k_used * p) * quantile
-            if (stat_scaled > scaled_critical) != (decision_value > critical):
-                raise RuntimeError("equivalent chi-square forms disagree")
-        p_value = 1.0 - dist_cdf(ref_dist, decision_value)
-        reference = f"chi-square({p})"
-    elif spec.reference == "fisher-f":
-        ref_dist = fisher_f(p, k_used - p + 1)
-        decision_value, decision_name = stat_scaled, "df-scaled"
-        critical = dist_quantile(ref_dist, 1.0 - alpha)
-        p_value = 1.0 - dist_cdf(ref_dist, decision_value)
-        reference = f"F({p}, {k_used - p + 1})"
-    elif spec.reference == "normal":
-        ref_dist = normal()
-        if spec.basis_family == FOURIER_RAW:
-            decision_value, decision_name = stat_mod, "modified"
-        else:
-            decision_value, decision_name = stat_scaled, "break-weighted"
-        critical = dist_quantile(ref_dist, 1.0 - alpha / 2.0)
-        p_value = 2.0 * (1.0 - dist_cdf(ref_dist, abs(decision_value)))
-        reference = "normal"
-    elif spec.reference == "student-t":
-        ref_dist = student_t(k_used)
-        decision_value, decision_name = stat_scaled, "df-scaled"
-        critical = dist_quantile(ref_dist, 1.0 - alpha / 2.0)
-        p_value = 2.0 * (1.0 - dist_cdf(ref_dist, abs(decision_value)))
-        reference = f"t({k_used})"
-    else:  # nonstandard
-        cache = cache if cache is not None else fixedlimit.shared_cache
-        limit_spec = fixedlimit.LimitSpec(
-            p=p,
-            k=k_used,
-            lam=lam,
-            family=spec.basis_family,
-            grid_n=cv_grid,
-            replications=cv_replications,
-            seed=cv_seed,
-        )
-        if spec.statistic == "F":
-            dist = cache.get(limit_spec, fixedlimit.F_STAR_INF)
-            decision_value, decision_name = stat_mod, "modified"
-            p_value = fixedlimit.empirical_p(dist, decision_value)
-            critical = fixedlimit.critical_value(dist, alpha)
-            reference = f"simulated F_star_inf(n={cv_grid}, reps={cv_replications}, seed={cv_seed})"
-        else:
-            dist = _abs_distribution(cache.get(limit_spec, fixedlimit.T_STAR_INF))
-            decision_value, decision_name = stat_mod, "modified"
-            p_value = fixedlimit.empirical_p(dist, abs(decision_value))
-            critical = fixedlimit.critical_value(dist, alpha)
-            reference = f"simulated t_star_inf(n={cv_grid}, reps={cv_replications}, seed={cv_seed}), two-sided"
+    forms = statistic_forms(stat_raw, spec.statistic, nf, p, k_used, data.lam)
+    form = decision_form(spec)
+    ref = reference(
+        spec, p, k_used, data.lam, alpha, cv_seed, cv_replications, cv_grid, cache
+    )
+    critical = ref.critical_value
+    if form == "break-weighted" and spec.statistic == "F":
+        # the break-weighted form against a plain chi-square must decide
+        # exactly as the df-scaled form against the rescaled quantile
+        scaled_critical = (k_used - p + 1) / (k_used * p) * critical
+        if (forms["df-scaled"] > scaled_critical) != (forms[form] > critical):
+            raise RuntimeError("equivalent chi-square forms disagree")
+    p_value, reject = ref.decide(forms[form])
 
     return TestReport(
         variant=variant,
         statistic_raw=stat_raw,
-        statistic_modified=stat_mod,
-        statistic_scaled=stat_scaled,
-        decision_statistic=decision_value,
-        decision_statistic_name=decision_name,
-        reference=reference,
+        statistic_modified=forms["modified"],
+        statistic_scaled=forms["df-scaled"],
+        decision_statistic=forms[form],
+        decision_statistic_name=form,
+        reference=ref.name,
         p=p,
         k=k_used,
         k_requested=k_requested,
-        lam=lam,
+        lam=data.lam,
         alpha=alpha,
         p_value=p_value,
         critical_value=critical,
-        reject=bool(p_value < alpha),
+        reject=bool(reject),
         norm_factor=nf,
         plugin=plugin,
     )

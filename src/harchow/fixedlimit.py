@@ -38,8 +38,8 @@ from .bases import (
     kernel_matrix,
     phi_tilde_matrix,
 )
-from .errors import DegenerateSimulation, KTooSmall
-from .numkit import RngStream, cholesky, spd_solve
+from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
+from .numkit import RngStream, cholesky, solve_triangular
 
 F_INF = "F_inf"
 F_STAR_INF = "F_star_inf"
@@ -129,11 +129,12 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     bad = np.zeros(reps, dtype=bool)
     for i in range(reps):
         try:
-            cholesky(w[i])
-        except Exception:
+            u = cholesky(w[i])
+        except NotPositiveDefinite:
             bad[i] = True
             continue
-        out[i] = eta0[i] @ spd_solve(w[i], eta0[i])
+        y = solve_triangular(u.T, eta0[i], lower=True)
+        out[i] = eta0[i] @ solve_triangular(u, y, lower=False)
     return out, bad
 
 

@@ -26,20 +26,26 @@ class LongRunEstimate:
     basis_family: str
 
 
-def series_outer(basis: BasisSet, series: np.ndarray) -> np.ndarray:
-    """Average outer product of basis-weighted partial sums of ``series``.
-
-    ``series`` is T x d; the result is ``(1/K) sum_j [T^{-1/2} sum_t
-    phi_{j,t} series_t]`` squared as an outer product, a d x d matrix.
-    """
+def score_sums(basis: BasisSet, series: np.ndarray) -> np.ndarray:
+    """Basis-weighted partial sums ``G = Phi' S / sqrt(T)`` of a T x d series."""
     s = np.asarray(series, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
     if s.shape[0] != basis.t:
         raise ValueError("series rows must match the basis sample size")
-    g = basis.matrix.T @ s / np.sqrt(basis.t)
-    omega = g.T @ g / basis.k
+    return basis.matrix.T @ s / np.sqrt(basis.t)
+
+
+def sums_outer(g: np.ndarray) -> np.ndarray:
+    """Average outer product ``G' G / K`` of the K rows of score sums."""
+    omega = g.T @ g / len(g)
     return (omega + omega.T) / 2.0
+
+
+def series_outer(basis: BasisSet, series: np.ndarray) -> np.ndarray:
+    """``(1/K) sum_j g_j g_j'`` for the partial sums ``g_j = T^{-1/2} sum_t
+    phi_{j,t} series_t`` of a T x d ``series``; a d x d matrix."""
+    return sums_outer(score_sums(basis, series))
 
 
 def series_lrv(basis: BasisSet, xz: np.ndarray, u_hat: np.ndarray) -> np.ndarray:

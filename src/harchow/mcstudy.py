@@ -17,13 +17,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import autok, chowtest, fixedlimit, longrun
 from .bases import (
     FOURIER_RAW,
-    FOURIER_TRANSFORMED,
     BasisSet,
     break_index,
     column_norm_factors,
@@ -33,7 +33,7 @@ from .bases import (
     kernel_matrix,
 )
 from .errors import HarchowError
-from .numkit import RngStream, chi_square, dist_cdf, dist_quantile, fisher_f
+from .numkit import RngStream
 from .regression import RegressionData, full_break_hypothesis, ols_fit
 
 F_VARIANTS = (
@@ -203,7 +203,6 @@ def _run_block(
     failed = np.zeros(shape[:2], dtype=bool)
     t = spec.t
     k_star = break_index(spec.lam, t)
-    sqrt_t = np.sqrt(t)
 
     for i, rep in enumerate(range(start, stop)):
         rng = _rep_stream(master_seed, cell_id, rep)
@@ -215,8 +214,8 @@ def _run_block(
                 data = RegressionData(y0 + delta * shift, x, None, spec.lam)
                 fit = ols_fit(data, hyp)
                 scores = fit.xz * fit.residuals[:, None]
-                g_raw = bases.raw.matrix.T @ scores / sqrt_t
-                g_trans = bases.transformed.matrix.T @ scores / sqrt_t
+                g_raw = longrun.score_sums(bases.raw, scores)
+                g_trans = longrun.score_sums(bases.transformed, scores)
                 if auto:
                     v_series = autok.score_series(
                         r, fit.q_hat, fit.xz, fit.residuals
@@ -231,12 +230,8 @@ def _run_block(
                         (g_raw, k_r, f_raw, k_raw_used),
                         (g_trans, k_t, f_trans, k_trans_used),
                     ):
-                        omega = g[:k_used].T @ g[:k_used] / k_used
-                        v_mat = longrun.sandwich_variance(
-                            r, fit.q_hat, (omega + omega.T) / 2.0
-                        )
-                        out[i, d_idx, k_idx] = chowtest.wald_stat(
-                            fit.beta_hat, r, v_mat, t
+                        out[i, d_idx, k_idx] = chowtest.raw_statistic(
+                            g[:k_used], fit, r, "F"
                         )
                         used[i, d_idx, k_idx] = k_used
             except HarchowError:
@@ -290,63 +285,67 @@ def _run_cell(
     }
 
 
-def _variant_decisions(
-    variant: str,
-    stats: dict,
-    lam: float,
-    alpha: float,
-    p: int,
-    cv_cache: fixedlimit.CriticalValueCache | None,
-    cv_seed: int,
-    cv_replications: int,
-    cv_grid: int,
-    d_idx: int = 0,
-    k_idx: int = 0,
+def _decision_values(
+    variant: chowtest.TestVariant, stats: dict, bases: _CellBases, lam: float,
+    index: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(reject, k_used) per replication for one variant at one grid point."""
-    spec_v = chowtest.VARIANTS[variant]
-    lam_weight = lam * (1.0 - lam)
-    if spec_v.basis_family == FOURIER_RAW:
-        f_stat = stats["f_raw"][:, d_idx, k_idx]
-        k_used = stats["k_raw"][:, d_idx, k_idx]
-    else:
-        f_stat = stats["f_trans"][:, d_idx, k_idx]
-        k_used = stats["k_trans"][:, d_idx, k_idx]
-    norm = stats["bases"].norm_factor
-    ok = ~stats["failed"][:, d_idx]
-    reject = np.zeros(len(f_stat), dtype=bool)
-    if spec_v.reference == "chi-square":
-        quantile = dist_quantile(chi_square(p), 1.0 - alpha)
-        for i in np.nonzero(ok)[0]:
-            if spec_v.basis_family == FOURIER_RAW:
-                value = lam_weight * norm(FOURIER_RAW, int(k_used[i])) * f_stat[i]
-            else:
-                value = lam_weight * f_stat[i]
-            reject[i] = value > quantile
-    elif spec_v.reference == "fisher-f":
-        quantiles = {}
-        for i in np.nonzero(ok)[0]:
-            k = int(k_used[i])
-            if k not in quantiles:
-                quantiles[k] = dist_quantile(fisher_f(p, k - p + 1), 1.0 - alpha)
-            value = (k - p + 1) / (k * p) * lam_weight * f_stat[i]
-            reject[i] = value > quantiles[k]
-    else:  # nonstandard simulated reference
-        cache = cv_cache if cv_cache is not None else fixedlimit.shared_cache
-        dists = {}
-        for i in np.nonzero(ok)[0]:
-            k = int(k_used[i])
-            if k not in dists:
-                dists[k] = cache.get(
-                    fixedlimit.LimitSpec(
-                        p=p, k=k, lam=lam, family=spec_v.basis_family,
-                        grid_n=cv_grid, replications=cv_replications, seed=cv_seed,
-                    ),
-                    fixedlimit.F_STAR_INF,
-                )
-            value = lam_weight * norm(spec_v.basis_family, k) * f_stat[i]
-            reject[i] = fixedlimit.empirical_p(dists[k], value) < alpha
+    """(decision statistic, K used) of one variant at ``index`` into a cell's
+    (replication, delta, K) statistic arrays."""
+    key = "raw" if variant.basis_family == FOURIER_RAW else "trans"
+    wald, k_used = stats["f_" + key][index], stats["k_" + key][index]
+    nf_of = {
+        k: bases.norm_factor(variant.basis_family, k)
+        for k in np.unique(k_used).tolist()
+    }
+    nf = np.vectorize(nf_of.__getitem__, otypes=[float])(k_used)
+    forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
+    return forms[chowtest.decision_form(variant)], k_used
+
+
+def _rejections(
+    variant: chowtest.TestVariant, stats: dict, bases: _CellBases, lam: float,
+    index: tuple, references,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(reject, K used) of one variant at ``index``, deciding each
+    replication against ``references(variant, p, K, lam)`` of its own K."""
+    values, k_used = _decision_values(variant, stats, bases, lam, index)
+    reject = np.zeros(len(values), dtype=bool)
+    for k in np.unique(k_used).tolist():
+        sel = k_used == k
+        reject[sel] = references(variant, 2, k, lam).decide(values[sel])[1]
     return reject, k_used
+
+
+def _size_rows(
+    spec: DgpSpec, cell_id: int, k_policy, labels: list[str],
+    variants: tuple[str, ...], reps: int, master_seed: int, workers: int,
+    references,
+) -> list[ExperimentResult]:
+    """Rejection frequency per (K grid point, variant) of one cell."""
+    for v in variants:
+        chowtest.variant_spec(v, "F")
+    bases = _prepare_bases(spec.t, spec.lam)
+    stats = _run_cell(
+        spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
+    )
+    ok = ~stats["failed"][:, 0]
+    n_ok = int(ok.sum())
+    results = []
+    for k_idx, label in enumerate(labels):
+        for variant in variants:
+            reject, k_used = _rejections(
+                chowtest.VARIANTS[variant], stats, bases, spec.lam,
+                (ok, 0, k_idx), references,
+            )
+            rate = float(reject.sum() / n_ok) if n_ok else float("nan")
+            mc_se = float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0
+            ave_k = float(k_used.mean()) if n_ok else 0.0
+            results.append(ExperimentResult(
+                t=spec.t, rho=spec.rho, psi=spec.psi, delta=spec.delta,
+                variant=variant, k_policy=label, reps=reps, rejection=rate,
+                mc_se=mc_se, ave_k=ave_k, failures=reps - n_ok,
+            ))
+    return results
 
 
 def size_experiment(
@@ -367,40 +366,18 @@ def size_experiment(
         raise ValueError("need at least 500 replications")
     if not specs:
         raise ValueError("no cells requested")
-    for v in variants:
-        if chowtest.VARIANTS[v].statistic != "F":
-            raise ValueError(f"size experiments run F variants, got {v!r}")
+    references = partial(
+        chowtest.reference, alpha=alpha, cv_seed=cv_seed,
+        cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
+    )
+    auto = isinstance(k_policy, str)
+    policy, label = ("auto", "auto") if auto else ([int(k_policy)], str(k_policy))
     results = []
-    policy = "auto" if isinstance(k_policy, str) else [int(k_policy)]
     for cell_id, spec in enumerate(specs):
-        bases = _prepare_bases(spec.t, spec.lam)
-        stats = _run_cell(
-            spec, bases, master_seed, cell_id, reps, policy, (spec.delta,), workers
+        results += _size_rows(
+            spec, cell_id, policy, [label], variants, reps, master_seed, workers,
+            references,
         )
-        stats["bases"] = bases
-        ok = ~stats["failed"][:, 0]
-        n_ok = int(ok.sum())
-        for variant in variants:
-            reject, k_used = _variant_decisions(
-                variant, stats, spec.lam, alpha, 2, cv_cache,
-                cv_seed, cv_replications, cv_grid,
-            )
-            rate = float(reject[ok].sum() / n_ok) if n_ok else float("nan")
-            results.append(
-                ExperimentResult(
-                    t=spec.t,
-                    rho=spec.rho,
-                    psi=spec.psi,
-                    delta=spec.delta,
-                    variant=variant,
-                    k_policy="auto" if isinstance(k_policy, str) else str(k_policy),
-                    reps=reps,
-                    rejection=rate,
-                    mc_se=float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0,
-                    ave_k=float(k_used[ok].mean()) if n_ok else 0.0,
-                    failures=reps - n_ok,
-                )
-            )
     return results
 
 
@@ -420,37 +397,14 @@ def k_grid_experiment(
     """Rejection frequency across a fixed grid of K values (figure layout)."""
     if not k_values:
         raise ValueError("no K values requested")
-    bases = _prepare_bases(spec.t, spec.lam)
-    stats = _run_cell(
-        spec, bases, master_seed, 0, reps, list(k_values), (spec.delta,), workers
+    references = partial(
+        chowtest.reference, alpha=alpha, cv_seed=cv_seed,
+        cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
     )
-    stats["bases"] = bases
-    ok = ~stats["failed"][:, 0]
-    n_ok = int(ok.sum())
-    results = []
-    for k_idx, k in enumerate(k_values):
-        for variant in variants:
-            reject, k_used = _variant_decisions(
-                variant, stats, spec.lam, alpha, 2, cv_cache,
-                cv_seed, cv_replications, cv_grid, k_idx=k_idx,
-            )
-            rate = float(reject[ok].sum() / n_ok) if n_ok else float("nan")
-            results.append(
-                ExperimentResult(
-                    t=spec.t,
-                    rho=spec.rho,
-                    psi=spec.psi,
-                    delta=spec.delta,
-                    variant=variant,
-                    k_policy=str(k),
-                    reps=reps,
-                    rejection=rate,
-                    mc_se=float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0,
-                    ave_k=float(k_used[ok].mean()) if n_ok else 0.0,
-                    failures=reps - n_ok,
-                )
-            )
-    return results
+    return _size_rows(
+        spec, 0, list(k_values), [str(k) for k in k_values], variants, reps,
+        master_seed, workers, references,
+    )
 
 
 def power_experiment(
@@ -464,11 +418,11 @@ def power_experiment(
 ) -> dict:
     """Size-adjusted power for both basis families over a break-size grid.
 
-    The critical value for each family is the empirical ``1 - alpha``
-    quantile of its null statistic (``delta = 0``) under the same
-    replication streams; with common random numbers the two tests in a pair
-    share decisions replication by replication, so one curve per family
-    suffices.
+    A family's curve rejects the decision statistic of ``chisq-fourier`` or
+    ``f-transformed`` above the empirical ``1 - alpha`` quantile of its null
+    (``delta = 0``) value under the same replication streams. The pairs'
+    other members share the curve, except that under auto K
+    ``chisq-transformed`` (no per-K scaling) can differ from ``f-transformed``.
     """
     grid = tuple(deltas)
     if 0.0 not in grid:
@@ -478,31 +432,18 @@ def power_experiment(
     stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
     ok = ~stats["failed"].any(axis=1)
     n_ok = int(ok.sum())
-    p = 2  # full-equality contrast of the (intercept, regressor) design
-    lam_weight = spec.lam * (1.0 - spec.lam)
     curves: dict[str, list[float]] = {}
-    for family, key in ((FOURIER_RAW, "f_raw"), (FOURIER_TRANSFORMED, "f_trans")):
-        stat = stats[key][:, :, 0]
-        k_used = stats["k_raw" if family == FOURIER_RAW else "k_trans"][:, :, 0]
-        scaled = np.empty_like(stat)
-        for d in range(stat.shape[1]):
-            for i in range(stat.shape[0]):
-                if not ok[i]:
-                    scaled[i, d] = np.nan
-                    continue
-                k = int(k_used[i, d])
-                if family == FOURIER_RAW:
-                    scaled[i, d] = (
-                        lam_weight * bases.norm_factor(family, k) * stat[i, d]
-                    )
-                else:
-                    scaled[i, d] = (
-                        (k - p + 1) / (k * p) * lam_weight * stat[i, d]
-                    )
-        null_stats = np.sort(scaled[ok, 0])
+    for variant in ("chisq-fourier", "f-transformed"):
+        variant_spec = chowtest.VARIANTS[variant]
+        values, _ = _decision_values(
+            variant_spec, stats, bases, spec.lam, (ok, slice(None), 0)
+        )
+        null_stats = np.sort(values[:, 0])
         idx = int(np.ceil(n_ok * (1.0 - alpha))) - 1
         cv = null_stats[min(max(idx, 0), n_ok - 1)]
-        curves[family] = [float((scaled[ok, d] > cv).mean()) for d in range(len(grid))]
+        curves[variant_spec.basis_family] = [
+            float((values[:, d] > cv).mean()) for d in range(len(grid))
+        ]
     return {
         "deltas": grid,
         "reps": reps,

@@ -34,6 +34,28 @@ def _symmetrize(s: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Cholesky pivots of ``S`` in column order, up to the first failing one.
+
+    A pivot is accepted only above ``rtol`` times the largest diagonal entry.
+    Returns the upper-triangular factor (rows from the first failing pivot
+    on are zero) and the number of accepted pivots.
+    """
+    a = _symmetrize(s)
+    n = a.shape[0]
+    tol = rtol * max(float(np.max(np.diagonal(a))), 0.0) if n else 0.0
+    u = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - u[:j, j] @ u[:j, j]
+        if pivot <= tol:
+            return u, j
+        ujj = np.sqrt(pivot)
+        u[j, j] = ujj
+        if j + 1 < n:
+            u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / ujj
+    return u, n
+
+
 def cholesky(s: np.ndarray) -> np.ndarray:
     """Upper-triangular factor ``U`` with ``S = U' U`` and positive diagonal.
 
@@ -43,43 +65,19 @@ def cholesky(s: np.ndarray) -> np.ndarray:
         If any pivot falls at or below ``1e-12`` times the largest diagonal
         entry of ``S``, signalling (numerical) rank deficiency.
     """
-    a = _symmetrize(s)
-    n = a.shape[0]
-    tol = _PIVOT_RTOL * max(float(np.max(np.diagonal(a))), 0.0) if n else 0.0
-    u = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - u[:j, j] @ u[:j, j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} (tolerance {tol:.3e})"
-            )
-        ujj = np.sqrt(pivot)
-        u[j, j] = ujj
-        if j + 1 < n:
-            u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / ujj
+    u, rank = _pivot_factor(s, _PIVOT_RTOL)
+    if rank < u.shape[0]:
+        raise NotPositiveDefinite(
+            f"pivot at column {rank} is at or below {_PIVOT_RTOL:g} times the "
+            "largest diagonal entry"
+        )
     return u
 
 
 def leading_spd_rank(s: np.ndarray, rtol: float = _PIVOT_RTOL) -> int:
-    """Number of leading columns of ``S`` with an acceptable Cholesky pivot.
-
-    Runs the same factorization as :func:`cholesky` but stops at the first
-    failing pivot instead of raising, returning how many columns succeeded.
-    ``rtol`` scales the pivot threshold relative to the largest diagonal.
-    """
-    a = _symmetrize(s)
-    n = a.shape[0]
-    tol = rtol * max(float(np.max(np.diagonal(a))), 0.0) if n else 0.0
-    u = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - u[:j, j] @ u[:j, j]
-        if pivot <= tol:
-            return j
-        ujj = np.sqrt(pivot)
-        u[j, j] = ujj
-        if j + 1 < n:
-            u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / ujj
-    return n
+    """Number of leading columns of ``S`` with an acceptable Cholesky pivot,
+    ``rtol`` times the largest diagonal being the threshold."""
+    return _pivot_factor(s, rtol)[1]
 
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:

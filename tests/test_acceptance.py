@@ -23,6 +23,7 @@ from harchow.bases import (
 from harchow.chowtest import run_test
 from harchow.mcstudy import (
     DgpSpec,
+    _decision_values,
     _prepare_bases,
     _run_cell,
     size_experiment,
@@ -206,36 +207,31 @@ def test_criterion_08_size_adjusted_power():
     gap = float(np.max(np.abs(raw_curve - trans_curve)))
     assert gap <= 0.03
 
-    # pair check: the two tests in each named pair share a statistic and
-    # differ only in the reference distribution, which the size adjustment
-    # discards, so their adjusted decisions coincide replication by
-    # replication under each member's own empirical critical value
+    # pair check: the two tests of a pair decide on statistics that differ
+    # by a factor the size adjustment discards, so under each member's own
+    # empirical critical value their adjusted decisions coincide replication
+    # by replication. Each member's decision statistic comes from the
+    # statistic core. The raw pair shares its form under auto K; the
+    # transformed pair only at a fixed K, since the F form scales by each
+    # replication's own K.
     bases = _prepare_bases(spec.t, spec.lam)
-    stats = _run_cell(spec, bases, 404, 0, 2000, "auto", deltas, workers=2)
-    ok = ~stats["failed"].any(axis=1)
-    n_ok = int(ok.sum())
-    lam_w = spec.lam * (1 - spec.lam)
-    idx = int(np.ceil(n_ok * 0.95)) - 1
 
-    def modified_raw():
-        f = stats["f_raw"][ok, :, 0]
-        k = stats["k_raw"][ok, :, 0]
-        nf = np.vectorize(lambda kk: bases.norm_factor(FOURIER_RAW, int(kk)))(k)
-        return lam_w * nf * f
+    def adjusted_decisions(stats, variant):
+        ok = ~stats["failed"].any(axis=1)
+        values, _ = _decision_values(
+            chowtest.VARIANTS[variant], stats, bases, spec.lam,
+            (ok, slice(None), 0),
+        )
+        idx = int(np.ceil(int(ok.sum()) * 0.95)) - 1
+        return values > np.sort(values[:, 0])[idx]
 
-    def scaled_trans():
-        f = stats["f_trans"][ok, :, 0]
-        k = stats["k_trans"][ok, :, 0]
-        return (k - 2 + 1) / (k * 2) * lam_w * f
-
-    for name, member_stats in (
-        ("fourier", (modified_raw(), modified_raw())),
-        ("transformed", (scaled_trans(), scaled_trans())),
+    for policy, pair in (
+        ("auto", ("chisq-fourier", "nonstandard-fourier")),
+        ([12], ("chisq-transformed", "f-transformed")),
     ):
-        stat_a, stat_b = member_stats
-        cv_a = np.sort(stat_a[:, 0])[idx]
-        cv_b = np.sort(stat_b[:, 0])[idx]
-        assert np.array_equal(stat_a > cv_a, stat_b > cv_b), name
+        stats = _run_cell(spec, bases, 404, 0, 2000, policy, deltas, workers=2)
+        first, second = (adjusted_decisions(stats, v) for v in pair)
+        assert np.array_equal(first, second), pair
     report(8, f"max power gap between bases {gap:.4f} (<= 0.03); pairs identical")
 
 

@@ -12,12 +12,16 @@ from harchow.bases import (
 )
 from harchow.chowtest import (
     VARIANTS,
+    decision_form,
     modified_f,
     modified_t,
+    reference,
     run_test,
     scaled_f,
     scaled_t,
+    statistic_forms,
     t_stat,
+    variant_spec,
     wald_stat,
 )
 from harchow.errors import KTooSmall
@@ -195,6 +199,66 @@ class TestModifiedAndScaled:
         ratio = report.statistic_scaled / report.statistic_modified
         expected = (4 - 2 + 1) / (4 * 2) / report.norm_factor
         assert ratio == pytest.approx(expected, rel=1e-9)
+
+
+class TestStatisticCore:
+    def test_variant_spec_validation(self):
+        assert variant_spec("f-transformed", "F") is VARIANTS["f-transformed"]
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            variant_spec("bogus")
+        with pytest.raises(ValueError, match="'normal-fourier'"):
+            variant_spec("normal-fourier", "F")
+
+    def test_decision_form_per_variant(self):
+        # the README variant table
+        assert {name: decision_form(spec) for name, spec in VARIANTS.items()} == {
+            "chisq-fourier": "modified",
+            "nonstandard-fourier": "modified",
+            "chisq-transformed": "break-weighted",
+            "f-transformed": "df-scaled",
+            "normal-fourier": "modified",
+            "nonstandard-t-fourier": "modified",
+            "normal-transformed": "break-weighted",
+            "t-transformed": "df-scaled",
+        }
+
+    @pytest.mark.parametrize("statistic", ["F", "t"])
+    def test_forms_on_arrays_match_scalars(self, statistic):
+        raw = np.array([0.5, 3.0, 11.0])
+        nf = np.array([0.9, 1.1, 1.3])
+        k = np.array([2, 5, 9])
+        forms = statistic_forms(raw, statistic, nf, 2, k, 0.4)
+        for i in range(3):
+            scalar = statistic_forms(
+                float(raw[i]), statistic, float(nf[i]), 2, int(k[i]), 0.4
+            )
+            for name, value in scalar.items():
+                assert forms[name][i] == value, name
+
+    def test_array_forms_keep_their_checks(self):
+        with pytest.raises(KTooSmall):
+            scaled_f(np.ones(2), 2, np.array([4, 1]), 0.4)
+        with pytest.raises(ValueError):
+            modified_f(np.ones(2), np.array([1.0, 0.0]), 0.4)
+        with pytest.raises(ValueError):
+            modified_t(np.ones(2), np.array([1.0, -1.0]), 0.4)
+
+    @pytest.mark.parametrize(
+        "name", ["chisq-transformed", "f-transformed", "t-transformed"]
+    )
+    def test_reference_rejects_iff_p_below_alpha(self, name):
+        spec = VARIANTS[name]
+        p = 1 if spec.statistic == "t" else 2
+        ref = reference(spec, p, 8, 0.4, 0.05)
+        xs = np.array([-3.0, 0.1, 0.9, 2.5, 4.0, 9.0])
+        p_values, reject = ref.decide(xs)
+        for x, p_value, rej in zip(xs, p_values, reject):
+            assert ref.p_value(float(x)) == p_value
+            assert rej == (p_value < 0.05)
+        # the critical value sits on the boundary of the rule
+        assert ref.p_value(ref.critical_value) == pytest.approx(0.05, rel=1e-8)
+        assert ref.p_value(ref.critical_value * 1.001) < 0.05
+        assert ref.p_value(ref.critical_value * 0.999) > 0.05
 
 
 def simulated_data(seed, t=80, lam=0.4, rho=0.0):

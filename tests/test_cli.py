@@ -197,6 +197,18 @@ class TestMcCommands:
         code = cli.main(["mc-size", "--T", "60", "--cells", "", "--reps", "500"])
         assert code == 2
 
+    @pytest.mark.parametrize("layout", [["--cells", "0:0"], ["--preset", "figure"]])
+    @pytest.mark.parametrize("variant", ["bogus", "normal-fourier"])
+    def test_mc_size_rejects_unknown_and_t_variants(self, layout, variant, capsys):
+        # both layouts validate before simulating: an unknown name or a t
+        # variant is a validation error, never a traceback or a silent rate
+        code = cli.main(
+            ["mc-size", "--T", "60", "--k-grid", "2:6:2", "--reps", "500",
+             "--variants", variant] + layout
+        )
+        assert code == 2
+        assert repr(variant) in capsys.readouterr().err
+
     def test_mc_size_figure_preset(self, tmp_path):
         out = tmp_path / "figure.csv"
         code = cli.main(

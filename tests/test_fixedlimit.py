@@ -152,9 +152,11 @@ class TestGridProperties:
                 r = np.corrcoef(eta0, etas[:, j])[0, 1]
                 assert abs(r) < 0.02
 
-    def test_quad_forms_generic_path_matches_closed_form(self):
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_quad_forms_generic_path_matches_closed_form(self, p):
+        # p = 2 takes the closed form, p = 3 the per-replication factor
         rng = np.random.default_rng(5)
-        k, reps, p = 6, 50, 2
+        k, reps = 6, 50
         etas = rng.standard_normal((k, reps, p))
         eta0 = rng.standard_normal((reps, p))
         fast, bad_fast = _quad_forms(eta0, etas, k)
@@ -167,9 +169,10 @@ class TestGridProperties:
             direct = eta0[i] @ np.linalg.solve(w, eta0[i])
             assert fast[i] == pytest.approx(direct, rel=1e-10)
 
-    def test_quad_forms_flags_singular(self):
-        etas = np.zeros((3, 4, 2))
-        eta0 = np.ones((4, 2))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_quad_forms_flags_singular(self, p):
+        etas = np.zeros((3, 4, p))
+        eta0 = np.ones((4, p))
         _, bad = _quad_forms(eta0, etas, 3)
         assert bad.all()
 

@@ -1,11 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from harchow.chowtest import run_test
+from harchow.chowtest import VARIANTS, reference, run_test
+from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import (
+    F_VARIANTS,
     DgpSpec,
     _ar1_filter,
     _prepare_bases,
+    _rejections,
     _rep_stream,
     _run_block,
     _run_cell,
@@ -101,6 +106,39 @@ class TestRunCellConsistency:
                 rep_raw.statistic_raw, rel=1e-10
             )
 
+    @pytest.mark.parametrize("rho", [0.0, 0.6, 0.9])
+    def test_decisions_match_run_test_under_auto_k(self, rho):
+        # the engine decides every F variant, replication by replication,
+        # exactly as run_test does on the regenerated series
+        spec = DgpSpec(t=100, rho=rho)
+        bases = _prepare_bases(spec.t, spec.lam)
+        cache = CriticalValueCache()
+        references = partial(
+            reference, alpha=0.05, cv_seed=0, cv_replications=1000, cv_grid=150,
+            cache=cache,
+        )
+        stats = _run_block(
+            spec, bases, master_seed=13, cell_id=0, rep_range=(0, 60),
+            k_policy="auto", deltas=(0.0,),
+        )
+        ok = ~stats["failed"][:, 0]
+        reps = np.nonzero(ok)[0]
+        assert len(reps) >= 50
+        for name in F_VARIANTS:
+            reject, k_used = _rejections(
+                VARIANTS[name], stats, bases, spec.lam, (ok, 0, 0), references
+            )
+            for rep, engine_reject, engine_k in zip(reps, reject, k_used):
+                y, x = simulate_dgp(spec, _rep_stream(13, 0, rep))
+                report = run_test(
+                    RegressionData(y, x, None, spec.lam), variant=name,
+                    k="auto", cv_seed=0, cv_replications=1000, cv_grid=150,
+                    cache=cache,
+                )
+                assert (report.reject, report.k) == (engine_reject, engine_k), (
+                    name, rep,
+                )
+
     def test_worker_counts_agree(self):
         spec = DgpSpec(t=60, rho=0.0)
         bases = _prepare_bases(spec.t, spec.lam)
@@ -177,9 +215,8 @@ class TestPowerExperiment:
             assert curve[-1] > curve[0]
 
     def test_common_random_numbers_make_pairs_identical(self):
-        # both tests in a pair share the statistic, so their size-adjusted
-        # decisions coincide replication by replication; with common draws
-        # the comparison is exact by construction here
+        # one curve per basis family; that the tests of a pair share their
+        # adjusted decisions is checked by acceptance criterion 8
         out = power_experiment(
             DgpSpec(t=60, rho=0.3), deltas=(0.0, 0.6), k_policy=4,
             reps=500, master_seed=23,
