@@ -54,7 +54,7 @@ from .fixedlimit import (
     empirical_p,
     simulate_limit,
 )
-from .longrun import LongRunEstimate, sandwich_variance, series_lrv
+from .longrun import sandwich_variance, series_lrv
 from .mcstudy import (
     DgpSpec,
     ExperimentResult,
@@ -88,7 +88,6 @@ __all__ = [
     "KTooSmall",
     "KernelMatrix",
     "LimitSpec",
-    "LongRunEstimate",
     "NotPositiveDefinite",
     "PluginModel",
     "RegimeTooSmall",

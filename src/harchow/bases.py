@@ -4,6 +4,8 @@ Provides interleaved cosine/sine (Fourier) basis vectors, the break-geometry
 covariance kernel matrix and its inner product, the within-regime demeaned
 ("tilde") transforms of basis columns, and the Gram-Schmidt step that
 orthonormalizes a basis with respect to the kernel inner product.
+:func:`series_basis` is the one place that builds a family's first K vectors
+and decides the kernel-feasible K; every consumer asks it for its basis.
 
 The break splits ``{1, ..., T}`` at ``k* = floor(lambda * T)``: regime one is
 ``t <= k*`` and regime two is ``t > k*``. Every function here uses that same
@@ -13,13 +15,12 @@ never disagree about regime membership.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakTooExtreme, NotPositiveDefinite
-from .numkit import cholesky, leading_spd_rank, solve_triangular
+from .numkit import leading_spd_rank, solve_triangular
 from .numkit.linalg import _pivot_factor
 
 FOURIER_RAW = "fourier-raw"
@@ -186,7 +187,21 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
         If the Gram matrix is rank deficient, e.g. a raw column is constant
         within both regimes or ``K`` exceeds the kernel rank available.
     """
+    return _orthonormalize(raw, kern, trim=False)
+
+
+def _orthonormalize(raw: BasisSet, kern: KernelMatrix, trim: bool) -> BasisSet:
+    """:func:`gram_transform`; with ``trim``, first cut the raw columns to
+    the accepted-pivot count of their Gram factor and refactor the kept
+    columns from their own Gram matrix."""
     u, rank = _pivot_factor(gram_matrix(raw, kern), _TRANSFORM_PIVOT_RTOL)
+    if trim and 0 < rank < raw.k:
+        del u  # free the untrimmed factor before building the smaller one
+        raw = BasisSet(
+            t=raw.t, k=rank, lam=raw.lam, family=FOURIER_RAW,
+            matrix=raw.matrix[:, :rank],
+        )
+        u, rank = _pivot_factor(gram_matrix(raw, kern), _TRANSFORM_PIVOT_RTOL)
     if rank < raw.k:
         raise NotPositiveDefinite(
             "Gram matrix is too close to singular for a reliable transform"
@@ -197,33 +212,39 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
     )
 
 
+def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
+    """The first ``K`` vectors of a basis family: the one basis provider.
+
+    ``fourier-raw`` gives :func:`fourier_matrix`. ``fourier-transformed``
+    gives the kernel-orthonormal transform of those columns, with ``K`` cut
+    to the kernel-feasible count when the nominal cap ``K <= T - 2``
+    overstates the kernel rank: for some ``(T, lambda)`` a combination of
+    the last Fourier columns falls in the kernel null space. The returned
+    ``.k`` is the count kept.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If no column survives the kernel inner product.
+    """
+    raw = fourier_matrix(t, k, lam)
+    if family == FOURIER_RAW:
+        return raw
+    if family != FOURIER_TRANSFORMED:
+        raise ValueError(f"unknown basis family {family!r}")
+    return _orthonormalize(raw, kernel_matrix(t, lam), trim=True)
+
+
 def feasible_k(raw: BasisSet, kern: KernelMatrix) -> int:
     """Largest leading column count whose kernel Gram matrix is numerically PD.
 
     The nominal cap ``K <= T - 2`` only bounds the kernel rank; for some
     ``(T, lambda)`` pairs a combination of the last Fourier columns falls in
     the kernel null space, so the usable count can be smaller. This runs the
-    Cholesky pivots of the full Gram matrix and reports how many succeed.
+    Cholesky pivots of the full Gram matrix and reports how many succeed;
+    :func:`series_basis` keeps the same count.
     """
     rank = leading_spd_rank(gram_matrix(raw, kern), rtol=_TRANSFORM_PIVOT_RTOL)
     if rank == 0:
         raise NotPositiveDefinite("no basis column survives the kernel inner product")
     return rank
-
-
-def dump_debug(raw: BasisSet, kern: KernelMatrix, outdir: str) -> dict[str, str]:
-    """Write Phi, C_T, U_T and Phi* as CSV files for external verification."""
-    os.makedirs(outdir, exist_ok=True)
-    u = cholesky(gram_matrix(raw, kern))
-    star = gram_transform(raw, kern)
-    paths = {}
-    for name, array in (
-        ("phi", raw.matrix),
-        ("c_matrix", kern.matrix),
-        ("u_factor", u),
-        ("phi_star", star.matrix),
-    ):
-        path = os.path.join(outdir, f"{name}.csv")
-        np.savetxt(path, array, delimiter=",")
-        paths[name] = path
-    return paths

@@ -27,16 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autok, fixedlimit, longrun
-from .bases import (
-    FOURIER_RAW,
-    FOURIER_TRANSFORMED,
-    BasisSet,
-    feasible_k,
-    fourier_matrix,
-    gram_transform,
-    kernel_matrix,
-    norm_factor,
-)
+from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, norm_factor, series_basis
 from .errors import KTooSmall, NotPositiveDefinite
 from .numkit import (
     DistFamily,
@@ -286,26 +277,6 @@ def reference(
     return Reference(f"simulated t_star_inf({settings}), two-sided", dist, alpha, True)
 
 
-def _resolve_basis(
-    t: int, k_requested: int, lam: float, family: str
-) -> tuple[BasisSet, int]:
-    """Build the basis, shrinking K to the kernel-feasible count if needed."""
-    raw = fourier_matrix(t, k_requested, lam)
-    if family == FOURIER_RAW:
-        return raw, k_requested
-    kern = kernel_matrix(t, lam)
-    try:
-        return gram_transform(raw, kern), k_requested
-    except NotPositiveDefinite:
-        usable = feasible_k(raw, kern)
-        if usable >= k_requested:
-            raise
-        trimmed = BasisSet(
-            t=t, k=usable, lam=lam, family=FOURIER_RAW, matrix=raw.matrix[:, :usable]
-        )
-        return gram_transform(trimmed, kern), k_requested
-
-
 def run_test(
     data: RegressionData,
     hyp: BreakHypothesis | None = None,
@@ -364,7 +335,7 @@ def run_test(
         if not (1 <= k_requested <= t - 2):
             raise ValueError(f"need 1 <= K <= T - 2, got K={k_requested}")
 
-    basis, k_requested = _resolve_basis(t, k_requested, data.lam, spec.basis_family)
+    basis = series_basis(t, k_requested, data.lam, spec.basis_family)
     k_used = basis.k
     if k_used < p:
         raise KTooSmall(f"only {k_used} usable basis vectors for p={p}")

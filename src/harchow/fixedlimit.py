@@ -25,6 +25,7 @@ draws as little-endian float64.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass
 
@@ -33,10 +34,9 @@ import numpy as np
 from .bases import (
     FOURIER_RAW,
     FOURIER_TRANSFORMED,
-    fourier_matrix,
-    gram_transform,
-    kernel_matrix,
+    break_index,
     phi_tilde_matrix,
+    series_basis,
 )
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
 from .numkit import RngStream, cholesky, solve_triangular
@@ -49,6 +49,8 @@ KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
 FILE_VERSION = 1
 _CHUNK = 2048
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,14 @@ class SimulatedDistribution:
 def _grids(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Demeaned basis grid (n x K) and the regime-contrast grid (n,)."""
     n = spec.grid_n
-    raw = fourier_matrix(n, spec.k, spec.lam)
-    basis = raw
-    if spec.family == FOURIER_TRANSFORMED:
-        basis = gram_transform(raw, kernel_matrix(n, spec.lam))
+    basis = series_basis(n, spec.k, spec.lam, spec.family)
+    if basis.k < spec.k:
+        raise NotPositiveDefinite(
+            f"only {basis.k} of K={spec.k} basis vectors are kernel-feasible "
+            f"on a grid of {n}"
+        )
     tilde = phi_tilde_matrix(basis.matrix, spec.lam, n)
-    k_star = int(np.floor(spec.lam * n + 1e-9))
+    k_star = break_index(spec.lam, n)
     phi0 = np.empty(n)
     phi0[:k_star] = 1.0 / spec.lam
     phi0[k_star:] = -1.0 / (1.0 - spec.lam)
@@ -247,12 +251,21 @@ def _cache_filename(spec: LimitSpec, kind: str) -> str:
 
 
 def save_distribution(dist: SimulatedDistribution, path: str) -> None:
+    """Write ``dist`` to a temporary file beside ``path``, then rename it
+    over ``path``, so a concurrent reader sees the old file or the new one,
+    never a partial one."""
     header = {"version": FILE_VERSION, "kind": dist.kind, "redraws": dist.redraws}
     header.update(asdict(dist.spec))
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode())
-        fh.write(b"\n")
-        fh.write(dist.draws.astype("<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode())
+            fh.write(b"\n")
+            fh.write(dist.draws.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_distribution(path: str) -> SimulatedDistribution:
@@ -261,10 +274,13 @@ def load_distribution(path: str) -> SimulatedDistribution:
         payload = fh.read()
     if header.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported cache version in {path}")
-    kind = header.pop("kind")
-    redraws = header.pop("redraws")
-    header.pop("version")
-    spec = LimitSpec(**header)
+    try:
+        kind = header.pop("kind")
+        redraws = header.pop("redraws")
+        header.pop("version")
+        spec = LimitSpec(**header)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed header in cache file {path}: {exc!r}") from exc
     draws = np.frombuffer(payload, dtype="<f8")
     if len(draws) != spec.replications:
         raise ValueError(f"cache file {path} is truncated")
@@ -279,7 +295,9 @@ class CriticalValueCache:
     """Read-mostly cache of simulated distributions, optionally persistent.
 
     Lookups hit memory first, then the cache directory (when configured),
-    and only then simulate; fresh simulations are written back to disk.
+    and only then simulate; fresh simulations are written back to disk. A
+    truncated, malformed or wrong-version file is logged, re-simulated and
+    overwritten.
     """
 
     def __init__(self, directory: str | None = None):
@@ -295,9 +313,13 @@ class CriticalValueCache:
         if self.directory:
             path = os.path.join(self.directory, _cache_filename(spec, kind))
             if os.path.exists(path):
-                dist = load_distribution(path)
-                self._memory[key] = dist
-                return dist
+                try:
+                    dist = load_distribution(path)
+                except ValueError as exc:
+                    logger.warning("re-simulating %s: %s", path, exc)
+                else:
+                    self._memory[key] = dist
+                    return dist
         dist = simulate_limit(spec, kind)
         self._memory[key] = dist
         if path is not None:

@@ -8,22 +8,10 @@ pass as ``G = Phi' S / sqrt(T)`` with ``S`` the T x 2m score matrix, giving
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bases import BasisSet
 from .numkit import spd_solve
-
-
-@dataclass(frozen=True)
-class LongRunEstimate:
-    """Long-run variance of the scores and the implied contrast variance."""
-
-    omega_hat: np.ndarray
-    sandwich: np.ndarray
-    k: int
-    basis_family: str
 
 
 def score_sums(basis: BasisSet, series: np.ndarray) -> np.ndarray:
@@ -65,14 +53,3 @@ def sandwich_variance(
     w = spd_solve(q_hat, r.T)
     v = w.T @ omega_hat @ w
     return (v + v.T) / 2.0
-
-
-def estimate(basis: BasisSet, xz, u_hat, r, q_hat) -> LongRunEstimate:
-    """Bundle :func:`series_lrv` and :func:`sandwich_variance`."""
-    omega = series_lrv(basis, xz, u_hat)
-    return LongRunEstimate(
-        omega_hat=omega,
-        sandwich=sandwich_variance(r, q_hat, omega),
-        k=basis.k,
-        basis_family=basis.family,
-    )

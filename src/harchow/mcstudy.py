@@ -24,13 +24,11 @@ import numpy as np
 from . import autok, chowtest, fixedlimit, longrun
 from .bases import (
     FOURIER_RAW,
+    FOURIER_TRANSFORMED,
     BasisSet,
     break_index,
     column_norm_factors,
-    feasible_k,
-    fourier_matrix,
-    gram_transform,
-    kernel_matrix,
+    series_basis,
 )
 from .errors import HarchowError
 from .numkit import RngStream
@@ -138,37 +136,22 @@ def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
     return y, x
 
 
-@dataclass(frozen=True)
-class _CellBases:
-    """Per-(T, lambda) precomputation shared by every replication."""
-
-    raw: BasisSet
-    transformed: BasisSet
-    k_feasible: int
-    colnorm_raw: np.ndarray
-    colnorm_trans: np.ndarray
-
-    def norm_factor(self, family: str, k: int) -> float:
-        cols = self.colnorm_raw if family == FOURIER_RAW else self.colnorm_trans
-        return float(cols[:k].mean())
+def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
+    """Each family's basis at K = T - 2, shared by every replication of a
+    cell; the transformed basis keeps its kernel-feasible columns only."""
+    return {
+        family: series_basis(t, t - 2, lam, family)
+        for family in (FOURIER_RAW, FOURIER_TRANSFORMED)
+    }
 
 
-def _prepare_bases(t: int, lam: float) -> _CellBases:
-    raw = fourier_matrix(t, t - 2, lam)
-    kern = kernel_matrix(t, lam)
-    k_feasible = feasible_k(raw, kern)
-    trimmed = BasisSet(
-        t=t, k=k_feasible, lam=lam, family=FOURIER_RAW,
-        matrix=raw.matrix[:, :k_feasible],
-    )
-    transformed = gram_transform(trimmed, kern)
-    return _CellBases(
-        raw=raw,
-        transformed=transformed,
-        k_feasible=k_feasible,
-        colnorm_raw=column_norm_factors(raw),
-        colnorm_trans=column_norm_factors(transformed),
-    )
+def _check_k_policy(k_policy, t: int) -> None:
+    """``ValueError`` unless every fixed K satisfies ``1 <= K <= T - 2``."""
+    if isinstance(k_policy, str):
+        return
+    bad = [k for k in k_policy if not 1 <= k <= t - 2]
+    if bad:
+        raise ValueError(f"need 1 <= K <= T - 2 = {t - 2}, got K={bad}")
 
 
 def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
@@ -177,7 +160,7 @@ def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
 
 def _run_block(
     spec: DgpSpec,
-    bases: _CellBases,
+    bases: dict[str, BasisSet],
     master_seed: int,
     cell_id: int,
     rep_range: tuple[int, int],
@@ -203,6 +186,7 @@ def _run_block(
     failed = np.zeros(shape[:2], dtype=bool)
     t = spec.t
     k_star = break_index(spec.lam, t)
+    raw, trans = bases[FOURIER_RAW], bases[FOURIER_TRANSFORMED]
 
     for i, rep in enumerate(range(start, stop)):
         rng = _rep_stream(master_seed, cell_id, rep)
@@ -214,17 +198,17 @@ def _run_block(
                 data = RegressionData(y0 + delta * shift, x, None, spec.lam)
                 fit = ols_fit(data, hyp)
                 scores = fit.xz * fit.residuals[:, None]
-                g_raw = longrun.score_sums(bases.raw, scores)
-                g_trans = longrun.score_sums(bases.transformed, scores)
+                g_raw = longrun.score_sums(raw, scores)
+                g_trans = longrun.score_sums(trans, scores)
                 if auto:
                     v_series = autok.score_series(
                         r, fit.q_hat, fit.xz, fit.residuals
                     )
                     model = autok.build_plugin_model(v_series)
                     k_hat = autok.mse_optimal_k(model, t, hyp.p)
-                    k_pairs = [(k_hat, min(k_hat, bases.k_feasible))]
+                    k_pairs = [(k_hat, min(k_hat, trans.k))]
                 else:
-                    k_pairs = [(k, min(k, bases.k_feasible)) for k in k_list]
+                    k_pairs = [(k, min(k, trans.k)) for k in k_list]
                 for k_idx, (k_r, k_t) in enumerate(k_pairs):
                     for g, k_used, out, used in (
                         (g_raw, k_r, f_raw, k_raw_used),
@@ -251,7 +235,7 @@ def _block_worker(payload: dict) -> dict:
 
 def _run_cell(
     spec: DgpSpec,
-    bases: _CellBases,
+    bases: dict[str, BasisSet],
     master_seed: int,
     cell_id: int,
     reps: int,
@@ -286,25 +270,23 @@ def _run_cell(
 
 
 def _decision_values(
-    variant: chowtest.TestVariant, stats: dict, bases: _CellBases, lam: float,
-    index: tuple,
+    variant: chowtest.TestVariant, stats: dict, bases: dict[str, BasisSet],
+    lam: float, index: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(decision statistic, K used) of one variant at ``index`` into a cell's
     (replication, delta, K) statistic arrays."""
     key = "raw" if variant.basis_family == FOURIER_RAW else "trans"
     wald, k_used = stats["f_" + key][index], stats["k_" + key][index]
-    nf_of = {
-        k: bases.norm_factor(variant.basis_family, k)
-        for k in np.unique(k_used).tolist()
-    }
+    cols = column_norm_factors(bases[variant.basis_family])
+    nf_of = {k: float(cols[:k].mean()) for k in np.unique(k_used).tolist()}
     nf = np.vectorize(nf_of.__getitem__, otypes=[float])(k_used)
     forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
     return forms[chowtest.decision_form(variant)], k_used
 
 
 def _rejections(
-    variant: chowtest.TestVariant, stats: dict, bases: _CellBases, lam: float,
-    index: tuple, references,
+    variant: chowtest.TestVariant, stats: dict, bases: dict[str, BasisSet],
+    lam: float, index: tuple, references,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(reject, K used) of one variant at ``index``, deciding each
     replication against ``references(variant, p, K, lam)`` of its own K."""
@@ -324,7 +306,8 @@ def _size_rows(
     """Rejection frequency per (K grid point, variant) of one cell."""
     for v in variants:
         chowtest.variant_spec(v, "F")
-    bases = _prepare_bases(spec.t, spec.lam)
+    _check_k_policy(k_policy, spec.t)
+    bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(
         spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
     )
@@ -427,8 +410,9 @@ def power_experiment(
     grid = tuple(deltas)
     if 0.0 not in grid:
         grid = (0.0,) + grid
-    bases = _prepare_bases(spec.t, spec.lam)
     policy = "auto" if isinstance(k_policy, str) else [int(k_policy)]
+    _check_k_policy(policy, spec.t)
+    bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
     ok = ~stats["failed"].any(axis=1)
     n_ok = int(ok.sum())

@@ -23,8 +23,8 @@ from harchow.bases import (
 from harchow.chowtest import run_test
 from harchow.mcstudy import (
     DgpSpec,
+    _cell_bases,
     _decision_values,
-    _prepare_bases,
     _run_cell,
     size_experiment,
 )
@@ -214,7 +214,7 @@ def test_criterion_08_size_adjusted_power():
     # statistic core. The raw pair shares its form under auto K; the
     # transformed pair only at a fixed K, since the F form scales by each
     # replication's own K.
-    bases = _prepare_bases(spec.t, spec.lam)
+    bases = _cell_bases(spec.t, spec.lam)
 
     def adjusted_decisions(stats, variant):
         ok = ~stats["failed"].any(axis=1)

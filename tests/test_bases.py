@@ -3,10 +3,10 @@ import pytest
 
 from harchow.bases import (
     FOURIER_RAW,
+    FOURIER_TRANSFORMED,
     BasisSet,
     break_index,
     column_norm_factors,
-    dump_debug,
     feasible_k,
     fourier_matrix,
     gram_matrix,
@@ -16,6 +16,7 @@ from harchow.bases import (
     norm_factor,
     phi_tilde_grid,
     phi_tilde_matrix,
+    series_basis,
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
 
@@ -223,16 +224,35 @@ class TestGramTransform:
             gram_transform(raw, kern)
 
 
-def test_dump_debug(tmp_path):
-    t, lam, k = 20, 0.4, 3
-    raw = fourier_matrix(t, k, lam)
-    kern = kernel_matrix(t, lam)
-    paths = dump_debug(raw, kern, str(tmp_path))
-    phi = np.loadtxt(paths["phi"], delimiter=",")
-    star = np.loadtxt(paths["phi_star"], delimiter=",")
-    u = np.loadtxt(paths["u_factor"], delimiter=",")
-    assert phi.shape == (t, k) and star.shape == (t, k) and u.shape == (k, k)
-    assert np.allclose(phi @ np.linalg.inv(u), star, atol=1e-10)
+class TestSeriesBasis:
+    def test_trims_to_kernel_feasible_count(self):
+        # K = T - 2 at T = 100, lambda = 0.4 has one kernel-null direction;
+        # the kept columns are refactored from their own Gram matrix
+        t, lam = 100, 0.4
+        kern = kernel_matrix(t, lam)
+        star = series_basis(t, t - 2, lam, FOURIER_TRANSFORMED)
+        assert (star.k, star.family) == (t - 3, FOURIER_TRANSFORMED)
+        expected = gram_transform(fourier_matrix(t, t - 3, lam), kern)
+        assert np.array_equal(star.matrix, expected.matrix)
+        gram = star.matrix.T @ kern.matrix @ star.matrix / t**2
+        assert np.max(np.abs(gram - np.eye(t - 3))) <= 1e-8
+
+    @pytest.mark.parametrize("k", [8, 99])
+    def test_feasible_k_kept_at_odd_t(self, k):
+        t, lam = 101, 0.4
+        star = series_basis(t, k, lam, FOURIER_TRANSFORMED)
+        expected = gram_transform(fourier_matrix(t, k, lam), kernel_matrix(t, lam))
+        assert star.k == k
+        assert np.array_equal(star.matrix, expected.matrix)
+
+    def test_raw_family_is_fourier_matrix(self):
+        basis = series_basis(60, 58, 0.4, FOURIER_RAW)
+        assert (basis.k, basis.family) == (58, FOURIER_RAW)
+        assert np.array_equal(basis.matrix, fourier_matrix(60, 58, 0.4).matrix)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError):
+            series_basis(60, 4, 0.4, "legendre")
 
 
 def test_phi_tilde_rejects_extreme_break():

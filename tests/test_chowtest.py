@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harchow import chowtest, longrun
+from harchow import bases, chowtest, longrun
 from harchow.bases import (
     FOURIER_RAW,
     BasisSet,
@@ -363,6 +363,20 @@ class TestRunTest:
         report = run_test(data, variant="f-transformed", k=58)
         assert report.k_requested == 58
         assert report.k == 57  # even T, even break row: one null direction
+
+    @pytest.mark.parametrize("t, k", [(150, 98), (60, 58)])
+    def test_transformed_builds_kernel_once(self, monkeypatch, t, k):
+        # one kernel matrix per transformed call, trimmed (60, 58) or not
+        calls = []
+        build = bases.kernel_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(bases, "kernel_matrix", counted)
+        run_test(simulated_data(3, t=t), variant="chisq-transformed", k=k)
+        assert len(calls) == 1
 
     def test_nonstandard_t_matches_f_at_p1(self):
         # with p = 1 the squared t statistic is the Wald statistic and the

@@ -209,6 +209,20 @@ class TestMcCommands:
         assert code == 2
         assert repr(variant) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["mc-size", "--cells", "0:0", "--k", "200"],
+        ["mc-size", "--cells", "0:0", "--k", "0"],
+        ["mc-size", "--preset", "figure", "--k-grid", "0:4:2"],
+        ["mc-size", "--preset", "figure", "--k-grid", "50:60:5"],
+        ["mc-power", "--k", "200"],
+        ["mc-power", "--k", "0"],
+    ])
+    def test_mc_fixed_k_outside_range_exits_2(self, args, capsys):
+        # every fixed K must satisfy 1 <= K <= T - 2 = 58
+        code = cli.main(args + ["--T", "60", "--reps", "500"])
+        assert code == 2
+        assert "1 <= K <= T - 2" in capsys.readouterr().err
+
     def test_mc_size_figure_preset(self, tmp_path):
         out = tmp_path / "figure.csv"
         code = cli.main(

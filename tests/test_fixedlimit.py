@@ -1,10 +1,12 @@
+import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
 from harchow.bases import fourier_matrix, kernel_inner, kernel_matrix
-from harchow.errors import KTooSmall
+from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
     F_INF,
     F_STAR_INF,
@@ -176,6 +178,11 @@ class TestGridProperties:
         _, bad = _quad_forms(eta0, etas, 3)
         assert bad.all()
 
+    def test_infeasible_transformed_k_raises(self):
+        # the grid of 100 points only carries 97 kernel-feasible columns
+        with pytest.raises(NotPositiveDefinite):
+            _grids(small_spec(p=1, k=98, grid_n=100))
+
 
 class TestQuantilesAndPValues:
     def test_median(self):
@@ -221,6 +228,35 @@ class TestCache:
         cache2 = CriticalValueCache(str(tmp_path))
         d2 = cache2.get(spec, SCALED_F_INF)
         assert np.array_equal(d1.draws, d2.draws)
+
+    @pytest.mark.parametrize("damage", ["payload", "header", "version", "field"])
+    def test_damaged_file_is_resimulated(self, tmp_path, caplog, damage):
+        spec = small_spec()
+        CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        (name,) = os.listdir(tmp_path)
+        path = str(tmp_path / name)
+        with open(path, "rb") as fh:
+            header, payload = fh.read().split(b"\n", 1)
+        if damage == "payload":
+            damaged = header + b"\n" + payload[: len(payload) // 2]
+        elif damage == "header":
+            damaged = header[: len(header) // 2]
+        else:
+            fields = json.loads(header)
+            if damage == "version":
+                fields["version"] = -1
+            else:
+                del fields["kind"]
+            damaged = json.dumps(fields).encode() + b"\n" + payload
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        with caplog.at_level(logging.WARNING, logger="harchow.fixedlimit"):
+            dist = CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        assert np.array_equal(dist.draws, simulate_limit(spec, F_STAR_INF).draws)
+        assert name in caplog.text
+        # the damaged file was overwritten and no temporary file is left
+        assert os.listdir(tmp_path) == [name]
+        assert np.array_equal(load_distribution(path).draws, dist.draws)
 
     def test_export_csv(self, tmp_path):
         dist = simulate_limit(small_spec(), SCALED_F_INF)

@@ -9,7 +9,7 @@ from harchow.mcstudy import (
     F_VARIANTS,
     DgpSpec,
     _ar1_filter,
-    _prepare_bases,
+    _cell_bases,
     _rejections,
     _rep_stream,
     _run_block,
@@ -87,7 +87,7 @@ class TestSimulateDgp:
 class TestRunCellConsistency:
     def test_block_statistic_matches_run_test(self):
         spec = DgpSpec(t=100, rho=0.3)
-        bases = _prepare_bases(spec.t, spec.lam)
+        bases = _cell_bases(spec.t, spec.lam)
         out = _run_block(
             spec, bases, master_seed=9, cell_id=0, rep_range=(0, 3),
             k_policy=[8], deltas=(0.0,),
@@ -111,7 +111,7 @@ class TestRunCellConsistency:
         # the engine decides every F variant, replication by replication,
         # exactly as run_test does on the regenerated series
         spec = DgpSpec(t=100, rho=rho)
-        bases = _prepare_bases(spec.t, spec.lam)
+        bases = _cell_bases(spec.t, spec.lam)
         cache = CriticalValueCache()
         references = partial(
             reference, alpha=0.05, cv_seed=0, cv_replications=1000, cv_grid=150,
@@ -141,7 +141,7 @@ class TestRunCellConsistency:
 
     def test_worker_counts_agree(self):
         spec = DgpSpec(t=60, rho=0.0)
-        bases = _prepare_bases(spec.t, spec.lam)
+        bases = _cell_bases(spec.t, spec.lam)
         serial = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=1)
         parallel = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=3)
         for key in ("f_raw", "f_trans", "k_raw", "k_trans", "failed"):
