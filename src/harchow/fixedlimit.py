@@ -1,25 +1,45 @@
 """Simulation of the nonstandard fixed-smoothing limit distributions.
 
-The limits are functionals of a p-dimensional standard Brownian motion. Each
-replication approximates the Brownian increments by ``e_i / sqrt(n)`` for
-``n`` iid standard normal vectors on a grid, forms
+The limits are functionals of a p-dimensional standard Brownian motion on a
+grid of ``n`` points. With ``phi0`` the two-level regime contrast and
+``tphi_j`` the demeaned basis functions on the grid, the weight matrix
 
-    eta_0 = sqrt(lam (1 - lam)) * sum_i phi0(r_i) e_i / sqrt(n)
-    eta_j = sum_i tphi_j(r_i) e_i / sqrt(n),   j = 1..K
+    W = [phi0, tphi_1, ..., tphi_K] / sqrt(n)        (n x (K+1))
 
-with ``phi0`` the two-level regime contrast and ``tphi_j`` the demeaned basis
-functions on the grid, and evaluates the quadratic form
+maps ``n`` iid standard normal increments ``e`` (n x p) to ``eta = W' e``.
+With ``eta_0`` the first row scaled by ``sqrt(lam (1 - lam))`` and
+``eta_1..eta_K`` the others, a replication evaluates the quadratic form
 
     B = eta_0' (K^{-1} sum_j eta_j eta_j')^{-1} eta_0.
 
 Draw kinds are rescalings of ``B`` (or its signed square root for the t
-variant). Replication ``i`` always uses random substream ``i``, so results
-are independent of chunking and worker count; a replication whose weighting
-matrix is singular is redrawn from substream ``reps + i`` and counted.
+variant).
+
+Exact draw. ``eta`` is matrix normal with row covariance ``M = W'W`` and
+independent columns, so it is drawn as ``eta = R Z`` with ``R R' = M`` and
+``Z`` a standard normal matrix: ``(K+1) p`` normals per replication instead
+of ``n p``, with the same law as the grid sum. ``R`` is the Cholesky factor
+of ``M``, built once per spec. When ``M`` is not positive definite (the raw
+family at ``K = n - 2`` with even ``n``, where the Nyquist sine vanishes on
+the grid) the root is ``W'`` itself and ``Z`` is ``n x p``: the grid sum.
+Only the root differs; there is one sampling path. For the transformed
+family at integer ``lam n``, ``M`` is ``diag(M_00, c I_K)`` up to rounding,
+so the scaled draws follow ``F(p, K - p + 1)`` exactly on any grid.
+
+Streams. Replications come in blocks of ``_CHUNK`` consecutive ones, and
+block ``b`` draws the ``Z`` of all its replications from one call to
+``RngStream(seed, b).normals``: the block's ``j``-th replication takes the
+``j``-th run of ``m p`` normals as its ``m x p`` matrix (``m`` the root's
+column count). A replication ``i`` whose weighting matrix is singular is
+redrawn, in the same shape, from its own substream ``attempt * reps + i``
+(``attempt = 1, 2, ...``) and counted; these ids never meet the block ids.
+The draws therefore depend on ``_CHUNK``: changing it changes every
+simulated law's draws and needs a ``FILE_VERSION`` bump.
 
 Simulated distributions can be cached in memory and on disk. The disk format
 is one JSON header line (version and spec fields) followed by the sorted
-draws as little-endian float64.
+draws as little-endian float64. A file whose version, kind or spec differs
+from the request is stale: it is re-simulated and overwritten.
 """
 
 from __future__ import annotations
@@ -27,6 +47,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import weakref
+from collections.abc import MutableMapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,7 +69,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 1
+FILE_VERSION = 2
 _CHUNK = 2048
 
 logger = logging.getLogger(__name__)
@@ -142,32 +164,46 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     return out, bad
 
 
+def _weights(spec: LimitSpec) -> tuple[np.ndarray, float]:
+    """Grid weights ``W = [phi0, tilde] / sqrt(n)`` (n x (K+1)) and the grid
+    quadrature of the mean squared demeaned basis."""
+    tilde, phi0 = _grids(spec)
+    weights = np.column_stack([phi0, tilde]) / np.sqrt(spec.grid_n)
+    return weights, float((tilde**2).mean())
+
+
+def _root(weights: np.ndarray) -> np.ndarray:
+    """A root ``R`` with ``R R' = W'W``: the Cholesky factor when ``W'W`` is
+    positive definite, else ``W'`` itself."""
+    try:
+        return cholesky(weights.T @ weights).T
+    except NotPositiveDefinite:
+        return weights.T
+
+
 def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Per-replication ``(B, eta0)`` pairs plus redraw count and the grid
     quadrature of the mean squared demeaned basis."""
-    tilde, phi0 = _grids(spec)
-    n, p, k = spec.grid_n, spec.p, spec.k
-    weights = np.column_stack([phi0, tilde]) / np.sqrt(n)  # n x (K+1)
-    mean_sq = float((tilde**2).mean())
-    reps = spec.replications
+    weights, mean_sq = _weights(spec)
+    root = _root(weights)  # (K+1) x m
+    m = root.shape[1]
+    p, k, reps = spec.p, spec.k, spec.replications
+    lam_scale = np.sqrt(spec.lam * (1.0 - spec.lam))
     quads = np.empty(reps)
     eta0_all = np.empty((reps, p))
     redraws = 0
 
-    def draw_block(rep_ids: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        block = np.empty((n, len(rep_ids) * p))
-        for pos, rep in enumerate(rep_ids):
-            stream = RngStream(spec.seed, stream=attempt * reps + int(rep))
-            block[:, pos * p : (pos + 1) * p] = stream.normals(n * p).reshape(n, p)
-        eta = weights.T @ block  # (K+1) x (reps*p)
-        eta = eta.reshape(k + 1, len(rep_ids), p)
-        lam_scale = np.sqrt(spec.lam * (1.0 - spec.lam))
-        return lam_scale * eta[0], eta[1:]
+    def forms(z: np.ndarray):
+        # z holds one m x p matrix per replication; eta = R Z is
+        # (K+1) x count x p, from one matrix product for the whole batch
+        eta = (root @ z.transpose(1, 0, 2).reshape(m, -1)).reshape(k + 1, -1, p)
+        eta0 = lam_scale * eta[0]
+        return (eta0, *_quad_forms(eta0, eta[1:], k))
 
-    for start in range(0, reps, _CHUNK):
+    for block, start in enumerate(range(0, reps, _CHUNK)):
         rep_ids = np.arange(start, min(start + _CHUNK, reps))
-        eta0, etas = draw_block(rep_ids, attempt=0)
-        quad, bad = _quad_forms(eta0, etas, k)
+        z = RngStream(spec.seed, stream=block).normals(len(rep_ids) * m * p)
+        eta0, quad, bad = forms(z.reshape(-1, m, p))
         attempt = 0
         while np.any(bad):
             attempt += 1
@@ -176,9 +212,12 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
                 raise DegenerateSimulation(
                     f"{redraws} singular replications out of {reps}"
                 )
-            retry_ids = rep_ids[bad]
-            eta0_r, etas_r = draw_block(retry_ids, attempt=attempt)
-            quad_r, bad_r = _quad_forms(eta0_r, etas_r, k)
+            z = np.stack([
+                RngStream(spec.seed, stream=attempt * reps + int(rep))
+                .normals(m * p).reshape(m, p)
+                for rep in rep_ids[bad]
+            ])
+            eta0_r, quad_r, bad_r = forms(z)
             quad[bad] = quad_r
             eta0[bad] = eta0_r
             new_bad = np.zeros_like(bad)
@@ -230,22 +269,9 @@ def empirical_p(dist: SimulatedDistribution, x: float) -> float:
     return (count + 1) / (n + 1)
 
 
-def _cache_key(spec: LimitSpec, kind: str) -> tuple:
-    return (
-        kind,
-        spec.p,
-        spec.k,
-        round(spec.lam, 6),
-        spec.family,
-        spec.grid_n,
-        spec.replications,
-        spec.seed,
-    )
-
-
 def _cache_filename(spec: LimitSpec, kind: str) -> str:
     return (
-        f"{kind}_p{spec.p}_k{spec.k}_lam{spec.lam:.6f}_{spec.family}"
+        f"{kind}_p{spec.p}_k{spec.k}_lam{spec.lam!r}_{spec.family}"
         f"_n{spec.grid_n}_r{spec.replications}_s{spec.seed}.cv"
     )
 
@@ -288,7 +314,10 @@ def load_distribution(path: str) -> SimulatedDistribution:
 
 
 def export_csv(dist: SimulatedDistribution, path: str) -> None:
-    np.savetxt(path, dist.draws, delimiter=",", header="draw", comments="")
+    """One ``draw`` header line, then one ``%.18e`` value per line (the
+    bytes ``np.savetxt`` writes, in one write)."""
+    with open(path, "w") as fh:
+        fh.write("draw\n" + "".join("%.18e\n" % x for x in dist.draws.tolist()))
 
 
 class CriticalValueCache:
@@ -296,36 +325,53 @@ class CriticalValueCache:
 
     Lookups hit memory first, then the cache directory (when configured),
     and only then simulate; fresh simulations are written back to disk. A
-    truncated, malformed or wrong-version file is logged, re-simulated and
-    overwritten.
+    truncated, malformed or wrong-version file, or one that holds another
+    kind or spec, is logged, re-simulated and overwritten. Each lookup logs
+    its source, redraw count and spec at DEBUG level.
+
+    Memory holds no second copy of what the directory holds: with a
+    directory, a distribution stays in memory while a caller holds it and is
+    read back from its file, bitwise equal, after that. Without one, memory
+    is the only store and keeps every distribution.
     """
 
     def __init__(self, directory: str | None = None):
         self.directory = directory
-        self._memory: dict[tuple, SimulatedDistribution] = {}
+        self._memory: MutableMapping[tuple[LimitSpec, str], SimulatedDistribution] = (
+            weakref.WeakValueDictionary() if directory else {}
+        )
 
     def get(self, spec: LimitSpec, kind: str) -> SimulatedDistribution:
-        key = _cache_key(spec, kind)
-        hit = self._memory.get(key)
-        if hit is not None:
-            return hit
+        dist = self._memory.get((spec, kind))
+        source = "memory"
+        if dist is None:
+            dist, source = self._fetch(spec, kind)
+            self._memory[(spec, kind)] = dist
+        logger.debug(
+            "%s from %s (redraws %d): %s", kind, source, dist.redraws, spec
+        )
+        return dist
+
+    def _fetch(self, spec: LimitSpec, kind: str) -> tuple[SimulatedDistribution, str]:
         path = None
         if self.directory:
             path = os.path.join(self.directory, _cache_filename(spec, kind))
             if os.path.exists(path):
                 try:
                     dist = load_distribution(path)
+                    if (dist.spec, dist.kind) != (spec, kind):
+                        raise ValueError(
+                            f"file holds {dist.kind} for {dist.spec}"
+                        )
                 except ValueError as exc:
                     logger.warning("re-simulating %s: %s", path, exc)
                 else:
-                    self._memory[key] = dist
-                    return dist
+                    return dist, "disk"
         dist = simulate_limit(spec, kind)
-        self._memory[key] = dist
         if path is not None:
             os.makedirs(self.directory, exist_ok=True)
             save_distribution(dist, path)
-        return dist
+        return dist, "simulated"
 
 
 shared_cache = CriticalValueCache()

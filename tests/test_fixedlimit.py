@@ -1,13 +1,17 @@
 import json
 import logging
+import math
 import os
+from dataclasses import replace as dataclass_replace
 
 import numpy as np
 import pytest
 
+from harchow import fixedlimit
 from harchow.bases import fourier_matrix, kernel_inner, kernel_matrix
 from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
+    _CHUNK,
     F_INF,
     F_STAR_INF,
     SCALED_F_INF,
@@ -15,8 +19,12 @@ from harchow.fixedlimit import (
     CriticalValueCache,
     LimitSpec,
     SimulatedDistribution,
+    _base_draws,
+    _cache_filename,
     _grids,
     _quad_forms,
+    _root,
+    _weights,
     critical_value,
     empirical_p,
     export_csv,
@@ -24,7 +32,7 @@ from harchow.fixedlimit import (
     save_distribution,
     simulate_limit,
 )
-from harchow.numkit import RngStream, chi_square, dist_quantile, fisher_f
+from harchow.numkit import RngStream, chi_square, cholesky, dist_quantile, fisher_f
 
 
 def small_spec(**kwargs):
@@ -74,10 +82,11 @@ class TestSimulateLimit:
 
     def test_prop1_bridge_transformed(self):
         # with kernel-orthonormal bases and integer lam * grid, the scaled
-        # draws follow F(p, K - p + 1) exactly; fixed seed keeps this stable
+        # draws follow F(p, K - p + 1) exactly; 1e5 replications put the
+        # quantiles' sampling SD near 0.7%, well inside the tolerance
         spec = LimitSpec(
             p=2, k=8, lam=0.4, family="fourier-transformed",
-            grid_n=1000, replications=10_000, seed=1,
+            grid_n=1000, replications=100_000, seed=1,
         )
         dist = simulate_limit(spec, SCALED_F_INF)
         for q in (0.90, 0.95):
@@ -112,6 +121,144 @@ class TestSimulateLimit:
         slope = (critical_value(d1, 0.03) - critical_value(d1, 0.07)) / 0.04
         se = np.sqrt(0.95 * 0.05 / 10_000) * slope
         assert abs(q1 - q2) < 3 * np.sqrt(2) * se
+
+
+def _grid_sum_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reference law: replication i draws its n x p grid increments e from
+    substream i and forms eta = W'e, the grid sum the exact draw replaces.
+    Returns the quadratic forms and the scaled eta_0 rows."""
+    weights, _ = _weights(spec)
+    n, p, reps = spec.grid_n, spec.p, spec.replications
+    block = np.empty((n, reps * p))
+    for rep in range(reps):
+        stream = RngStream(spec.seed, stream=rep)
+        block[:, rep * p : (rep + 1) * p] = stream.normals(n * p).reshape(n, p)
+    eta = (weights.T @ block).reshape(spec.k + 1, reps, p)
+    eta0 = np.sqrt(spec.lam * (1.0 - spec.lam)) * eta[0]
+    quad, bad = _quad_forms(eta0, eta[1:], spec.k)
+    assert not bad.any()
+    return quad, eta0
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    fa = np.searchsorted(a, x, side="right") / len(a)
+    fb = np.searchsorted(b, x, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+class TestExactDraw:
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    def test_transformed_row_covariance_is_block_diagonal(self, n, k):
+        # the paper's proposition on the grid: eta_0 is independent of the
+        # eta_j, which are iid, so the scaled draws are F(p, K - p + 1)
+        spec = LimitSpec(p=1, k=k, lam=0.4, family="fourier-transformed", grid_n=n)
+        weights, _ = _weights(spec)
+        m = weights.T @ weights
+        c = m[1, 1]
+        assert np.max(np.abs(m[0, 1:])) / np.sqrt(m[0, 0] * c) < 1e-12
+        assert np.max(np.abs(m[1:, 1:] / c - np.eye(k))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [("fourier-raw", 200, 8), ("fourier-transformed", 200, 8), ("fourier-raw", 100, 98)],
+    )
+    def test_root_reproduces_the_row_covariance(self, family, n, k):
+        # the last case is singular and takes the W' root
+        weights, _ = _weights(LimitSpec(p=1, k=k, lam=0.4, family=family, grid_n=n))
+        root = _root(weights)
+        m = weights.T @ weights
+        assert np.max(np.abs(root @ root.T - m)) < 1e-12 * np.max(np.diag(m))
+
+    @pytest.mark.parametrize("family", ["fourier-raw", "fourier-transformed"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_same_law_as_the_grid_sum(self, family, p):
+        # two independent samples of 4000 from one law; the bound is the
+        # alpha = 0.001 two-sample KS critical value, fixed before running
+        reps = 4000
+        bound = np.sqrt(-np.log(0.001 / 2) / 2) * np.sqrt(2 / reps)
+        spec = LimitSpec(
+            p=p, k=8, lam=0.4, family=family,
+            grid_n=200, replications=reps, seed=5,
+        )
+        quad, eta0 = _grid_sum_draws(dataclass_replace(spec, seed=6))
+        _, mean_sq = _weights(spec)
+        if p == 1:
+            kind, reference = T_STAR_INF, np.sign(eta0[:, 0]) * np.sqrt(quad * mean_sq)
+        else:
+            kind, reference = F_STAR_INF, quad * mean_sq
+        draws = simulate_limit(spec, kind).draws
+        assert _ks_statistic(draws, reference) < bound
+
+    def test_redraw_replaces_only_the_flagged_replication(self, monkeypatch):
+        spec = small_spec(replications=3000)
+        plain_quads, plain_eta0, redraws, _ = _base_draws(spec)
+        assert redraws == 0
+        flagged = 5
+        original = fixedlimit._quad_forms
+        calls = []
+
+        def flag_once(eta0, etas, k):
+            quad, bad = original(eta0, etas, k)
+            if not calls:
+                bad = bad.copy()
+                bad[flagged] = True
+            calls.append(len(quad))
+            return quad, bad
+
+        monkeypatch.setattr(fixedlimit, "_quad_forms", flag_once)
+        quads, eta0, redraws, _ = _base_draws(spec)
+        assert redraws == 1
+        assert calls == [_CHUNK, 1, spec.replications - _CHUNK]
+        assert np.nonzero(quads != plain_quads)[0].tolist() == [flagged]
+        keep = np.arange(spec.replications) != flagged
+        assert np.array_equal(quads[keep], plain_quads[keep])
+        assert np.array_equal(eta0[keep], plain_eta0[keep])
+        # the redraw comes from the replication's own substream reps + i
+        root = _root(_weights(spec)[0])
+        stream = RngStream(spec.seed, stream=spec.replications + flagged)
+        z = stream.normals(root.shape[1] * spec.p).reshape(-1, spec.p)
+        eta = (root @ z).reshape(spec.k + 1, 1, spec.p)
+        expected, _ = original(np.sqrt(spec.lam * (1 - spec.lam)) * eta[0], eta[1:], spec.k)
+        assert quads[flagged] == expected[0]
+
+    def test_one_stream_per_block(self, monkeypatch):
+        # the tier-1 twin of the benchmark's numkit.rng_streams counter
+        counts = {"streams": 0, "normals": 0}
+
+        class CountingStream(RngStream):
+            def __init__(self, *args, **kwargs):
+                counts["streams"] += 1
+                super().__init__(*args, **kwargs)
+
+            def normals(self, n):
+                counts["normals"] += n
+                return super().normals(n)
+
+        monkeypatch.setattr(fixedlimit, "RngStream", CountingStream)
+        spec = small_spec(replications=5000)
+        dist = simulate_limit(spec, SCALED_F_INF)
+        assert dist.redraws == 0
+        assert counts["streams"] == math.ceil(spec.replications / _CHUNK)
+        assert counts["normals"] == spec.replications * (spec.k + 1) * spec.p
+
+    def test_singular_row_covariance_falls_back_to_the_grid_root(self):
+        # at even n the raw family's Nyquist sine (K = n - 2) vanishes on
+        # the grid, so W'W is singular and the root is W' itself
+        spec = LimitSpec(
+            p=1, k=98, lam=0.4, family="fourier-raw",
+            grid_n=100, replications=1000, seed=0,
+        )
+        weights, _ = _weights(spec)
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(weights.T @ weights)
+        assert np.array_equal(_root(weights), weights.T)
+        dist = simulate_limit(spec, F_STAR_INF)
+        assert dist.replications == 1000
+        assert np.all(np.isfinite(dist.draws))
 
 
 class TestGridProperties:
@@ -257,6 +404,89 @@ class TestCache:
         # the damaged file was overwritten and no temporary file is left
         assert os.listdir(tmp_path) == [name]
         assert np.array_equal(load_distribution(path).draws, dist.draws)
+
+    @pytest.mark.parametrize("other", ["lambda", "kind"])
+    def test_file_for_another_request_is_resimulated(self, tmp_path, caplog, other):
+        # a file renamed to another request's name holds another lambda or
+        # another kind
+        spec = small_spec()
+        CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        (held,) = os.listdir(tmp_path)
+        if other == "lambda":
+            spec, kind = small_spec(lam=0.4000001), F_STAR_INF
+        else:
+            kind = F_INF
+        name = _cache_filename(spec, kind)
+        os.rename(tmp_path / held, tmp_path / name)
+        with caplog.at_level(logging.WARNING, logger="harchow.fixedlimit"):
+            dist = CriticalValueCache(str(tmp_path)).get(spec, kind)
+        assert (dist.spec, dist.kind) == (spec, kind)
+        assert np.array_equal(dist.draws, simulate_limit(spec, kind).draws)
+        assert name in caplog.text
+        assert os.listdir(tmp_path) == [name]
+        loaded = load_distribution(str(tmp_path / name))
+        assert (loaded.spec, loaded.kind) == (spec, kind)
+
+    def test_near_lambdas_keep_their_own_files(self, tmp_path, caplog):
+        specs = [small_spec(), small_spec(lam=0.4000001)]
+        assert _cache_filename(specs[0], F_STAR_INF) != _cache_filename(specs[1], F_STAR_INF)
+        for spec in specs:
+            CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        assert len(os.listdir(tmp_path)) == 2
+        with caplog.at_level(logging.DEBUG, logger="harchow.fixedlimit"):
+            for spec in specs:
+                assert CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF).spec == spec
+        assert caplog.text.count("from disk") == 2
+        assert "re-simulating" not in caplog.text
+
+    def test_memory_cache_keys_on_the_exact_spec(self):
+        cache = CriticalValueCache()
+        base, near = small_spec(), small_spec(lam=0.4000001)
+        first = cache.get(base, F_STAR_INF)
+        assert cache.get(near, F_STAR_INF).spec == near
+        assert cache.get(base, F_STAR_INF) is first
+
+    def test_disk_backed_memory_keeps_what_callers_hold(self, tmp_path, caplog):
+        spec = small_spec()
+        cache, memory_only = CriticalValueCache(str(tmp_path)), CriticalValueCache()
+        held = cache.get(spec, F_STAR_INF)
+        assert cache.get(spec, F_STAR_INF) is held
+        draws = held.draws.copy()
+        memory_only.get(spec, F_STAR_INF)
+        del held
+        with caplog.at_level(logging.DEBUG, logger="harchow.fixedlimit"):
+            again = cache.get(spec, F_STAR_INF)
+            memory_only.get(spec, F_STAR_INF)
+        # the released entry was read back from its file, bitwise equal;
+        # without a directory memory is the only store and keeps it
+        assert [r.getMessage().split(" ")[2] for r in caplog.records] == ["disk", "memory"]
+        assert np.array_equal(again.draws, draws)
+
+    def test_lookup_logs_its_source(self, tmp_path, caplog):
+        spec = small_spec()
+        with caplog.at_level(logging.DEBUG, logger="harchow.fixedlimit"):
+            cache = CriticalValueCache(str(tmp_path))
+            held = cache.get(spec, F_STAR_INF)
+            assert cache.get(spec, F_STAR_INF) is held
+            CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        lines = [
+            r.getMessage() for r in caplog.records
+            if r.name == "harchow.fixedlimit" and r.levelno == logging.DEBUG
+        ]
+        assert len(lines) == 3
+        for line, source in zip(lines, ("simulated", "memory", "disk")):
+            assert f"from {source} (redraws 0)" in line
+            assert str(spec) in line
+
+    def test_export_csv_writes_the_savetxt_bytes(self, tmp_path):
+        t_draws = simulate_limit(small_spec(p=1, k=6), T_STAR_INF).draws
+        draws = np.sort(np.concatenate([t_draws[::40], [0.0, 1e-300, 1.2e8]]))
+        assert draws[0] < 0
+        dist = SimulatedDistribution(small_spec(p=1, k=6), T_STAR_INF, draws)
+        path, reference = tmp_path / "draws.csv", tmp_path / "savetxt.csv"
+        export_csv(dist, str(path))
+        np.savetxt(str(reference), draws, delimiter=",", header="draw", comments="")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_export_csv(self, tmp_path):
         dist = simulate_limit(small_spec(), SCALED_F_INF)
