@@ -202,7 +202,10 @@ def cmd_mc_size(args) -> int:
     cache = fixedlimit.CriticalValueCache(_cache_dir(args))
     variants = tuple(args.variants.split(","))
     if args.preset == "figure":
-        k_values = tuple(int(k) for k in _parse_range(args.k_grid))
+        k_values = _parse_range(args.k_grid)
+        if any(k != int(k) for k in k_values):
+            raise ValueError(f"K grid points must be integers, got {k_values}")
+        k_values = tuple(int(k) for k in k_values)
         spec = mcstudy.DgpSpec(
             t=args.T, rho=args.rho, psi=args.psi, lam=args.break_fraction
         )

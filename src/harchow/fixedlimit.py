@@ -61,7 +61,8 @@ from .bases import (
     series_basis,
 )
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
-from .numkit import RngStream, cholesky, solve_triangular
+from .numkit import RngStream, cholesky
+from .numkit.linalg import _PIVOT_RTOL
 
 F_INF = "F_inf"
 F_STAR_INF = "F_star_inf"
@@ -69,7 +70,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 2
+FILE_VERSION = 3
 _CHUNK = 2048
 
 logger = logging.getLogger(__name__)
@@ -134,34 +135,29 @@ def _grids(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     """Quadratic forms ``eta0' W^{-1} eta0`` per replication and a singular
-    mask; closed forms for p <= 2, Cholesky solves otherwise."""
-    reps, p = eta0.shape
+    mask, with ``W = K^{-1} sum_j eta_j eta_j'``.
+
+    One Cholesky factorization ``W = L L'``, batched over replications (the
+    loop runs over the ``p`` columns), and the forward solve ``L y = eta0``
+    give the form as ``y'y``. A replication is singular when a pivot is at
+    or below ``1e-12`` times the largest diagonal entry of its ``W``, the
+    pivot rule of :func:`harchow.numkit.cholesky`.
+    """
+    p = eta0.shape[1]
     w = np.einsum("kcp,kcq->cpq", etas, etas) / k
-    if p == 1:
-        denom = w[:, 0, 0]
-        bad = denom <= 1e-12 * np.maximum(denom, 1.0)
-        safe = np.where(bad, 1.0, denom)
-        return eta0[:, 0] ** 2 / safe, bad
-    if p == 2:
-        a, b, d = w[:, 0, 0], w[:, 0, 1], w[:, 1, 1]
-        det = a * d - b * b
-        scale = np.maximum(np.maximum(a, d), 1.0)
-        bad = (det <= 1e-12 * scale**2) | (a <= 0) | (d <= 0)
-        safe = np.where(bad, 1.0, det)
-        e0, e1 = eta0[:, 0], eta0[:, 1]
-        quad = (d * e0 * e0 - 2.0 * b * e0 * e1 + a * e1 * e1) / safe
-        return quad, bad
-    out = np.empty(reps)
-    bad = np.zeros(reps, dtype=bool)
-    for i in range(reps):
-        try:
-            u = cholesky(w[i])
-        except NotPositiveDefinite:
-            bad[i] = True
-            continue
-        y = solve_triangular(u.T, eta0[i], lower=True)
-        out[i] = eta0[i] @ solve_triangular(u, y, lower=False)
-    return out, bad
+    tol = _PIVOT_RTOL * np.diagonal(w, axis1=1, axis2=2).max(axis=1)
+    low = np.zeros_like(w)
+    y = np.empty_like(eta0)
+    bad = np.zeros(len(eta0), dtype=bool)
+    for j in range(p):
+        row = low[:, j, :j]
+        pivot = w[:, j, j] - (row * row).sum(axis=1)
+        bad |= pivot <= tol
+        d = np.sqrt(np.where(bad, 1.0, pivot))
+        below = (low[:, j + 1 :, :j] * row[:, None, :]).sum(axis=2)
+        low[:, j + 1 :, j] = (w[:, j + 1 :, j] - below) / d[:, None]
+        y[:, j] = (eta0[:, j] - (row * y[:, :j]).sum(axis=1)) / d
+    return (y * y).sum(axis=1), bad
 
 
 def _weights(spec: LimitSpec) -> tuple[np.ndarray, float]:
@@ -253,13 +249,19 @@ def simulate_limit(spec: LimitSpec, kind: str) -> SimulatedDistribution:
     )
 
 
-def critical_value(dist: SimulatedDistribution, alpha: float) -> float:
-    """Empirical ``1 - alpha`` quantile, lower order statistic convention."""
+def upper_quantile(sorted_values: np.ndarray, alpha: float) -> float:
+    """Empirical ``1 - alpha`` quantile of ascending values, lower order
+    statistic convention: the ``ceil(n (1 - alpha))``-th smallest."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
-    n = len(dist.draws)
+    n = len(sorted_values)
     idx = int(np.ceil(n * (1.0 - alpha))) - 1
-    return float(dist.draws[min(max(idx, 0), n - 1)])
+    return float(sorted_values[min(max(idx, 0), n - 1)])
+
+
+def critical_value(dist: SimulatedDistribution, alpha: float) -> float:
+    """Empirical ``1 - alpha`` quantile of the draws (:func:`upper_quantile`)."""
+    return upper_quantile(dist.draws, alpha)
 
 
 def empirical_p(dist: SimulatedDistribution, x: float) -> float:

@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +155,16 @@ def _check_k_policy(k_policy, t: int) -> None:
         raise ValueError(f"need 1 <= K <= T - 2 = {t - 2}, got K={bad}")
 
 
+class CellStats(NamedTuple):
+    """Per-replication statistics of a cell or block: the Wald statistic and
+    the K used, keyed by basis family, as (reps, n_deltas, n_k) arrays, and a
+    (reps, n_deltas) failure mask."""
+
+    wald: dict[str, np.ndarray]
+    k_used: dict[str, np.ndarray]
+    failed: np.ndarray
+
+
 def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
     return RngStream(master_seed, stream=cell_id * _STREAM_CELL_STRIDE + rep)
 
@@ -163,30 +174,23 @@ def _run_block(
     bases: dict[str, BasisSet],
     master_seed: int,
     cell_id: int,
-    rep_range: tuple[int, int],
     k_policy,
     deltas: tuple[float, ...],
-) -> dict:
-    """Statistics for a contiguous block of replications.
-
-    Returns arrays of shape (reps, n_deltas, n_k): the Wald statistic under
-    each basis family, plus the basis counts used and a failure mask.
-    """
+    rep_range: tuple[int, int],
+) -> CellStats:
+    """Statistics for a contiguous block of replications; each family uses
+    ``min(K, basis.k)`` of its basis columns."""
     hyp = full_break_hypothesis(2)
     r = hyp.contrast
     auto = isinstance(k_policy, str)
     k_list = [0] if auto else list(k_policy)
     start, stop = rep_range
-    n_rep = stop - start
-    shape = (n_rep, len(deltas), len(k_list))
-    f_raw = np.full(shape, np.nan)
-    f_trans = np.full(shape, np.nan)
-    k_raw_used = np.zeros(shape, dtype=np.int64)
-    k_trans_used = np.zeros(shape, dtype=np.int64)
+    shape = (stop - start, len(deltas), len(k_list))
+    wald = {family: np.full(shape, np.nan) for family in bases}
+    k_used = {family: np.zeros(shape, dtype=np.int64) for family in bases}
     failed = np.zeros(shape[:2], dtype=bool)
     t = spec.t
     k_star = break_index(spec.lam, t)
-    raw, trans = bases[FOURIER_RAW], bases[FOURIER_TRANSFORMED]
 
     for i, rep in enumerate(range(start, stop)):
         rng = _rep_stream(master_seed, cell_id, rep)
@@ -198,39 +202,27 @@ def _run_block(
                 data = RegressionData(y0 + delta * shift, x, None, spec.lam)
                 fit = ols_fit(data, hyp)
                 scores = fit.xz * fit.residuals[:, None]
-                g_raw = longrun.score_sums(raw, scores)
-                g_trans = longrun.score_sums(trans, scores)
+                sums = {
+                    family: longrun.score_sums(basis, scores)
+                    for family, basis in bases.items()
+                }
+                ks = k_list
                 if auto:
                     v_series = autok.score_series(
                         r, fit.q_hat, fit.xz, fit.residuals
                     )
                     model = autok.build_plugin_model(v_series)
-                    k_hat = autok.mse_optimal_k(model, t, hyp.p)
-                    k_pairs = [(k_hat, min(k_hat, trans.k))]
-                else:
-                    k_pairs = [(k, min(k, trans.k)) for k in k_list]
-                for k_idx, (k_r, k_t) in enumerate(k_pairs):
-                    for g, k_used, out, used in (
-                        (g_raw, k_r, f_raw, k_raw_used),
-                        (g_trans, k_t, f_trans, k_trans_used),
-                    ):
-                        out[i, d_idx, k_idx] = chowtest.raw_statistic(
-                            g[:k_used], fit, r, "F"
+                    ks = [autok.mse_optimal_k(model, t, hyp.p)]
+                for k_idx, k in enumerate(ks):
+                    for family, basis in bases.items():
+                        used = min(k, basis.k)
+                        wald[family][i, d_idx, k_idx] = chowtest.raw_statistic(
+                            sums[family][:used], fit, r, "F"
                         )
-                        used[i, d_idx, k_idx] = k_used
+                        k_used[family][i, d_idx, k_idx] = used
             except HarchowError:
                 failed[i, d_idx] = True
-    return {
-        "f_raw": f_raw,
-        "f_trans": f_trans,
-        "k_raw": k_raw_used,
-        "k_trans": k_trans_used,
-        "failed": failed,
-    }
-
-
-def _block_worker(payload: dict) -> dict:
-    return _run_block(**payload)
+    return CellStats(wald, k_used, failed)
 
 
 def _run_cell(
@@ -242,42 +234,35 @@ def _run_cell(
     k_policy,
     deltas: tuple[float, ...],
     workers: int = 1,
-) -> dict:
+) -> CellStats:
     """All replication statistics for one cell, merged in block order."""
+    if reps < 1:
+        raise ValueError(f"need at least one replication, got {reps}")
     block = max(64, reps // (4 * max(workers, 1)))
     ranges = [(s, min(s + block, reps)) for s in range(0, reps, block)]
-    payloads = [
-        {
-            "spec": spec,
-            "bases": bases,
-            "master_seed": master_seed,
-            "cell_id": cell_id,
-            "rep_range": rng,
-            "k_policy": k_policy,
-            "deltas": deltas,
-        }
-        for rng in ranges
-    ]
+    run = partial(_run_block, spec, bases, master_seed, cell_id, k_policy, deltas)
     if workers <= 1 or len(ranges) == 1:
-        parts = [_block_worker(p) for p in payloads]
+        parts = list(map(run, ranges))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_worker, payloads))
-    return {
-        key: np.concatenate([part[key] for part in parts], axis=0)
-        for key in parts[0]
-    }
+            parts = list(pool.map(run, ranges))
+    walds, k_useds, faileds = zip(*parts)
+    return CellStats(
+        {family: np.concatenate([w[family] for w in walds]) for family in bases},
+        {family: np.concatenate([k[family] for k in k_useds]) for family in bases},
+        np.concatenate(faileds),
+    )
 
 
 def _decision_values(
-    variant: chowtest.TestVariant, stats: dict, bases: dict[str, BasisSet],
+    variant: chowtest.TestVariant, stats: CellStats, bases: dict[str, BasisSet],
     lam: float, index: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(decision statistic, K used) of one variant at ``index`` into a cell's
     (replication, delta, K) statistic arrays."""
-    key = "raw" if variant.basis_family == FOURIER_RAW else "trans"
-    wald, k_used = stats["f_" + key][index], stats["k_" + key][index]
-    cols = column_norm_factors(bases[variant.basis_family])
+    family = variant.basis_family
+    wald, k_used = stats.wald[family][index], stats.k_used[family][index]
+    cols = column_norm_factors(bases[family])
     nf_of = {k: float(cols[:k].mean()) for k in np.unique(k_used).tolist()}
     nf = np.vectorize(nf_of.__getitem__, otypes=[float])(k_used)
     forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
@@ -285,7 +270,7 @@ def _decision_values(
 
 
 def _rejections(
-    variant: chowtest.TestVariant, stats: dict, bases: dict[str, BasisSet],
+    variant: chowtest.TestVariant, stats: CellStats, bases: dict[str, BasisSet],
     lam: float, index: tuple, references,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(reject, K used) of one variant at ``index``, deciding each
@@ -311,7 +296,7 @@ def _size_rows(
     stats = _run_cell(
         spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
     )
-    ok = ~stats["failed"][:, 0]
+    ok = ~stats.failed[:, 0]
     n_ok = int(ok.sum())
     results = []
     for k_idx, label in enumerate(labels):
@@ -414,7 +399,7 @@ def power_experiment(
     _check_k_policy(policy, spec.t)
     bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
-    ok = ~stats["failed"].any(axis=1)
+    ok = ~stats.failed.any(axis=1)
     n_ok = int(ok.sum())
     curves: dict[str, list[float]] = {}
     for variant in ("chisq-fourier", "f-transformed"):
@@ -422,9 +407,7 @@ def power_experiment(
         values, _ = _decision_values(
             variant_spec, stats, bases, spec.lam, (ok, slice(None), 0)
         )
-        null_stats = np.sort(values[:, 0])
-        idx = int(np.ceil(n_ok * (1.0 - alpha))) - 1
-        cv = null_stats[min(max(idx, 0), n_ok - 1)]
+        cv = fixedlimit.upper_quantile(np.sort(values[:, 0]), alpha)
         curves[variant_spec.basis_family] = [
             float((values[:, d] > cv).mean()) for d in range(len(grid))
         ]

@@ -223,6 +223,25 @@ class TestMcCommands:
         assert code == 2
         assert "1 <= K <= T - 2" in capsys.readouterr().err
 
+    def test_mc_size_non_integer_k_grid_exits_2(self, capsys):
+        # 2:7:2.5 asks for K = 4.5, which must not run (and be labelled) as 4
+        code = cli.main(
+            ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "2:7:2.5",
+             "--reps", "500", "--variants", "chisq-fourier"]
+        )
+        assert code == 2
+        assert "K grid points must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["mc-power"],
+        ["mc-size", "--preset", "figure", "--k-grid", "2:4:2"],
+    ])
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_mc_without_replications_exits_2(self, command, reps, capsys):
+        code = cli.main(command + ["--T", "60", "--reps", reps])
+        assert code == 2
+        assert "need at least one replication" in capsys.readouterr().err
+
     def test_mc_size_figure_preset(self, tmp_path):
         out = tmp_path / "figure.csv"
         code = cli.main(

@@ -301,11 +301,11 @@ class TestGridProperties:
                 r = np.corrcoef(eta0, etas[:, j])[0, 1]
                 assert abs(r) < 0.02
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_quad_forms_generic_path_matches_closed_form(self, p):
-        # p = 2 takes the closed form, p = 3 the per-replication factor
+    @pytest.mark.parametrize("p, k", [(p, k) for p in (1, 2, 3, 4) for k in (p, 6)])
+    def test_quad_forms_match_dense_solve(self, p, k):
+        # K = p leaves W ill-conditioned, so the bound scales with cond(W)
         rng = np.random.default_rng(5)
-        k, reps = 6, 50
+        reps = 50
         etas = rng.standard_normal((k, reps, p))
         eta0 = rng.standard_normal((reps, p))
         fast, bad_fast = _quad_forms(eta0, etas, k)
@@ -316,14 +316,30 @@ class TestGridProperties:
                 w += np.outer(etas[j, i], etas[j, i])
             w /= k
             direct = eta0[i] @ np.linalg.solve(w, eta0[i])
-            assert fast[i] == pytest.approx(direct, rel=1e-10)
+            rel = 1e-12 * max(1.0, np.linalg.cond(w))
+            assert fast[i] == pytest.approx(direct, rel=rel)
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_quad_forms_flags_singular(self, p):
-        etas = np.zeros((3, 4, p))
-        eta0 = np.ones((4, p))
-        _, bad = _quad_forms(eta0, etas, 3)
-        assert bad.all()
+        # replications 1 and 3 have W = 0; for p > 1 replication 2 has two
+        # equal columns; the others are regular and keep their forms, the
+        # tiny W of replication 4 too, since the pivot rule is relative
+        rng = np.random.default_rng(6)
+        etas = rng.standard_normal((3, 5, p))
+        etas[:, [1, 3]] = 0.0
+        etas[:, 4] *= 1e-8
+        expected = np.array([False, True, False, True, False])
+        if p > 1:
+            etas[:, 2, 1] = etas[:, 2, 0]
+            expected[2] = True
+        eta0 = np.ones((5, p))
+        quad, bad = _quad_forms(eta0, etas, 3)
+        assert np.array_equal(bad, expected)
+        for i in np.nonzero(~expected)[0]:
+            w = etas[:, i].T @ etas[:, i] / 3
+            assert quad[i] == pytest.approx(
+                eta0[i] @ np.linalg.solve(w, eta0[i]), rel=1e-9
+            )
 
     def test_infeasible_transformed_k_raises(self):
         # the grid of 100 points only carries 97 kernel-feasible columns

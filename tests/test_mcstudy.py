@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED
 from harchow.chowtest import VARIANTS, reference, run_test
 from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import (
@@ -99,10 +100,10 @@ class TestRunCellConsistency:
             data = RegressionData(y, x, None, spec.lam)
             rep_trans = run_test(data, variant="f-transformed", k=8)
             rep_raw = run_test(data, variant="chisq-fourier", k=8)
-            assert out["f_trans"][rep, 0, 0] == pytest.approx(
+            assert out.wald[FOURIER_TRANSFORMED][rep, 0, 0] == pytest.approx(
                 rep_trans.statistic_raw, rel=1e-10
             )
-            assert out["f_raw"][rep, 0, 0] == pytest.approx(
+            assert out.wald[FOURIER_RAW][rep, 0, 0] == pytest.approx(
                 rep_raw.statistic_raw, rel=1e-10
             )
 
@@ -121,7 +122,7 @@ class TestRunCellConsistency:
             spec, bases, master_seed=13, cell_id=0, rep_range=(0, 60),
             k_policy="auto", deltas=(0.0,),
         )
-        ok = ~stats["failed"][:, 0]
+        ok = ~stats.failed[:, 0]
         reps = np.nonzero(ok)[0]
         assert len(reps) >= 50
         for name in F_VARIANTS:
@@ -144,8 +145,10 @@ class TestRunCellConsistency:
         bases = _cell_bases(spec.t, spec.lam)
         serial = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=1)
         parallel = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=3)
-        for key in ("f_raw", "f_trans", "k_raw", "k_trans", "failed"):
-            assert np.array_equal(serial[key], parallel[key])
+        for family in bases:
+            assert np.array_equal(serial.wald[family], parallel.wald[family])
+            assert np.array_equal(serial.k_used[family], parallel.k_used[family])
+        assert np.array_equal(serial.failed, parallel.failed)
 
 
 class TestSizeExperiment:
@@ -194,6 +197,18 @@ class TestSizeExperiment:
 
 
 class TestPowerExperiment:
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_fewer_than_one_replication(self, reps):
+        with pytest.raises(ValueError, match="at least one replication"):
+            power_experiment(DgpSpec(t=60, rho=0.0), (0.0, 0.5), 4, reps=reps)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_rejects_level_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="level must lie in"):
+            power_experiment(
+                DgpSpec(t=60, rho=0.0), (0.0, 0.5), 4, reps=64, alpha=alpha
+            )
+
     def test_size_adjusted_power_at_null_is_alpha(self):
         out = power_experiment(
             DgpSpec(t=60, rho=0.0), deltas=(0.0, 0.5), k_policy=4,
