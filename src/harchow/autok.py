@@ -16,6 +16,9 @@ is calibrated on the break-design Monte Carlo in the test suite: persistent
 designs select single-digit counts at T = 100 while white-noise designs grow
 toward the cap, and the selected counts scale like ``T^{4/5}`` at fixed
 persistence.
+
+Every step also takes a stack of score series with leading axes (one per
+Monte Carlo replication, say) and returns one result per member.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite
 from .numkit import cholesky, lyapunov_solve, solve_general, spd_solve, spectral_radius
+from .numkit.linalg import _t
 
 RADIUS_LIMIT = 1.0 - 1e-6
 RADIUS_CLAMP = 0.97
@@ -44,7 +48,7 @@ class PluginModel:
 
     @property
     def p(self) -> int:
-        return self.a_hat.shape[0]
+        return self.a_hat.shape[-1]
 
     def to_dict(self) -> dict:
         return {
@@ -62,9 +66,9 @@ def score_series(
 ) -> np.ndarray:
     """Score proxy rows ``R Q^{-1} xz_t' u_t``, a T x p matrix."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    scores = np.asarray(xz, dtype=float) * np.asarray(u_hat, dtype=float)[:, None]
-    solved = spd_solve(q_hat, scores.T)
-    return (r @ solved).T
+    scores = np.asarray(xz, dtype=float) * np.asarray(u_hat, dtype=float)[..., None]
+    solved = spd_solve(q_hat, _t(scores))
+    return _t(r @ solved)
 
 
 def fit_var1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -79,24 +83,23 @@ def fit_var1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    t, p = v.shape
+    t, p = v.shape[-2:]
     if t < p + 10:
         raise ValueError(f"need T >= p + 10 observations, got T={t}, p={p}")
-    lagged, lead = v[:-1], v[1:]
+    lagged, lead = v[..., :-1, :], v[..., 1:, :]
     try:
-        a_hat = spd_solve(lagged.T @ lagged, lagged.T @ lead).T
+        a_hat = _t(spd_solve(_t(lagged) @ lagged, _t(lagged) @ lead))
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"degenerate score proxy series: {exc}") from exc
-    resid = lead - lagged @ a_hat.T
-    sigma = resid.T @ resid / (t - 1 - p)
-    sigma = (sigma + sigma.T) / 2.0
+    resid = lead - lagged @ _t(a_hat)
+    sigma = _t(resid) @ resid / (t - 1 - p)
+    sigma = (sigma + _t(sigma)) / 2.0
     cholesky(sigma)  # reject degenerate (e.g. constant) series
-    clamped = False
     radius = spectral_radius(a_hat)
-    if radius >= RADIUS_LIMIT:
-        a_hat = a_hat * (RADIUS_CLAMP / radius)
-        clamped = True
-    return a_hat, sigma, clamped
+    clamped = radius >= RADIUS_LIMIT
+    shrink = np.where(clamped, RADIUS_CLAMP / np.maximum(radius, RADIUS_LIMIT), 1.0)
+    a_hat = a_hat * shrink[..., None, None]
+    return a_hat, sigma, bool(clamped) if np.ndim(clamped) == 0 else clamped
 
 
 def build_plugin_model(v: np.ndarray) -> PluginModel:
@@ -116,19 +119,19 @@ def plugin_from_fit(
     """
     a_hat = np.atleast_2d(np.asarray(a_hat, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    p = a_hat.shape[0]
+    p = a_hat.shape[-1]
     gamma0 = lyapunov_solve(a_hat, sigma)
     eye = np.eye(p)
     inv_i_minus_a = solve_general(eye - a_hat, eye)
-    omega_v = inv_i_minus_a @ sigma @ inv_i_minus_a.T
+    omega_v = inv_i_minus_a @ sigma @ _t(inv_i_minus_a)
     series_sum = a_hat @ (eye + a_hat) @ inv_i_minus_a @ inv_i_minus_a @ inv_i_minus_a
     s = series_sum @ gamma0
-    b_hat = s + s.T
+    b_hat = s + _t(s)
     return PluginModel(
         a_hat=a_hat,
         sigma_hat=sigma,
         gamma0=gamma0,
-        omega_v=(omega_v + omega_v.T) / 2.0,
+        omega_v=(omega_v + _t(omega_v)) / 2.0,
         b_hat=b_hat,
         clamped=clamped,
     )
@@ -144,14 +147,20 @@ def commutation_matrix(p: int) -> np.ndarray:
 
 
 def mse_optimal_k(model: PluginModel, t: int, p: int) -> int:
-    """MSE-minimizing basis count from the plug-in model, clamped to range."""
+    """MSE-minimizing basis count from the plug-in model, clamped to range;
+    one count per member of a stacked model."""
     if model.p != p:
         raise ValueError(f"model dimension {model.p} does not match p={p}")
     k_min, k_max = max(p, 2), t - 2
-    flat = float(model.b_hat.ravel() @ model.b_hat.ravel())
-    if flat == 0.0:
-        return k_max
+    b = model.b_hat.reshape(model.b_hat.shape[:-2] + (1, p * p))
+    flat = (b @ _t(b))[..., 0, 0]
+    omega = model.omega_v
+    kron = omega[..., :, None, :, None] * omega[..., None, :, None, :]
+    kron = kron.reshape(omega.shape[:-2] + (p * p, p * p))
     weight = np.eye(p * p) + commutation_matrix(p)
-    numerator = float(np.trace(weight @ np.kron(model.omega_v, model.omega_v)))
+    numerator = np.trace(weight @ kron, axis1=-2, axis2=-1)
+    curved = flat != 0.0
+    flat = np.where(curved, flat, 1.0)
     k_star = (numerator / (2.0 * np.pi**4 * flat)) ** 0.2 * t**0.8
-    return int(np.clip(np.floor(k_star + 0.5), k_min, k_max))
+    k = np.where(curved, np.clip(np.floor(k_star + 0.5), k_min, k_max), k_max)
+    return int(k) if k.ndim == 0 else k.astype(np.int64)

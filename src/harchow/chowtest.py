@@ -108,11 +108,14 @@ class TestReport:
         return out
 
 
-def wald_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> float:
-    """Wald statistic ``T (R b)' V^{-1} (R b)`` for the contrast variance ``V``."""
+def wald_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> Values:
+    """Wald statistic ``T (R b)' V^{-1} (R b)`` for the contrast variance
+    ``V``; one per member of a stack of estimates and variances."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    rb = r @ np.asarray(beta_hat, dtype=float)
-    return float(t * rb @ spd_solve(v, rb))
+    rb = (r @ np.asarray(beta_hat, dtype=float)[..., None])[..., 0]
+    solved = spd_solve(v, rb[..., None])
+    stat = ((t * rb)[..., None, :] @ solved)[..., 0, 0]
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def t_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> float:
@@ -168,13 +171,19 @@ def variant_spec(name: str, statistic: str | None = None) -> TestVariant:
 
 
 def raw_statistic(
-    g: np.ndarray, fit: FitResult, r: np.ndarray, statistic: str
-) -> float:
+    g: np.ndarray, fit: FitResult, r: np.ndarray, statistic: str,
+    k: int | np.ndarray | None = None,
+) -> Values:
     """Wald (``"F"``) or t statistic from the score sums of the K basis
-    vectors in use (:func:`longrun.score_sums`, one row per vector)."""
-    v_mat = longrun.sandwich_variance(r, fit.q_hat, longrun.sums_outer(g))
+    vectors in use (:func:`longrun.score_sums`, one row per vector).
+
+    On a stack of fits and score sums the Wald statistic comes out per
+    member; ``k`` then may give each member's K, the count of leading rows
+    of its sums in use (all rows by default).
+    """
+    v_mat = longrun.sandwich_variance(r, fit.q_hat, longrun.sums_outer(g, k))
     stat = wald_stat if statistic == "F" else t_stat
-    return stat(fit.beta_hat, r, v_mat, len(fit.residuals))
+    return stat(fit.beta_hat, r, v_mat, fit.residuals.shape[-1])
 
 
 def statistic_forms(

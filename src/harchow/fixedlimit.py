@@ -61,8 +61,8 @@ from .bases import (
     series_basis,
 )
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
-from .numkit import RngStream, cholesky
-from .numkit.linalg import _PIVOT_RTOL
+from .numkit import RngStream, cholesky, solve_triangular
+from .numkit.linalg import _PIVOT_RTOL, _pivot_factor
 
 F_INF = "F_inf"
 F_STAR_INF = "F_star_inf"
@@ -137,26 +137,17 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     """Quadratic forms ``eta0' W^{-1} eta0`` per replication and a singular
     mask, with ``W = K^{-1} sum_j eta_j eta_j'``.
 
-    One Cholesky factorization ``W = L L'``, batched over replications (the
-    loop runs over the ``p`` columns), and the forward solve ``L y = eta0``
-    give the form as ``y'y``. A replication is singular when a pivot is at
-    or below ``1e-12`` times the largest diagonal entry of its ``W``, the
-    pivot rule of :func:`harchow.numkit.cholesky`.
+    numkit's pivot rule factors the stack of every replication's ``W`` as
+    ``U'U``, and the forward solve ``U'y = eta0`` gives the form as ``y'y``.
+    A replication is singular when a pivot is at or below ``1e-12`` times
+    the largest diagonal entry of its ``W``.
     """
     p = eta0.shape[1]
     w = np.einsum("kcp,kcq->cpq", etas, etas) / k
-    tol = _PIVOT_RTOL * np.diagonal(w, axis1=1, axis2=2).max(axis=1)
-    low = np.zeros_like(w)
-    y = np.empty_like(eta0)
-    bad = np.zeros(len(eta0), dtype=bool)
-    for j in range(p):
-        row = low[:, j, :j]
-        pivot = w[:, j, j] - (row * row).sum(axis=1)
-        bad |= pivot <= tol
-        d = np.sqrt(np.where(bad, 1.0, pivot))
-        below = (low[:, j + 1 :, :j] * row[:, None, :]).sum(axis=2)
-        low[:, j + 1 :, j] = (w[:, j + 1 :, j] - below) / d[:, None]
-        y[:, j] = (eta0[:, j] - (row * y[:, :j]).sum(axis=1)) / d
+    u, rank = _pivot_factor(w, _PIVOT_RTOL)
+    bad = rank < p
+    u[bad] = np.eye(p)  # any regular factor: singular forms are redrawn
+    y = solve_triangular(np.swapaxes(u, 1, 2), eta0[:, :, None], lower=True)[:, :, 0]
     return (y * y).sum(axis=1), bad
 
 

@@ -3,7 +3,8 @@
 The estimator averages K outer products of basis-weighted partial sums of the
 score series (regressor rows times residuals). Scores are accumulated in one
 pass as ``G = Phi' S / sqrt(T)`` with ``S`` the T x 2m score matrix, giving
-``Omega = G' G / K`` without any T x T intermediate.
+``Omega = G' G / K`` without any T x T intermediate. Each function also takes
+a stack of series or score sums with leading axes, one result per member.
 """
 
 from __future__ import annotations
@@ -12,22 +13,33 @@ import numpy as np
 
 from .bases import BasisSet
 from .numkit import spd_solve
+from .numkit.linalg import _t
 
 
 def score_sums(basis: BasisSet, series: np.ndarray) -> np.ndarray:
-    """Basis-weighted partial sums ``G = Phi' S / sqrt(T)`` of a T x d series."""
+    """Basis-weighted partial sums ``G = Phi' S / sqrt(T)`` of a T x d series;
+    a stack ``(..., T, d)`` of series gives ``(..., K, d)`` in one product."""
     s = np.asarray(series, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    if s.shape[0] != basis.t:
+    if s.shape[-2] != basis.t:
         raise ValueError("series rows must match the basis sample size")
     return basis.matrix.T @ s / np.sqrt(basis.t)
 
 
-def sums_outer(g: np.ndarray) -> np.ndarray:
-    """Average outer product ``G' G / K`` of the K rows of score sums."""
-    omega = g.T @ g / len(g)
-    return (omega + omega.T) / 2.0
+def sums_outer(g: np.ndarray, k: int | np.ndarray | None = None) -> np.ndarray:
+    """Average outer product ``G' G / K`` of the first K rows of score sums,
+    all rows by default; on a stack ``(..., rows, d)``, ``k`` may give one K
+    per member."""
+    if k is None:
+        k = g.shape[-2]
+    if np.ndim(k) == 0:
+        g = g[..., :k, :]
+    else:
+        used = np.arange(g.shape[-2]) < np.asarray(k)[..., None]
+        g = np.where(used[..., None], g, 0.0)
+    omega = _t(g) @ g / np.asarray(k)[..., None, None]
+    return (omega + _t(omega)) / 2.0
 
 
 def series_outer(basis: BasisSet, series: np.ndarray) -> np.ndarray:
@@ -51,5 +63,5 @@ def sandwich_variance(
     """Estimated variance ``R Q^{-1} Omega Q^{-1} R'`` of the contrast."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     w = spd_solve(q_hat, r.T)
-    v = w.T @ omega_hat @ w
-    return (v + v.T) / 2.0
+    v = _t(w) @ omega_hat @ w
+    return (v + _t(v)) / 2.0

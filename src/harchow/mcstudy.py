@@ -4,9 +4,16 @@ The data-generating process has ``X_t = (1, q_t)`` with ``q_t`` an AR(1) and
 the error an independent AR(1) or ARMA(1,1) sharing the same AR parameter.
 Under the alternative the second-regime coefficients shift by ``delta`` on
 every component. Each replication draws from its own random substream derived
-from ``(master seed, cell id, replication index)``, so results are byte-level
-reproducible regardless of the worker count, and power experiments reuse the
-null innovations across the whole break-size grid (common random numbers).
+from ``(master seed, cell id, replication index)``, and power experiments
+reuse the null innovations across the whole break-size grid (common random
+numbers).
+
+Replications run in blocks of ``_BLOCK`` consecutive ones. A block is
+evaluated as one stack: its innovations are filtered as one matrix, and the
+fit, the plug-in rule and the Wald form of :func:`harchow.chowtest.run_test`
+run once per break size on arrays with a leading replication axis. The block
+size is fixed, and workers receive whole blocks, so results are byte-level
+reproducible regardless of the worker count.
 
 Rejection counts are aggregated as integers in fixed block order; CSV output
 uses fixed-precision formatting so a table is reproducible byte for byte.
@@ -54,6 +61,7 @@ TABLE1_GRID = (
 )
 
 _STREAM_CELL_STRIDE = 2**32
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,8 @@ class ExperimentResult:
 
 
 def _ar1_filter(eps: np.ndarray, rho: float) -> np.ndarray:
-    """Sequential AR(1) recursion, evaluated block-wise for speed."""
+    """Sequential AR(1) recursion along the first axis of a series or of an
+    ``n x B`` matrix of series, evaluated block-wise for speed."""
     if rho == 0.0:
         return eps.copy()
     n = len(eps)
@@ -103,38 +112,44 @@ def _ar1_filter(eps: np.ndarray, rho: float) -> np.ndarray:
     offsets = np.subtract.outer(np.arange(width), np.arange(width))
     toeplitz = np.tril(powers[np.clip(offsets, 0, width)])
     out = np.empty_like(eps)
-    prev = 0.0
+    prev = np.zeros(eps.shape[1:])
     for start in range(0, n, width):
         block = eps[start : start + width]
         nb = len(block)
-        vals = toeplitz[:nb, :nb] @ block + prev * powers[1 : nb + 1]
+        vals = toeplitz[:nb, :nb] @ block + np.multiply.outer(powers[1 : nb + 1], prev)
         out[start : start + nb] = vals
         prev = vals[-1]
     return out
 
 
-def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``(Y, X)`` from the design, discarding the burn-in segment.
+def _simulate_stack(spec: DgpSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y, X)`` of every replication whose innovations are a row of ``z``
+    (``B x 2n``), as ``B x T`` and ``B x T x 2`` arrays; burn-in discarded.
 
-    The regressor and error innovations come from disjoint segments of the
-    replication's stream, so the two processes are independent.
+    Each row's regressor and error innovations are its two halves, so the
+    two processes are independent.
     """
     n = spec.t + spec.burn_in
-    z = rng.normals(2 * n)
-    eps_q, eps_u = z[:n], z[n:]
+    eps_q, eps_u = z[:, :n].T, z[:, n:].T
     q = _ar1_filter(eps_q, spec.rho)
     shocks = eps_u.copy()
     if spec.psi != 0.0:
         shocks[1:] += spec.psi * eps_u[:-1]
     u = _ar1_filter(shocks, spec.rho)
-    q = q[spec.burn_in :]
-    u = u[spec.burn_in :]
-    x = np.column_stack([np.ones(spec.t), q])
-    y = u.copy()
+    q = q[spec.burn_in :].T
+    y = u[spec.burn_in :].T.copy()
+    x = np.stack([np.ones_like(q), q], axis=-1)
     if spec.delta != 0.0:
         k_star = break_index(spec.lam, spec.t)
-        y[k_star:] += spec.delta * x[k_star:].sum(axis=1)
+        y[:, k_star:] += spec.delta * x[:, k_star:].sum(axis=-1)
     return y, x
+
+
+def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``(Y, X)`` of one replication from the design, discarding the
+    burn-in segment."""
+    y, x = _simulate_stack(spec, rng.normals(2 * (spec.t + spec.burn_in))[None])
+    return y[0], x[0]
 
 
 def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
@@ -165,8 +180,41 @@ class CellStats(NamedTuple):
     failed: np.ndarray
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
     return RngStream(master_seed, stream=cell_id * _STREAM_CELL_STRIDE + rep)
+
+
+def _stack_statistics(
+    y: np.ndarray, x: np.ndarray, lam: float, bases: dict[str, BasisSet], k_policy
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Wald statistic and K used per basis family, as ``(B, n_K)`` arrays,
+    of a stack of ``B`` series: run_test's fit, plug-in rule and Wald form
+    on arrays with a leading replication axis. Each family uses
+    ``min(K, basis.k)`` of its basis columns."""
+    hyp = full_break_hypothesis(2)
+    r = hyp.contrast
+    fit = ols_fit(RegressionData(y, x, None, lam), hyp)
+    if isinstance(k_policy, str):
+        v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
+        model = autok.plugin_from_fit(*autok.fit_var1(v_series))
+        k_policy = [autok.mse_optimal_k(model, y.shape[-1], hyp.p)]
+    scores = fit.xz * fit.residuals[..., None]
+    wald, k_used = {}, {}
+    for family, basis in bases.items():
+        sums = longrun.score_sums(basis, scores)
+        used = [np.minimum(k, basis.k) for k in k_policy]
+        k_used[family] = np.stack([np.broadcast_to(k, len(y)) for k in used], axis=-1)
+        wald[family] = np.stack(
+            [chowtest.raw_statistic(sums, fit, r, "F", k) for k in used], axis=-1
+        )
+    return wald, k_used
 
 
 def _run_block(
@@ -178,50 +226,42 @@ def _run_block(
     deltas: tuple[float, ...],
     rep_range: tuple[int, int],
 ) -> CellStats:
-    """Statistics for a contiguous block of replications; each family uses
-    ``min(K, basis.k)`` of its basis columns."""
-    hyp = full_break_hypothesis(2)
-    r = hyp.contrast
-    auto = isinstance(k_policy, str)
-    k_list = [0] if auto else list(k_policy)
+    """Statistics for a contiguous block of replications, evaluated as one
+    stack per break size. A break size whose stacked evaluation raises
+    ``HarchowError`` is evaluated again one replication at a time, through
+    the same functions, so exactly the failing replications are flagged."""
     start, stop = rep_range
-    shape = (stop - start, len(deltas), len(k_list))
+    n = spec.t + spec.burn_in
+    z = np.stack([
+        _rep_stream(master_seed, cell_id, rep).normals(2 * n)
+        for rep in range(start, stop)
+    ])
+    y0, x = _simulate_stack(replace(spec, delta=0.0), z)
+    k_star = break_index(spec.lam, spec.t)
+    shift = np.zeros_like(y0)
+    shift[:, k_star:] = x[:, k_star:].sum(axis=-1)
+    n_k = 1 if isinstance(k_policy, str) else len(k_policy)
+    shape = (stop - start, len(deltas), n_k)
     wald = {family: np.full(shape, np.nan) for family in bases}
     k_used = {family: np.zeros(shape, dtype=np.int64) for family in bases}
     failed = np.zeros(shape[:2], dtype=bool)
-    t = spec.t
-    k_star = break_index(spec.lam, t)
-
-    for i, rep in enumerate(range(start, stop)):
-        rng = _rep_stream(master_seed, cell_id, rep)
-        y0, x = simulate_dgp(replace(spec, delta=0.0), rng)
-        shift = np.zeros(t)
-        shift[k_star:] = x[k_star:].sum(axis=1)
-        for d_idx, delta in enumerate(deltas):
-            try:
-                data = RegressionData(y0 + delta * shift, x, None, spec.lam)
-                fit = ols_fit(data, hyp)
-                scores = fit.xz * fit.residuals[:, None]
-                sums = {
-                    family: longrun.score_sums(basis, scores)
-                    for family, basis in bases.items()
-                }
-                ks = k_list
-                if auto:
-                    v_series = autok.score_series(
-                        r, fit.q_hat, fit.xz, fit.residuals
-                    )
-                    model = autok.build_plugin_model(v_series)
-                    ks = [autok.mse_optimal_k(model, t, hyp.p)]
-                for k_idx, k in enumerate(ks):
-                    for family, basis in bases.items():
-                        used = min(k, basis.k)
-                        wald[family][i, d_idx, k_idx] = chowtest.raw_statistic(
-                            sums[family][:used], fit, r, "F"
-                        )
-                        k_used[family][i, d_idx, k_idx] = used
-            except HarchowError:
-                failed[i, d_idx] = True
+    evaluate = partial(_stack_statistics, lam=spec.lam, bases=bases, k_policy=k_policy)
+    for d_idx, delta in enumerate(deltas):
+        y = y0 + delta * shift
+        try:
+            parts = [(slice(None), evaluate(y, x))]
+        except HarchowError:
+            parts = []
+            for i in range(len(y)):
+                rows = slice(i, i + 1)
+                try:
+                    parts.append((rows, evaluate(y[rows], x[rows])))
+                except HarchowError:
+                    failed[i, d_idx] = True
+        for rows, (part_wald, part_k) in parts:
+            for family in bases:
+                wald[family][rows, d_idx] = part_wald[family]
+                k_used[family][rows, d_idx] = part_k[family]
     return CellStats(wald, k_used, failed)
 
 
@@ -235,16 +275,22 @@ def _run_cell(
     deltas: tuple[float, ...],
     workers: int = 1,
 ) -> CellStats:
-    """All replication statistics for one cell, merged in block order."""
+    """All replication statistics for one cell, merged in block order.
+
+    Blocks of ``_BLOCK`` replications go to a pool of at most ``workers``
+    processes, and no more than there are blocks or usable CPUs.
+    """
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
-    block = max(64, reps // (4 * max(workers, 1)))
-    ranges = [(s, min(s + block, reps)) for s in range(0, reps, block)]
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    ranges = [(s, min(s + _BLOCK, reps)) for s in range(0, reps, _BLOCK)]
     run = partial(_run_block, spec, bases, master_seed, cell_id, k_policy, deltas)
-    if workers <= 1 or len(ranges) == 1:
+    pool_size = min(workers, len(ranges), _usable_cpus())
+    if pool_size == 1:
         parts = list(map(run, ranges))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(run, ranges))
     walds, k_useds, faileds = zip(*parts)
     return CellStats(
@@ -316,6 +362,17 @@ def _size_rows(
     return results
 
 
+def _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid):
+    """``chowtest.reference`` at level ``alpha`` with the simulation
+    settings bound; ``ValueError`` unless ``0 < alpha < 1``."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {alpha}")
+    return partial(
+        chowtest.reference, alpha=alpha, cv_seed=cv_seed,
+        cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
+    )
+
+
 def size_experiment(
     specs: list[DgpSpec],
     variants: tuple[str, ...] = F_VARIANTS,
@@ -334,10 +391,7 @@ def size_experiment(
         raise ValueError("need at least 500 replications")
     if not specs:
         raise ValueError("no cells requested")
-    references = partial(
-        chowtest.reference, alpha=alpha, cv_seed=cv_seed,
-        cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
-    )
+    references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
     auto = isinstance(k_policy, str)
     policy, label = ("auto", "auto") if auto else ([int(k_policy)], str(k_policy))
     results = []
@@ -365,10 +419,7 @@ def k_grid_experiment(
     """Rejection frequency across a fixed grid of K values (figure layout)."""
     if not k_values:
         raise ValueError("no K values requested")
-    references = partial(
-        chowtest.reference, alpha=alpha, cv_seed=cv_seed,
-        cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
-    )
+    references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
     return _size_rows(
         spec, 0, list(k_values), [str(k) for k in k_values], variants, reps,
         master_seed, workers, references,

@@ -1,10 +1,19 @@
 """Symmetric-positive-definite linear algebra and a discrete Lyapunov solver.
 
-All routines operate on plain ``numpy.ndarray`` values. Factorizations are
-written out explicitly so tolerances stay auditable: a pivot is accepted only
-if it exceeds ``1e-12`` times the largest diagonal entry of the input, and
-symmetric inputs are replaced by ``(S + S') / 2`` before factoring to absorb
-roundoff asymmetry.
+All routines operate on plain ``numpy.ndarray`` values: one matrix, or a
+stack of matrices with leading axes, each member treated on its own.
+Factorizations are written out explicitly so tolerances stay auditable: a
+pivot is accepted only if it exceeds ``1e-12`` times the largest diagonal
+entry of its matrix, and symmetric inputs are replaced by ``(S + S') / 2``
+before factoring to absorb roundoff asymmetry.
+
+The inner products of the pivot and substitution loops are BLAS
+matrix-vector products for one matrix, so a large factorization runs at
+BLAS speed, and elementwise products summed across the whole stack for a
+stack, so many small matrices cost one array operation per step.
+
+A right-hand side is one vector (1-D), or a matrix ``(..., n, r)`` whose
+leading axes broadcast against those of the stack.
 """
 
 from __future__ import annotations
@@ -17,59 +26,130 @@ _PIVOT_RTOL = 1e-12
 _SYM_RTOL = 1e-10
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def _as_square(s: np.ndarray) -> np.ndarray:
     a = np.asarray(s, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def _symmetrize(s: np.ndarray) -> np.ndarray:
     a = _as_square(s)
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
+    if np.array_equal(a, _t(a)):
+        return a
+    scale = np.abs(a).max(axis=(-2, -1))
+    asymmetry = np.abs(a - _t(a)).max(axis=(-2, -1))
+    if np.count_nonzero((scale > 0) & (asymmetry > _SYM_RTOL * scale)):
         raise ValueError("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
+    return (a + _t(a)) / 2.0
 
 
-def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+def _any(mask: np.ndarray) -> bool:
+    """Whether some entry of a boolean mask is set; a one-matrix (0-d) mask
+    is tested directly, which is much cheaper than a reduction."""
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+
+
+def _axes_first(a: np.ndarray) -> np.ndarray:
+    """View of a matrix or stack ``(..., n, m)`` with the matrix axes first,
+    ``(n, m, ...)``, so that one matrix and a stack index alike."""
+    if a.ndim == 2:
+        return a
+    return a.transpose((a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2)))
+
+
+def _first_axis_last(a: np.ndarray) -> np.ndarray:
+    """View of ``a`` with its first axis moved to the end."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x' y`` over the first axis: ``x`` is ``(j, ...)`` and ``y`` is
+    ``(j, ...)`` or ``(j, m, ...)``. One matrix's vector (1-D ``x``) takes
+    the BLAS product; a stack sums its elementwise products, laid out with
+    the ``j`` terms of each sum contiguous."""
+    if x.ndim == 1:
+        return x @ y
+    return (_first_axis_last(y) * _first_axis_last(x)).sum(axis=-1)
+
+
+def _broadcast_rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, x)`` with ``x`` a writable ``(..., n, r)`` copy of the right-hand
+    side (a vector becomes one column) and both sharing their leading axes."""
+    n = a.shape[-1]
+    rhs = np.asarray(b, dtype=float)
+    x = rhs.reshape(n, -1) if rhs.ndim == 1 else rhs
+    if a.shape[:-2] == x.shape[:-2]:
+        return a, np.array(x, order="C")
+    lead = np.broadcast_shapes(a.shape[:-2], x.shape[:-2])
+    if a.shape[:-2] != lead:
+        a = np.broadcast_to(a, lead + (n, n))
+    return a, np.array(np.broadcast_to(x, lead + x.shape[-2:]), order="C")
+
+
+def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndarray]:
     """Cholesky pivots of ``S`` in column order, up to the first failing one.
 
-    A pivot is accepted only above ``rtol`` times the largest diagonal entry.
-    Returns the upper-triangular factor (rows from the first failing pivot
-    on are zero) and the number of accepted pivots.
+    A pivot is accepted only above ``rtol`` times the largest diagonal entry
+    of its matrix. Returns the upper-triangular factor (rows from the first
+    failing pivot on are zero) and the number of accepted pivots: an int for
+    one matrix, one count per member for a stack.
     """
     a = _symmetrize(s)
-    n = a.shape[0]
-    tol = rtol * max(float(np.max(np.diagonal(a))), 0.0) if n else 0.0
+    n = a.shape[-1]
+    tol = rtol * np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
     u = np.zeros_like(a)
+    a_, u_ = _axes_first(a), _axes_first(u)
+    rank = np.full(a.shape[:-2], n)
+    dead = np.zeros(a.shape[:-2], dtype=bool)
+    any_dead = False
     for j in range(n):
-        pivot = a[j, j] - u[:j, j] @ u[:j, j]
-        if pivot <= tol:
-            return u, j
-        ujj = np.sqrt(pivot)
-        u[j, j] = ujj
+        col = u_[:j, j]
+        pivot = a_[j, j] - _dot(col, col)
+        failing = pivot <= tol
+        if any_dead:
+            failing = failing & ~dead
+        if _any(failing):
+            rank = np.where(failing, j, rank)
+            dead = dead | failing
+            if dead.all():
+                break
+            any_dead = True
+        if any_dead:
+            pivot = np.where(dead, 1.0, pivot)
+        diag = np.sqrt(pivot)
+        u_[j, j] = diag
         if j + 1 < n:
-            u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / ujj
-    return u, n
+            u_[j, j + 1 :] = (a_[j, j + 1 :] - _dot(col, u_[:j, j + 1 :])) / diag
+        if any_dead:
+            u_[j, j:][..., dead] = 0.0
+    return u, int(rank) if rank.ndim == 0 else rank
 
 
 def cholesky(s: np.ndarray) -> np.ndarray:
-    """Upper-triangular factor ``U`` with ``S = U' U`` and positive diagonal.
+    """Upper-triangular factor ``U`` with ``S = U' U`` and positive diagonal,
+    of one matrix or of every member of a stack.
 
     Raises
     ------
     NotPositiveDefinite
         If any pivot falls at or below ``1e-12`` times the largest diagonal
-        entry of ``S``, signalling (numerical) rank deficiency.
+        entry of its matrix, signalling (numerical) rank deficiency.
     """
     u, rank = _pivot_factor(s, _PIVOT_RTOL)
-    if rank < u.shape[0]:
+    if np.count_nonzero(rank < u.shape[-1]):
         raise NotPositiveDefinite(
-            f"pivot at column {rank} is at or below {_PIVOT_RTOL:g} times the "
-            "largest diagonal entry"
+            f"pivot at column {np.min(rank)} is at or below {_PIVOT_RTOL:g} times "
+            "the largest diagonal entry"
         )
     return u
 
@@ -81,79 +161,55 @@ def leading_spd_rank(s: np.ndarray, rtol: float = _PIVOT_RTOL) -> int:
 
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve ``T x = b`` for triangular ``T`` by substitution."""
-    a = _as_square(t)
-    n = a.shape[0]
-    rhs = np.asarray(b, dtype=float)
-    vector = rhs.ndim == 1
-    x = rhs.reshape(n, -1).copy()
+    """Solve ``T x = b`` for triangular ``T`` (or a stack) by substitution."""
+    a, x = _broadcast_rhs(_as_square(t), b)
+    n = a.shape[-1]
+    a_, x_ = _axes_first(a), _axes_first(x)
     rows = range(n) if lower else range(n - 1, -1, -1)
     for i in rows:
-        if lower:
-            if i:
-                x[i] -= a[i, :i] @ x[:i]
-        else:
-            if i + 1 < n:
-                x[i] -= a[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= a[i, i]
-    return x[:, 0] if vector else x
+        known = slice(0, i) if lower else slice(i + 1, n)
+        x_[i] -= _dot(a_[i, known], x_[known])
+        x_[i] /= a_[i, i]
+    return x[..., 0] if np.ndim(b) == 1 else x
 
 
 def spd_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``S X = B`` for symmetric positive definite ``S``.
+    """Solve ``S X = B`` for symmetric positive definite ``S`` (or a stack).
 
     Uses :func:`cholesky` followed by forward and backward substitution;
     :class:`NotPositiveDefinite` propagates from the factorization.
     """
     u = cholesky(s)
-    y = solve_triangular(u.T, b, lower=True)
-    return solve_triangular(u, y, lower=False)
+    rhs = np.asarray(b, dtype=float)
+    y = solve_triangular(_t(u), rhs[:, None] if rhs.ndim == 1 else rhs, lower=True)
+    x = solve_triangular(u, y, lower=False)
+    return x[..., 0] if rhs.ndim == 1 else x
 
 
 def solve_general(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for general square ``A`` by LU with partial pivoting."""
-    lu = _as_square(a).copy()
-    n = lu.shape[0]
-    rhs = np.asarray(b, dtype=float)
-    vector = rhs.ndim == 1
-    x = rhs.reshape(n, -1).copy()
+    """Solve ``A X = B`` for general square ``A`` (or a stack) by LU with
+    partial pivoting."""
+    lu, x = _broadcast_rhs(_as_square(a), b)
+    lu = lu.copy()
+    n = lu.shape[-1]
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
+        p = k + np.argmax(np.abs(lu[..., k:, k]), axis=-1)[..., None, None]
+        for m in (lu, x):
+            row_k = m[..., k : k + 1, :].copy()
+            m[..., k : k + 1, :] = np.take_along_axis(m, p, axis=-2)
+            np.put_along_axis(m, p, row_k, axis=-2)
+        if np.count_nonzero(lu[..., k, k] == 0.0):
             raise NotPositiveDefinite(f"singular matrix (zero pivot at column {k})")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        factors = lu[k + 1 :, k] / lu[k, k]
-        lu[k + 1 :, k:] -= np.outer(factors, lu[k, k:])
-        x[k + 1 :] -= np.outer(factors, x[k])
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    return x[:, 0] if vector else x
+        factors = lu[..., k + 1 :, k] / lu[..., k, k, None]
+        lu[..., k + 1 :, k:] -= factors[..., :, None] * lu[..., k, None, k:]
+        x[..., k + 1 :, :] -= factors[..., :, None] * x[..., k, None, :]
+    x = solve_triangular(lu, x, lower=False)
+    return x[..., 0] if np.ndim(b) == 1 else x
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    """Spectral radius of ``a``: closed forms up to 2x2, power iteration above.
-
-    The power-iteration estimate is the geometric mean of the per-step growth
-    over the second half of the iteration, which also handles complex dominant
-    pairs where the iterate itself does not settle.
-    """
-    m = _as_square(a)
-    n = m.shape[0]
-    if n == 1:
-        return abs(float(m[0, 0]))
-    if n == 2:
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc < 0.0:
-            return float(np.sqrt(det))
-        root = np.sqrt(disc)
-        return float(max(abs(tr + root), abs(tr - root)) / 2.0)
-    x = 1.0 + 0.0123 * np.arange(1, n + 1)
+def _power_radius(m: np.ndarray) -> float:
+    """Power-iteration estimate of one matrix's spectral radius."""
+    x = 1.0 + 0.0123 * np.arange(1, m.shape[0] + 1)
     x /= np.sqrt(x @ x)
     steps = 600
     log_growth = []
@@ -167,11 +223,41 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.exp(np.mean(log_growth[steps // 2 :])))
 
 
+def spectral_radius(a: np.ndarray) -> float | np.ndarray:
+    """Spectral radius of ``a`` (one per member of a stack): closed forms up
+    to 2x2, power iteration member by member above.
+
+    The power-iteration estimate is the geometric mean of the per-step growth
+    over the second half of the iteration, which also handles complex dominant
+    pairs where the iterate itself does not settle.
+    """
+    m = _as_square(a)
+    n = m.shape[-1]
+    if n == 1:
+        radius = np.abs(m[..., 0, 0])
+    elif n == 2:
+        tr = m[..., 0, 0] + m[..., 1, 1]
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        disc = tr * tr - 4.0 * det
+        pair = disc < 0.0  # complex conjugate pair of modulus sqrt(det)
+        root = np.sqrt(np.where(pair, 0.0, disc))
+        radius = np.where(
+            pair,
+            np.sqrt(np.where(pair, det, 0.0)),
+            np.maximum(np.abs(tr + root), np.abs(tr - root)) / 2.0,
+        )
+    else:
+        members = [_power_radius(member) for member in m.reshape(-1, n, n)]
+        radius = np.reshape(members, m.shape[:-2])
+    return float(radius) if radius.ndim == 0 else radius
+
+
 def lyapunov_solve(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Solve ``G = A G A' + Sigma`` for a stable ``A``.
+    """Solve ``G = A G A' + Sigma`` for a stable ``A`` (or a stack).
 
     Uses a doubling iteration on the series ``sum_h A^h Sigma (A')^h``; each
     step squares the accumulated power of ``A`` so convergence is quadratic.
+    A member stops accumulating once its own increment is negligible.
 
     Raises
     ------
@@ -183,19 +269,21 @@ def lyapunov_solve(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     sig = _symmetrize(sigma)
     if m.shape != sig.shape:
         raise ValueError("A and Sigma must share dimensions")
-    if spectral_radius(m) >= 1.0 - 1e-6:
+    if np.count_nonzero(spectral_radius(m) >= 1.0 - 1e-6):
         raise Unstable("spectral radius of A is not below one")
     g = sig.copy()
     p = m.copy()
-    scale = max(float(np.max(np.abs(sig))), 1e-300)
+    scale = np.maximum(np.abs(sig).max(axis=(-2, -1)), 1e-300)
+    done = np.zeros(m.shape[:-2], dtype=bool)
     for _ in range(100):
-        increment = p @ g @ p.T
-        g = g + increment
+        increment = p @ g @ _t(p)
+        g = np.where(done[..., None, None], g, g + increment)
         p = p @ p
-        if np.max(np.abs(increment)) <= 1e-16 * scale:
+        done = done | (np.abs(increment).max(axis=(-2, -1)) <= 1e-16 * scale)
+        if not _any(~done):
             break
-    g = (g + g.T) / 2.0
-    residual = np.max(np.abs(g - m @ g @ m.T - sig))
-    if residual > 1e-10 * scale:
-        raise Unstable(f"Lyapunov residual {residual:.3e} exceeds tolerance")
+    g = (g + _t(g)) / 2.0
+    residual = np.abs(g - m @ g @ _t(m) - sig).max(axis=(-2, -1))
+    if np.count_nonzero(residual > 1e-10 * scale):
+        raise Unstable(f"Lyapunov residual {np.max(residual):.3e} exceeds tolerance")
     return g

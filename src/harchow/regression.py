@@ -16,6 +16,7 @@ import numpy as np
 from .bases import break_index
 from .errors import RegimeTooSmall
 from .numkit import cholesky, spd_solve
+from .numkit.linalg import _t
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,8 @@ class RegressionData:
     ``y`` is the response (length T), ``x`` the break-affected regressors
     (T x m), ``z`` optional stable-coefficient covariates (T x l), and
     ``lam`` the break fraction. Each regime must keep at least ``m + 2``
-    observations.
+    observations. A stack of datasets with leading axes, ``y`` of shape
+    ``(..., T)`` and ``x`` of shape ``(..., T, m)``, shares ``z`` and ``lam``.
     """
 
     y: np.ndarray
@@ -36,12 +38,12 @@ class RegressionData:
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x must be a T x m matrix")
-        if y.shape != (x.shape[0],):
+        if x.ndim < 2:
+            raise ValueError("x must be a T x m matrix or a stack of them")
+        if y.shape != x.shape[:-1]:
             raise ValueError("y length must match the rows of x")
         z = None if self.z is None else np.asarray(self.z, dtype=float)
-        if z is not None and (z.ndim != 2 or z.shape[0] != x.shape[0]):
+        if z is not None and (z.ndim != 2 or z.shape[0] != x.shape[-2]):
             raise ValueError("z must be a T x l matrix aligned with x")
         arrays = [y, x] + ([z] if z is not None else [])
         if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -49,7 +51,7 @@ class RegressionData:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
-        t, m = x.shape
+        t, m = x.shape[-2:]
         n_z = 0 if z is None else z.shape[1]
         if t <= 2 * m + n_z + 2:
             raise ValueError(f"need T > 2m + l + 2, got T={t}, m={m}, l={n_z}")
@@ -61,11 +63,11 @@ class RegressionData:
 
     @property
     def t(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     @property
     def break_row(self) -> int:
@@ -109,7 +111,8 @@ def full_break_hypothesis(m: int) -> BreakHypothesis:
 
 @dataclass(frozen=True)
 class FitResult:
-    """OLS output on the (possibly partialled) break design."""
+    """OLS output on the (possibly partialled) break design; on a stack of
+    datasets every array carries the stack's leading axes."""
 
     beta_hat: np.ndarray
     residuals: np.ndarray
@@ -122,18 +125,19 @@ def build_break_design(x: np.ndarray, lam: float) -> np.ndarray:
     """Stack regime copies: row ``t`` is ``(X_t, 0)`` before the break and
     ``(0, X_t)`` after."""
     x = np.asarray(x, dtype=float)
-    t, m = x.shape
+    t, m = x.shape[-2:]
     k_star = break_index(lam, t)
     if k_star < 1 or t - k_star < 1:
         raise RegimeTooSmall(f"break at {k_star} of {t} leaves an empty regime")
-    design = np.zeros((t, 2 * m))
-    design[:k_star, :m] = x[:k_star]
-    design[k_star:, m:] = x[k_star:]
+    design = np.zeros(x.shape[:-1] + (2 * m,))
+    design[..., :k_star, :m] = x[..., :k_star, :]
+    design[..., k_star:, m:] = x[..., k_star:, :]
     return design
 
 
 def partial_out(a: np.ndarray, z: np.ndarray | None) -> np.ndarray:
-    """Residualize the columns of ``a`` on ``z`` (annihilator projection)."""
+    """Residualize the columns of ``a`` (T rows, or a stack of such) on
+    ``z`` (annihilator projection)."""
     a = np.asarray(a, dtype=float)
     if z is None or z.size == 0:
         return a.copy()
@@ -143,20 +147,21 @@ def partial_out(a: np.ndarray, z: np.ndarray | None) -> np.ndarray:
 
 
 def ols_fit(data: RegressionData, hyp: BreakHypothesis) -> FitResult:
-    """OLS on the break design, after projecting off ``z`` when present."""
+    """OLS on the break design, after projecting off ``z`` when present; on
+    a stack of datasets, one fit per member."""
     if hyp.m != data.m:
         raise ValueError(f"hypothesis is {hyp.m}-variate but data has m={data.m}")
     design = build_break_design(data.x, data.lam)
     xz = partial_out(design, data.z)
-    yz = partial_out(data.y, data.z)
-    gram = xz.T @ xz
-    beta = spd_solve(gram, xz.T @ yz)
-    residuals = yz - xz @ beta
+    yz = partial_out(data.y[..., None], data.z)[..., 0]
+    gram = _t(xz) @ xz
+    beta = spd_solve(gram, _t(xz) @ yz[..., None])[..., 0]
+    residuals = yz - (xz @ beta[..., None])[..., 0]
     q_hat = gram / data.t
     return FitResult(
         beta_hat=beta,
         residuals=residuals,
-        q_hat=(q_hat + q_hat.T) / 2.0,
+        q_hat=(q_hat + _t(q_hat)) / 2.0,
         xz=xz,
         break_row=data.break_row,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harchow import bases, chowtest, longrun
+from harchow import autok, bases, chowtest, longrun
 from harchow.bases import (
     FOURIER_RAW,
     BasisSet,
@@ -25,6 +25,7 @@ from harchow.chowtest import (
     wald_stat,
 )
 from harchow.errors import KTooSmall
+from harchow.mcstudy import DgpSpec, simulate_dgp
 from harchow.numkit import RngStream, dist_quantile, fisher_f
 from harchow.regression import (
     BreakHypothesis,
@@ -439,3 +440,59 @@ class TestNonIntegerBreakRow:
         )
         chisq = run_test(data, variant="chisq-transformed", k=7)
         assert chisq.reject == (chisq.p_value < chisq.alpha)
+
+
+class TestStackedPipeline:
+    """run_test's fit, plug-in rule and Wald form on a stack of series give
+    each member's own K exactly and its Wald statistic to 1e-12."""
+
+    # (rho, psi); the persistent designs give a clamped VAR fit in the stack
+    DESIGNS = (
+        (0.0, 0.0), (0.6, 0.0), (0.9, 0.9), (0.99, 0.9), (-0.99, 0.0), (0.6, 0.6)
+    )
+
+    def _stack(self, p, per_design):
+        ys, xs = [], []
+        for d, (rho, psi) in enumerate(self.DESIGNS):
+            for rep in range(per_design):
+                spec = DgpSpec(t=100, rho=rho, psi=psi)
+                y, x = simulate_dgp(spec, RngStream(d, rep))
+                if p == 3:
+                    extra = simulate_dgp(spec, RngStream(d + 10, rep))[1][:, 1]
+                    x = np.column_stack([x, extra])
+                ys.append(y)
+                xs.append(x)
+        return np.stack(ys), np.stack(xs)
+
+    @pytest.mark.parametrize("p, per_design", [(2, 34), (3, 8)])
+    def test_stack_matches_members(self, p, per_design):
+        y, x = self._stack(p, per_design)
+        hyp = full_break_hypothesis(p)
+        r = hyp.contrast
+        basis = bases.series_basis(100, 98, 0.4, bases.FOURIER_TRANSFORMED)
+        fit = ols_fit(RegressionData(y, x, None, 0.4), hyp)
+        v = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
+        model = autok.plugin_from_fit(*autok.fit_var1(v))
+        k = autok.mse_optimal_k(model, 100, p)
+        used = np.minimum(k, basis.k)
+        g = longrun.score_sums(basis, fit.xz * fit.residuals[..., None])
+        wald = chowtest.raw_statistic(g, fit, r, "F", used)
+        for i in range(len(y)):
+            one = ols_fit(RegressionData(y[i], x[i], None, 0.4), hyp)
+            one_model = autok.build_plugin_model(
+                autok.score_series(r, one.q_hat, one.xz, one.residuals)
+            )
+            k_one = autok.mse_optimal_k(one_model, 100, p)
+            assert (k[i], model.clamped[i]) == (k_one, one_model.clamped)
+            g_one = longrun.score_sums(basis, one.xz * one.residuals[:, None])
+            expected = chowtest.raw_statistic(g_one[:used[i]], one, r, "F")
+            # the stacked and the single Omega differ by rounding, which the
+            # condition number of the contrast variance amplifies: ~100 units
+            # of roundoff per unit of condition, and 1e-12 when well conditioned
+            v_one = longrun.sandwich_variance(
+                r, one.q_hat, longrun.sums_outer(g_one[:used[i]])
+            )
+            rel = max(1e-12, 1e-14 * np.linalg.cond(v_one))
+            assert wald[i] == pytest.approx(expected, rel=rel)
+        if p == 2:
+            assert model.clamped.any() and not model.clamped.all()

@@ -242,6 +242,29 @@ class TestMcCommands:
         assert code == 2
         assert "need at least one replication" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["mc-size", "--cells", "0", "--k", "4", "--alpha", "1.5"],
+        ["mc-size", "--preset", "figure", "--k-grid", "2:4:2", "--alpha", "-1"],
+    ])
+    def test_mc_size_level_outside_unit_interval_exits_2(self, command, capsys):
+        # a level of 1.5 used to report rejection 1.000, and -1 0.000
+        code = cli.main(
+            command + ["--T", "60", "--reps", "500", "--variants", "f-transformed"]
+        )
+        assert code == 2
+        assert "level must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["mc-power", "--k", "4"],
+        ["mc-size", "--cells", "0", "--k", "4", "--variants", "f-transformed"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_mc_without_workers_exits_2(self, command, workers, capsys):
+        # fewer than one worker used to run serially and exit 0
+        code = cli.main(command + ["--T", "60", "--reps", "500", "--workers", workers])
+        assert code == 2
+        assert "need at least one worker" in capsys.readouterr().err
+
     def test_mc_size_figure_preset(self, tmp_path):
         out = tmp_path / "figure.csv"
         code = cli.main(

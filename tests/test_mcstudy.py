@@ -1,10 +1,13 @@
+import multiprocessing
 from functools import partial
 
 import numpy as np
 import pytest
 
+from harchow import mcstudy
 from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED
 from harchow.chowtest import VARIANTS, reference, run_test
+from harchow.errors import HarchowError
 from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import (
     F_VARIANTS,
@@ -15,6 +18,7 @@ from harchow.mcstudy import (
     _rep_stream,
     _run_block,
     _run_cell,
+    k_grid_experiment,
     power_experiment,
     simulate_dgp,
     size_experiment,
@@ -36,6 +40,15 @@ class TestAr1Filter:
                 prev = rho * prev + e
                 expected[i] = prev
             assert np.max(np.abs(out - expected)) < 1e-10
+
+    def test_matrix_filters_each_column(self):
+        rng = np.random.default_rng(1)
+        eps = rng.standard_normal((333, 5))
+        for rho in (0.0, 0.5, -0.7, 0.95):
+            out = _ar1_filter(eps, rho)
+            for col in range(5):
+                single = _ar1_filter(eps[:, col], rho)
+                assert np.max(np.abs(out[:, col] - single)) < 1e-12
 
 
 class TestSimulateDgp:
@@ -151,6 +164,109 @@ class TestRunCellConsistency:
         assert np.array_equal(serial.failed, parallel.failed)
 
 
+class _ZeroStream:
+    """A replication stream whose innovations are all zero: its regressor is
+    constant, so its break design is singular."""
+
+    def normals(self, n):
+        return np.zeros(n)
+
+
+class TestFailedReplications:
+    PLANTED = 70  # second block of 64, with 63 block-mates
+
+    def _plant(self, monkeypatch):
+        real = mcstudy._rep_stream
+
+        def stream(seed, cell, rep):
+            return _ZeroStream() if rep == self.PLANTED else real(seed, cell, rep)
+
+        monkeypatch.setattr(mcstudy, "_rep_stream", stream)
+        return real
+
+    def test_planted_failure_is_flagged_alone(self, monkeypatch):
+        real = self._plant(monkeypatch)
+        spec = DgpSpec(t=100, rho=0.3)
+        bases = _cell_bases(spec.t, spec.lam)
+        deltas = (0.0, 0.5)
+        stats = _run_cell(spec, bases, 9, 0, 130, "auto", deltas)
+        expected = np.zeros((130, 2), dtype=bool)
+        expected[self.PLANTED] = True
+        assert np.array_equal(stats.failed, expected)
+        y, x = simulate_dgp(spec, _ZeroStream())
+        with pytest.raises(HarchowError):
+            run_test(RegressionData(y, x, None, spec.lam), k="auto")
+        # its block-mates keep run_test's statistics and K
+        for rep in range(64, 128):
+            if rep == self.PLANTED:
+                continue
+            for d_idx, delta in enumerate(deltas):
+                shifted = DgpSpec(t=100, rho=0.3, delta=delta)
+                y, x = simulate_dgp(shifted, real(9, 0, rep))
+                data = RegressionData(y, x, None, spec.lam)
+                for name in ("chisq-fourier", "f-transformed"):
+                    report = run_test(data, variant=name, k="auto")
+                    family = VARIANTS[name].basis_family
+                    assert stats.wald[family][rep, d_idx, 0] == pytest.approx(
+                        report.statistic_raw, rel=1e-10
+                    )
+                    assert stats.k_used[family][rep, d_idx, 0] == report.k
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the planted stream only when forked",
+    )
+    def test_planted_failure_csv_same_for_any_worker_count(self, monkeypatch):
+        self._plant(monkeypatch)
+        tables = []
+        for workers in (1, 2):
+            results = size_experiment(
+                [DgpSpec(t=100, rho=0.3)], ("chisq-fourier", "f-transformed"),
+                reps=500, master_seed=9, workers=workers,
+            )
+            assert all(r.failures == 1 for r in results)
+            tables.append(size_table_csv(results))
+        assert tables[0] == tables[1]
+
+
+class TestWorkerPool:
+    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class Recorder:
+            """Records the pool size and runs the blocks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(mcstudy, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(mcstudy, "_usable_cpus", lambda: 4)
+        spec = DgpSpec(t=60, rho=0.0)
+        bases = _cell_bases(spec.t, spec.lam)
+        for reps, workers in ((130, 10**6), (640, 10**6), (130, 2), (64, 8)):
+            _run_cell(spec, bases, 3, 0, reps, [4], (0.0,), workers=workers)
+        # 3 blocks; 10 blocks on 4 CPUs; 2 workers; one block runs serially
+        assert sizes == [3, 4, 2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        spec = DgpSpec(t=60, rho=0.0)
+        with pytest.raises(ValueError, match="at least one worker"):
+            _run_cell(
+                spec, _cell_bases(spec.t, spec.lam), 3, 0, 64, [4], (0.0,),
+                workers=workers,
+            )
+
+
 class TestSizeExperiment:
     def test_csv_identical_across_worker_counts(self):
         specs = [DgpSpec(t=60, rho=0.3)]
@@ -184,6 +300,14 @@ class TestSizeExperiment:
             rates.append(res[0])
         combined_se = np.sqrt(rates[0].mc_se**2 + rates[1].mc_se**2)
         assert abs(rates[0].rejection - rates[1].rejection) <= 3 * combined_se
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -1.0])
+    def test_rejects_level_outside_unit_interval(self, alpha):
+        spec = DgpSpec(t=60, rho=0.0)
+        with pytest.raises(ValueError, match="level must lie in"):
+            size_experiment([spec], ("f-transformed",), 4, reps=500, alpha=alpha)
+        with pytest.raises(ValueError, match="level must lie in"):
+            k_grid_experiment(spec, (4,), ("f-transformed",), reps=500, alpha=alpha)
 
     def test_validation(self):
         with pytest.raises(ValueError):

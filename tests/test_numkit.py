@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from harchow.errors import NotPositiveDefinite, Unstable
+from harchow.numkit.linalg import _pivot_factor
 from harchow.numkit import (
     RngStream,
     chi_square,
@@ -145,6 +146,83 @@ class TestSpectralRadius:
 
     def test_nilpotent(self):
         assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+
+def _mixed_stack(n, rng):
+    """SPD members plus a zero matrix, a tiny regular one and, for n > 1, a
+    rank-deficient one and one with two equal leading columns."""
+    stack = [random_spd(n, rng) for _ in range(6)]
+    stack += [np.zeros((n, n)), 1e-9 * random_spd(n, rng)]
+    if n > 1:
+        b = rng.standard_normal((n, n - 1))
+        stack.append(b @ b.T)
+        s = random_spd(n, rng)
+        s[:, 1] = s[:, 0]
+        s[1, :] = s[0, :]
+        stack.append(s)
+    return np.stack(stack)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pivot_factor_gives_each_member_its_rank(self, n):
+        stack = _mixed_stack(n, np.random.default_rng(30 + n))
+        u, rank = _pivot_factor(stack, 1e-12)
+        for member, u_i, rank_i in zip(stack, u, rank):
+            u_one, rank_one = _pivot_factor(member, 1e-12)
+            assert rank_i == rank_one
+            scale = max(1.0, np.abs(u_one).max())
+            assert np.max(np.abs(u_i - u_one)) <= 1e-12 * scale
+        assert (rank < n).any() and (rank == n).any()
+
+    def test_cholesky_raises_iff_some_member_fails(self):
+        rng = np.random.default_rng(40)
+        good = np.stack([random_spd(4, rng) for _ in range(5)])
+        u = cholesky(good)
+        for member, u_i in zip(good, u):
+            assert np.allclose(u_i, cholesky(member), rtol=1e-12, atol=1e-14)
+        for bad in range(5):
+            stack = good.copy()
+            stack[bad, :, 3] = stack[bad, :, 2]
+            stack[bad, 3, :] = stack[bad, 2, :]
+            with pytest.raises(NotPositiveDefinite):
+                cholesky(stack)
+
+    def test_solvers_match_members(self):
+        rng = np.random.default_rng(41)
+        spd = np.stack([random_spd(4, rng) for _ in range(7)])
+        general = rng.standard_normal((7, 4, 4)) + 3 * np.eye(4)
+        b = rng.standard_normal((7, 4, 3))
+        shared = rng.standard_normal((4, 2))  # one matrix for every member
+        for solve, a in ((spd_solve, spd), (solve_general, general)):
+            for rhs in (b, shared):
+                x = solve(a, rhs)
+                for i in range(7):
+                    one = solve(a[i], rhs[i] if rhs.ndim == 3 else rhs)
+                    assert np.allclose(x[i], one, rtol=1e-12, atol=1e-14)
+        upper = np.triu(general)
+        x = solve_triangular(upper, b, lower=False)
+        for i in range(7):
+            assert np.allclose(upper[i] @ x[i], b[i], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radius_and_lyapunov_match_members(self, n):
+        rng = np.random.default_rng(42 + n)
+        a = rng.standard_normal((9, n, n))
+        a *= (0.9 / np.array([spectral_radius(m) + 1e-12 for m in a]))[:, None, None]
+        if n == 3:
+            a[4] = np.triu(a[4], 1)  # nilpotent: the power iterate vanishes
+        sigma = np.stack([random_spd(n, rng) for _ in range(9)])
+        radius = spectral_radius(a)
+        g = lyapunov_solve(a, sigma)
+        for i in range(9):
+            assert radius[i] == pytest.approx(spectral_radius(a[i]), rel=1e-12, abs=0)
+            assert np.allclose(g[i], lyapunov_solve(a[i], sigma[i]), rtol=1e-12, atol=0)
+        if n == 3:
+            assert radius[4] == 0.0
+        a[2] *= 1.2 / 0.9
+        with pytest.raises(Unstable):
+            lyapunov_solve(a, sigma)
 
 
 class TestDistributions:
