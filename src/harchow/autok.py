@@ -15,7 +15,9 @@ rounded half-up and clamped to ``[max(p, 2), T - 2]``. The leading constant
 is calibrated on the break-design Monte Carlo in the test suite: persistent
 designs select single-digit counts at T = 100 while white-noise designs grow
 toward the cap, and the selected counts scale like ``T^{4/5}`` at fixed
-persistence.
+persistence. The trace is evaluated in its closed form
+``tr(Omega)^2 + tr(Omega^2)`` (Magnus and Neudecker 1979, *Ann. Statist.*
+7(2)), so no ``p^2 x p^2`` matrix is formed.
 
 Every step also takes a stack of score series with leading axes (one per
 Monte Carlo replication, say) and returns one result per member.
@@ -137,15 +139,6 @@ def plugin_from_fit(
     )
 
 
-def commutation_matrix(p: int) -> np.ndarray:
-    """The ``p^2 x p^2`` matrix sending ``vec(A)`` to ``vec(A')``."""
-    k = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            k[i * p + j, j * p + i] = 1.0
-    return k
-
-
 def mse_optimal_k(model: PluginModel, t: int, p: int) -> int:
     """MSE-minimizing basis count from the plug-in model, clamped to range;
     one count per member of a stacked model."""
@@ -155,10 +148,8 @@ def mse_optimal_k(model: PluginModel, t: int, p: int) -> int:
     b = model.b_hat.reshape(model.b_hat.shape[:-2] + (1, p * p))
     flat = (b @ _t(b))[..., 0, 0]
     omega = model.omega_v
-    kron = omega[..., :, None, :, None] * omega[..., None, :, None, :]
-    kron = kron.reshape(omega.shape[:-2] + (p * p, p * p))
-    weight = np.eye(p * p) + commutation_matrix(p)
-    numerator = np.trace(weight @ kron, axis1=-2, axis2=-1)
+    trace = np.trace(omega, axis1=-2, axis2=-1)
+    numerator = trace**2 + (omega * _t(omega)).sum(axis=(-2, -1))
     curved = flat != 0.0
     flat = np.where(curved, flat, 1.0)
     k_star = (numerator / (2.0 * np.pi**4 * flat)) ** 0.2 * t**0.8

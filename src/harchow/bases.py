@@ -1,9 +1,9 @@
 """Basis construction for the series long-run variance estimator.
 
 Provides interleaved cosine/sine (Fourier) basis vectors, the break-geometry
-covariance kernel matrix and its inner product, the within-regime demeaned
-("tilde") transforms of basis columns, and the Gram-Schmidt step that
-orthonormalizes a basis with respect to the kernel inner product.
+covariance kernel matrix, the within-regime demeaned ("tilde") transform of
+basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
+respect to the kernel inner product ``a' C_T b / T^2``.
 :func:`series_basis` is the one place that builds a family's first K vectors
 and decides the kernel-feasible K; every consumer asks it for its basis.
 
@@ -69,10 +69,6 @@ class KernelMatrix:
     lam: float
     matrix: np.ndarray
 
-    @property
-    def break_row(self) -> int:
-        return break_index(self.lam, self.t)
-
 
 def fourier_matrix(t: int, k: int, lam: float) -> BasisSet:
     """Interleaved Fourier basis vectors evaluated at ``r = 1/T, ..., T/T``.
@@ -110,15 +106,6 @@ def kernel_matrix(t: int, lam: float) -> KernelMatrix:
     return KernelMatrix(t=t, lam=lam, matrix=c)
 
 
-def kernel_inner(a: np.ndarray, b: np.ndarray, kern: KernelMatrix) -> float:
-    """Inner product ``a' C_T b / T^2`` induced by the break kernel."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (kern.t,) or b.shape != (kern.t,):
-        raise ValueError("vector lengths must match the kernel dimension")
-    return float(a @ kern.matrix @ b) / kern.t**2
-
-
 def _checked_break_row(lam: float, t: int) -> int:
     k_star = break_index(lam, t)
     if k_star < 2 or t - k_star < 2:
@@ -128,26 +115,17 @@ def _checked_break_row(lam: float, t: int) -> int:
     return k_star
 
 
-def phi_tilde_grid(phi_col: np.ndarray, lam: float, t: int) -> np.ndarray:
-    """Within-regime demeaned and regime-weighted version of a basis column.
-
-    For ``t <= k*`` the entry is ``(phi - mean over regime one) / lambda``;
-    after the break it is ``-(phi - mean over regime two) / (1 - lambda)``.
-    Both regime portions of the output sum to zero exactly.
-    """
-    col = np.asarray(phi_col, dtype=float)
-    if col.shape != (t,):
-        raise ValueError(f"column length {col.shape} does not match T={t}")
-    k_star = _checked_break_row(lam, t)
-    out = np.empty(t)
-    out[:k_star] = (col[:k_star] - col[:k_star].mean()) / lam
-    out[k_star:] = -(col[k_star:] - col[k_star:].mean()) / (1.0 - lam)
-    return out
-
-
 def phi_tilde_matrix(matrix: np.ndarray, lam: float, t: int) -> np.ndarray:
-    """Column-wise :func:`phi_tilde_grid` for a ``T x K`` basis matrix."""
+    """Within-regime demeaned and regime-weighted basis columns.
+
+    Takes one column (length T) or a ``T x K`` matrix. For ``t <= k*`` an
+    entry is ``(phi - mean over regime one) / lambda``; after the break it is
+    ``-(phi - mean over regime two) / (1 - lambda)``. Both regime portions of
+    each output column sum to zero exactly.
+    """
     m = np.asarray(matrix, dtype=float)
+    if m.shape[:1] != (t,):
+        raise ValueError(f"column length {m.shape} does not match T={t}")
     k_star = _checked_break_row(lam, t)
     out = np.empty_like(m)
     out[:k_star] = (m[:k_star] - m[:k_star].mean(axis=0)) / lam
@@ -155,15 +133,19 @@ def phi_tilde_matrix(matrix: np.ndarray, lam: float, t: int) -> np.ndarray:
     return out
 
 
-def column_norm_factors(basis: BasisSet) -> np.ndarray:
-    """Per-column averages ``(1/T) sum_i tilde(phi)_j(i/T)^2``."""
+def norm_factor(
+    basis: BasisSet, k: int | np.ndarray | None = None
+) -> float | np.ndarray:
+    """Average squared demeaned basis value ``(1/(KT)) sum_{j<=K} sum_i
+    tilde(phi)_j(i/T)^2`` of the first K columns, all by default; an array
+    of K values gives one factor per entry."""
     tilde = phi_tilde_matrix(basis.matrix, basis.lam, basis.t)
-    return (tilde**2).mean(axis=0)
-
-
-def norm_factor(basis: BasisSet) -> float:
-    """Average squared demeaned basis value, ``(1/(KT)) sum_j sum_i [...]^2``."""
-    return float(column_norm_factors(basis).mean())
+    cols = (tilde**2).mean(axis=0)
+    if k is None or np.ndim(k) == 0:
+        return float(cols[: basis.k if k is None else k].mean())
+    ks, where = np.unique(k, return_inverse=True)
+    factors = np.array([cols[:j].mean() for j in ks.tolist()])
+    return factors[where].reshape(np.shape(k))
 
 
 def gram_matrix(basis: BasisSet, kern: KernelMatrix) -> np.ndarray:

@@ -32,8 +32,8 @@ from .errors import KTooSmall, NotPositiveDefinite
 from .numkit import (
     DistFamily,
     chi_square,
-    dist_cdf,
     dist_quantile,
+    dist_sf,
     fisher_f,
     normal,
     spd_solve,
@@ -130,33 +130,6 @@ def t_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> float:
     return math.sqrt(t) * rb / math.sqrt(float(v[0, 0]))
 
 
-def modified_f(f_t: Values, nf: Values, lam: float) -> Values:
-    """Chi-square-referenced modification ``lam (1 - lam) nf F``; array-safe."""
-    if np.any(np.asarray(nf) <= 0.0):
-        raise ValueError("norm factor must be positive")
-    return lam * (1.0 - lam) * nf * f_t
-
-
-def modified_t(t_t: Values, nf: Values, lam: float) -> Values:
-    """Normal-referenced modification ``sqrt(lam (1 - lam) nf) t``; array-safe."""
-    if np.any(np.asarray(nf) <= 0.0):
-        raise ValueError("norm factor must be positive")
-    return np.sqrt(lam * (1.0 - lam) * nf) * t_t
-
-
-def scaled_f(f_t: Values, p: int, k: int | np.ndarray, lam: float) -> Values:
-    """Degrees-of-freedom scaled form ``(K - p + 1)/(K p) lam (1 - lam) F``;
-    array-safe in ``F`` and ``K``."""
-    if np.any(np.asarray(k) < p):
-        raise KTooSmall(f"need K >= p, got K={np.min(k)}, p={p}")
-    return (k - p + 1) / (k * p) * lam * (1.0 - lam) * f_t
-
-
-def scaled_t(t_t: Values, lam: float) -> Values:
-    """Degrees-of-freedom scaled form ``sqrt(lam (1 - lam)) t``; array-safe."""
-    return np.sqrt(lam * (1.0 - lam)) * t_t
-
-
 def variant_spec(name: str, statistic: str | None = None) -> TestVariant:
     """The named variant; ``ValueError`` for an unknown name or, when
     ``statistic`` is given, a variant of the other statistic kind."""
@@ -192,14 +165,21 @@ def statistic_forms(
     """Every form of a raw statistic keyed by name; array-safe.
 
     The keys are ``raw``, ``modified``, ``df-scaled`` and ``break-weighted``;
-    for a t statistic the last two coincide.
+    for a t statistic the last two coincide. A norm factor ``nf <= 0``
+    raises ``ValueError``, and for a Wald statistic ``K < p`` raises
+    :class:`KTooSmall`.
     """
+    if statistic == "F" and np.any(np.asarray(k) < p):
+        raise KTooSmall(f"need K >= p, got K={np.min(k)}, p={p}")
+    if np.any(np.asarray(nf) <= 0.0):
+        raise ValueError("norm factor must be positive")
     if statistic == "F":
-        scaled, weighted = scaled_f(raw, p, k, lam), lam * (1.0 - lam) * raw
-        modified = modified_f(raw, nf, lam)
+        scaled = (k - p + 1) / (k * p) * lam * (1.0 - lam) * raw
+        weighted = lam * (1.0 - lam) * raw
+        modified = lam * (1.0 - lam) * nf * raw
     else:
-        scaled = weighted = scaled_t(raw, lam)
-        modified = modified_t(raw, nf, lam)
+        scaled = weighted = np.sqrt(lam * (1.0 - lam)) * raw
+        modified = np.sqrt(lam * (1.0 - lam) * nf) * raw
     return {
         "raw": raw, "modified": modified, "df-scaled": scaled,
         "break-weighted": weighted,
@@ -241,14 +221,15 @@ class Reference:
         return dist_quantile(self.law, 1.0 - level)
 
     def p_value(self, x: Values) -> Values:
-        """Tail probability of ``x``; elementwise on arrays."""
+        """Upper-tail probability of ``x``, computed directly rather than as
+        one minus the CDF; elementwise on arrays."""
         if np.ndim(x):
             return np.vectorize(self.p_value, otypes=[float])(x)
         if self.two_sided:
             x = abs(x)
         if isinstance(self.law, fixedlimit.SimulatedDistribution):
             return fixedlimit.empirical_p(self.law, x)
-        tail = 1.0 - dist_cdf(self.law, x)
+        tail = dist_sf(self.law, x)
         return 2.0 * tail if self.two_sided else tail
 
     def decide(self, x: Values) -> tuple[Values, bool | np.ndarray]:
@@ -357,13 +338,6 @@ def run_test(
     ref = reference(
         spec, p, k_used, data.lam, alpha, cv_seed, cv_replications, cv_grid, cache
     )
-    critical = ref.critical_value
-    if form == "break-weighted" and spec.statistic == "F":
-        # the break-weighted form against a plain chi-square must decide
-        # exactly as the df-scaled form against the rescaled quantile
-        scaled_critical = (k_used - p + 1) / (k_used * p) * critical
-        if (forms["df-scaled"] > scaled_critical) != (forms[form] > critical):
-            raise RuntimeError("equivalent chi-square forms disagree")
     p_value, reject = ref.decide(forms[form])
 
     return TestReport(
@@ -380,7 +354,7 @@ def run_test(
         lam=data.lam,
         alpha=alpha,
         p_value=p_value,
-        critical_value=critical,
+        critical_value=ref.critical_value,
         reject=bool(reject),
         norm_factor=nf,
         plugin=plugin,

@@ -42,19 +42,13 @@ def sums_outer(g: np.ndarray, k: int | np.ndarray | None = None) -> np.ndarray:
     return (omega + _t(omega)) / 2.0
 
 
-def series_outer(basis: BasisSet, series: np.ndarray) -> np.ndarray:
-    """``(1/K) sum_j g_j g_j'`` for the partial sums ``g_j = T^{-1/2} sum_t
-    phi_{j,t} series_t`` of a T x d ``series``; a d x d matrix."""
-    return sums_outer(score_sums(basis, series))
-
-
 def series_lrv(basis: BasisSet, xz: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
     """Long-run variance estimate of the scores ``xz_t' u_t``."""
     xz = np.asarray(xz, dtype=float)
     u = np.asarray(u_hat, dtype=float)
     if xz.shape[0] != u.shape[0]:
         raise ValueError("xz and u_hat must have the same number of rows")
-    return series_outer(basis, xz * u[:, None])
+    return sums_outer(score_sums(basis, xz * u[:, None]))
 
 
 def sandwich_variance(

@@ -35,7 +35,7 @@ from .bases import (
     FOURIER_TRANSFORMED,
     BasisSet,
     break_index,
-    column_norm_factors,
+    norm_factor,
     series_basis,
 )
 from .errors import HarchowError
@@ -308,9 +308,7 @@ def _decision_values(
     (replication, delta, K) statistic arrays."""
     family = variant.basis_family
     wald, k_used = stats.wald[family][index], stats.k_used[family][index]
-    cols = column_norm_factors(bases[family])
-    nf_of = {k: float(cols[:k].mean()) for k in np.unique(k_used).tolist()}
-    nf = np.vectorize(nf_of.__getitem__, otypes=[float])(k_used)
+    nf = norm_factor(bases[family], k_used)
     forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
     return forms[chowtest.decision_form(variant)], k_used
 
@@ -515,7 +513,3 @@ def power_table_csv(power: dict, spec: DgpSpec) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
-
-
-def default_workers() -> int:
-    return min(8, os.cpu_count() or 1)

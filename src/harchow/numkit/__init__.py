@@ -1,6 +1,6 @@
 """Self-contained numeric kernel: SPD linear algebra, a discrete Lyapunov
-solver, distribution CDFs/quantiles built on in-house special functions, and
-reproducible random streams."""
+solver, distribution CDFs, upper tails and quantiles built on in-house
+special functions, and reproducible random streams."""
 
 from .dists import (
     DistFamily,
@@ -8,6 +8,7 @@ from .dists import (
     dist_cdf,
     dist_pdf,
     dist_quantile,
+    dist_sf,
     fisher_f,
     normal,
     student_t,
@@ -21,7 +22,7 @@ from .linalg import (
     spd_solve,
     spectral_radius,
 )
-from .rng import ALGORITHM, RngStream, standard_normals
+from .rng import RngStream
 from .special import (
     erfc,
     log_gamma,
@@ -31,7 +32,6 @@ from .special import (
 )
 
 __all__ = [
-    "ALGORITHM",
     "DistFamily",
     "RngStream",
     "chi_square",
@@ -39,6 +39,7 @@ __all__ = [
     "dist_cdf",
     "dist_pdf",
     "dist_quantile",
+    "dist_sf",
     "erfc",
     "fisher_f",
     "leading_spd_rank",
@@ -52,6 +53,5 @@ __all__ = [
     "solve_triangular",
     "spd_solve",
     "spectral_radius",
-    "standard_normals",
     "student_t",
 ]

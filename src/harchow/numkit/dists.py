@@ -1,7 +1,9 @@
 """Reference distributions: normal, chi-square, Student t, and Fisher F.
 
-CDFs are assembled from the incomplete gamma/beta functions in
-:mod:`harchow.numkit.special`; quantiles invert the CDF with a bracketed
+CDFs and upper tails are assembled from the incomplete gamma/beta functions
+in :mod:`harchow.numkit.special`; an upper tail is computed directly, not as
+``1 - cdf``, so it keeps its relative accuracy far out where the CDF rounds
+to 1. Quantiles invert the CDF with a bracketed
 Newton iteration that falls back to bisection whenever a step leaves the
 bracket, so they inherit the CDF's accuracy (about 1e-14, comfortably within
 the 1e-8 quantile contract).
@@ -12,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import erfc, log_gamma, regularized_beta, regularized_gamma_p
+from .special import (
+    erfc, log_gamma, regularized_beta, regularized_gamma_p, regularized_gamma_q,
+)
 
 _FAMILIES = ("normal", "chi-square", "student-t", "fisher-f")
 
@@ -66,16 +70,34 @@ def dist_cdf(d: DistFamily, x: float) -> float:
             return 0.0
         return regularized_gamma_p(d.df1 / 2.0, x / 2.0)
     if d.family == "student-t":
-        if x == 0.0:
-            return 0.5
-        nu = d.df1
-        tail = 0.5 * regularized_beta(nu / 2.0, 0.5, nu / (nu + x * x))
-        return 1.0 - tail if x > 0.0 else tail
+        return 1.0 - dist_sf(d, x) if x > 0.0 else dist_sf(d, -x)
     # fisher-f
     if x <= 0.0:
         return 0.0
     d1, d2 = d.df1, d.df2
     return regularized_beta(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
+
+
+def dist_sf(d: DistFamily, x: float) -> float:
+    """Upper tail ``P(X > x)`` of ``d``, evaluated directly."""
+    x = float(x)
+    if d.family == "normal":
+        return 0.5 * erfc(x / math.sqrt(2.0))
+    if d.family == "chi-square":
+        if x <= 0.0:
+            return 1.0
+        return regularized_gamma_q(d.df1 / 2.0, x / 2.0)
+    if d.family == "student-t":
+        if x == 0.0:
+            return 0.5
+        nu = d.df1
+        tail = 0.5 * regularized_beta(nu / 2.0, 0.5, nu / (nu + x * x))
+        return tail if x > 0.0 else 1.0 - tail
+    # fisher-f
+    if x <= 0.0:
+        return 1.0
+    d1, d2 = d.df1, d.df2
+    return regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
 
 
 def dist_pdf(d: DistFamily, x: float) -> float:

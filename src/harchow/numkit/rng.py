@@ -1,10 +1,10 @@
 """Seedable random streams with a fixed, documented generation chain.
 
-A stream is identified by ``(algorithm, seed, stream)``. The chain is pinned
-end to end: raw 64-bit words come from a PCG64 bit generator keyed by
-``SeedSequence(seed, spawn_key=(stream,))``, uniforms take the top 53 bits of
-each word, and standard normals come from the polar (Marsaglia) rejection
-method applied to consecutive uniform pairs. Nothing in the chain depends on
+A stream is identified by ``(seed, stream)``. The chain is pinned end to
+end: raw 64-bit words come from a PCG64 bit generator keyed by
+``SeedSequence(seed, spawn_key=(stream,))``, uniforms take the top 53 bits
+of each word, and standard normals come from the polar (Marsaglia)
+rejection method applied to consecutive uniform pairs. Nothing in the chain depends on
 thread count or platform, so a stream's output is bit-reproducible anywhere.
 
 Streams are single-owner: parallel users derive their own stream ids rather
@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import PCG64, SeedSequence
-
-ALGORITHM = "pcg64-polar"
-
 
 class RngStream:
     """One reproducible substream of the package-wide generator family."""
@@ -30,10 +27,6 @@ class RngStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self._bitgen = PCG64(SeedSequence(self.seed, spawn_key=(self.stream,)))
-
-    @property
-    def algorithm(self) -> str:
-        return ALGORITHM
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1): top 53 bits of each raw word."""
@@ -71,8 +64,3 @@ class RngStream:
             out[filled : filled + take] = z[:take]
             filled += take
         return out
-
-
-def standard_normals(rng: RngStream, n: int) -> np.ndarray:
-    """Draw ``n`` iid standard normals from ``rng``."""
-    return rng.normals(n)

@@ -69,10 +69,6 @@ class RegressionData:
     def m(self) -> int:
         return self.x.shape[-1]
 
-    @property
-    def break_row(self) -> int:
-        return break_index(self.lam, self.t)
-
 
 @dataclass(frozen=True)
 class BreakHypothesis:
@@ -118,7 +114,6 @@ class FitResult:
     residuals: np.ndarray
     q_hat: np.ndarray
     xz: np.ndarray
-    break_row: int
 
 
 def build_break_design(x: np.ndarray, lam: float) -> np.ndarray:
@@ -163,5 +158,4 @@ def ols_fit(data: RegressionData, hyp: BreakHypothesis) -> FitResult:
         residuals=residuals,
         q_hat=(q_hat + _t(q_hat)) / 2.0,
         xz=xz,
-        break_row=data.break_row,
     )

@@ -4,10 +4,13 @@ Everything here deliberately avoids the package's own special-function and
 linear-algebra code paths: densities are written from their closed forms with
 ``math.lgamma``, CDFs come from Simpson quadrature under a square-root
 substitution (smooth at the origin even for one degree of freedom), and
-quantiles invert the quadrature CDF by bisection.
+quantiles invert the quadrature CDF by bisection. The matrix oracles write
+a quantity out in its textbook form, however wasteful.
 """
 
 import math
+
+import numpy as np
 
 
 def simpson(f, a, b, n=4000):
@@ -72,3 +75,29 @@ def quantile_positive(pdf, q):
         if hi - lo < 1e-12 * (1 + hi):
             break
     return (lo + hi) / 2
+
+
+def kernel_inner(a, b, kern):
+    """Inner product ``a' C_T b / T^2`` induced by a break kernel matrix."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape == (kern.t,)
+    return float(a @ kern.matrix @ b) / kern.t**2
+
+
+def commutation_matrix(p):
+    """The ``p^2 x p^2`` matrix sending ``vec(A)`` to ``vec(A')``."""
+    k = np.zeros((p * p, p * p))
+    for i in range(p):
+        for j in range(p):
+            k[i * p + j, j * p + i] = 1.0
+    return k
+
+
+def mse_variance_trace(omega):
+    """``tr((I + K_pp)(Omega x Omega))``, the variance term of the plug-in
+    MSE rule, through the explicit Kronecker product."""
+    omega = np.asarray(omega, dtype=float)
+    p = omega.shape[0]
+    weight = np.eye(p * p) + commutation_matrix(p)
+    return float(np.trace(weight @ np.kron(omega, omega)))

@@ -5,6 +5,7 @@ heavier criteria (4 and 6 to 8) simulate tens of thousands of replications
 and take a few minutes altogether.
 """
 
+import os
 import time
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_criterion_05_finite_sample_f_calibration():
 
 def test_criterion_06_table1_desk_scale():
     start = time.time()
-    workers = mcstudy.default_workers()
+    workers = min(8, os.cpu_count() or 1)
     res_100 = size_experiment(
         [DgpSpec(t=100, rho=0.9)],
         ("chisq-fourier", "chisq-transformed", "f-transformed"),

@@ -3,7 +3,6 @@ import pytest
 
 from harchow.autok import (
     build_plugin_model,
-    commutation_matrix,
     fit_var1,
     mse_optimal_k,
     plugin_from_fit,
@@ -11,9 +10,10 @@ from harchow.autok import (
 )
 from harchow.bases import fourier_matrix
 from harchow.errors import NotPositiveDefinite
-from harchow.longrun import sandwich_variance, series_lrv, series_outer
+from harchow.longrun import sandwich_variance, score_sums, series_lrv, sums_outer
 from harchow.numkit import RngStream
 from harchow.regression import RegressionData, full_break_hypothesis, ols_fit
+from oracles import commutation_matrix, mse_variance_trace
 
 
 def fitted(t=12, seed=0):
@@ -43,7 +43,7 @@ class TestScoreSeries:
         data, hyp, fit = fitted(seed=2)
         basis = fourier_matrix(data.t, 3, data.lam)
         v = score_series(hyp.contrast, fit.q_hat, fit.xz, fit.residuals)
-        direct = series_outer(basis, v)
+        direct = sums_outer(score_sums(basis, v))
         omega = series_lrv(basis, fit.xz, fit.residuals)
         sandwich = sandwich_variance(hyp.contrast, fit.q_hat, omega)
         assert np.max(np.abs(direct - sandwich)) < 1e-10
@@ -156,6 +156,35 @@ class TestMseOptimalK:
         k = commutation_matrix(2)
         a = np.arange(4.0).reshape(2, 2)
         assert np.array_equal(k @ a.ravel(), a.T.ravel())
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_kronecker_form(self, p):
+        # the closed-form trace tr(Omega)^2 + tr(Omega^2) picks the same K as
+        # tr((I + K_pp)(Omega x Omega)) on random VAR(1) fits, one by one
+        # and stacked
+        rng = np.random.default_rng(40 + p)
+        models = []
+        for _ in range(60):
+            a = rng.uniform(-0.9, 0.9, (p, p)) / p
+            c = rng.standard_normal((p, p))
+            models.append(plugin_from_fit(a, c @ c.T + 0.1 * np.eye(p)))
+        for model in models:
+            omega = model.omega_v
+            assert np.trace(omega) ** 2 + np.trace(omega @ omega) == pytest.approx(
+                mse_variance_trace(omega), rel=1e-12
+            )
+        stacked = plugin_from_fit(
+            np.stack([m.a_hat for m in models]), np.stack([m.sigma_hat for m in models])
+        )
+        for t in (60, 100, 200, 500):
+            ks = mse_optimal_k(stacked, t, p)
+            for model, k in zip(models, ks):
+                b = model.b_hat.ravel()
+                k_star = (
+                    mse_variance_trace(model.omega_v) / (2 * np.pi**4 * (b @ b))
+                ) ** 0.2 * t**0.8
+                expected = int(np.clip(np.floor(k_star + 0.5), max(p, 2), t - 2))
+                assert mse_optimal_k(model, t, p) == k == expected
 
 
 def test_auto_k_decreases_with_persistence_end_to_end():

@@ -6,19 +6,17 @@ from harchow.bases import (
     FOURIER_TRANSFORMED,
     BasisSet,
     break_index,
-    column_norm_factors,
     feasible_k,
     fourier_matrix,
     gram_matrix,
     gram_transform,
-    kernel_inner,
     kernel_matrix,
     norm_factor,
-    phi_tilde_grid,
     phi_tilde_matrix,
     series_basis,
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
+from oracles import kernel_inner
 
 
 class TestBreakIndex:
@@ -86,7 +84,7 @@ class TestKernelMatrix:
         # integer lam * T: within-regime constant vectors are in the null space
         for t, lam in ((10, 0.3), (10, 0.5), (50, 0.3), (50, 0.5)):
             kern = kernel_matrix(t, lam)
-            k_star = kern.break_row
+            k_star = break_index(lam, t)
             v1 = np.zeros(t)
             v1[:k_star] = 3.7
             v2 = np.zeros(t)
@@ -124,27 +122,27 @@ class TestKernelInner:
         basis = fourier_matrix(t, 1, lam)
         col = basis.matrix[:, 0]
         lhs = kernel_inner(col, col, kern)
-        tilde = phi_tilde_grid(col, lam, t)
+        tilde = phi_tilde_matrix(col, lam, t)
         assert lhs == pytest.approx(float((tilde**2).mean()), abs=1e-10)
 
 
 class TestPhiTilde:
     def test_constant_column_is_zero(self):
-        out = phi_tilde_grid(np.full(10, 3.3), 0.4, 10)
+        out = phi_tilde_matrix(np.full(10, 3.3), 0.4, 10)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_regime_means_vanish(self):
         rng = np.random.default_rng(5)
         for lam in (0.3, 0.4, 0.55):
             col = rng.standard_normal(37)
-            out = phi_tilde_grid(col, lam, 37)
+            out = phi_tilde_matrix(col, lam, 37)
             k_star = break_index(lam, 37)
             assert abs(out[:k_star].sum()) < 1e-12
             assert abs(out[k_star:].sum()) < 1e-12
 
     def test_hand_evaluation(self):
         # deviations (-0.5, 0.5) scaled by 1/lam = 2, then by -1/(1-lam) = -2
-        out = phi_tilde_grid(np.array([1.0, 2.0, 3.0, 4.0]), 0.5, 4)
+        out = phi_tilde_matrix(np.array([1.0, 2.0, 3.0, 4.0]), 0.5, 4)
         assert np.allclose(out, [-1.0, 1.0, 1.0, -1.0])
 
     def test_matrix_version_matches_columns(self):
@@ -152,7 +150,13 @@ class TestPhiTilde:
         m = rng.standard_normal((30, 4))
         full = phi_tilde_matrix(m, 0.4, 30)
         for j in range(4):
-            assert np.allclose(full[:, j], phi_tilde_grid(m[:, j], 0.4, 30))
+            assert np.allclose(full[:, j], phi_tilde_matrix(m[:, j], 0.4, 30))
+
+    def test_row_count_must_match_t(self):
+        with pytest.raises(ValueError, match="does not match T=30"):
+            phi_tilde_matrix(np.ones(29), 0.4, 30)
+        with pytest.raises(ValueError, match="does not match T=30"):
+            phi_tilde_matrix(np.ones((31, 2)), 0.4, 30)
 
 
 class TestDiscreteGramIdentity:
@@ -211,7 +215,21 @@ class TestGramTransform:
         t, lam = 100, 0.4
         star = gram_transform(fourier_matrix(t, 8, lam), kernel_matrix(t, lam))
         assert norm_factor(star) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(column_norm_factors(star), 1.0, atol=1e-10)
+        tilde = phi_tilde_matrix(star.matrix, lam, t)
+        assert np.allclose((tilde**2).mean(axis=0), 1.0, atol=1e-10)
+
+    def test_norm_factor_per_k(self):
+        # one K, the default (all columns) and an array of K values agree
+        # with the mean of the leading column factors, bit for bit
+        basis = fourier_matrix(60, 9, 0.3)
+        tilde = phi_tilde_matrix(basis.matrix, 0.3, 60)
+        cols = (tilde**2).mean(axis=0)
+        assert norm_factor(basis) == norm_factor(basis, 9) == float(cols.mean())
+        ks = np.array([[2, 5, 9], [5, 1, 2]])
+        out = norm_factor(basis, ks)
+        assert out.shape == ks.shape
+        for k, value in zip(ks.ravel().tolist(), out.ravel()):
+            assert value == norm_factor(basis, k) == float(cols[:k].mean())
 
     def test_feasible_k_detects_null_direction(self):
         # even T with even break row: one combination of regime indicators
@@ -257,4 +275,4 @@ class TestSeriesBasis:
 
 def test_phi_tilde_rejects_extreme_break():
     with pytest.raises(BreakTooExtreme):
-        phi_tilde_grid(np.arange(10.0), 0.05, 10)
+        phi_tilde_matrix(np.arange(10.0), 0.05, 10)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,8 @@ from harchow.bases import (
 from harchow.chowtest import (
     VARIANTS,
     decision_form,
-    modified_f,
-    modified_t,
     reference,
     run_test,
-    scaled_f,
-    scaled_t,
     statistic_forms,
     t_stat,
     variant_spec,
@@ -158,7 +156,8 @@ class TestModifiedAndScaled:
         star = gram_transform(fourier_matrix(t, 8, lam), kernel_matrix(t, lam))
         nf = norm_factor(star)
         assert nf == pytest.approx(1.0, abs=1e-10)
-        assert modified_f(10.0, nf, 0.5) == pytest.approx(2.5, rel=1e-9)
+        modified = statistic_forms(10.0, "F", nf, 2, 8, 0.5)["modified"]
+        assert modified == pytest.approx(2.5, rel=1e-9)
 
     def test_raw_norm_factor_direct_summation(self):
         t, lam, k = 100, 0.4, 4
@@ -177,21 +176,26 @@ class TestModifiedAndScaled:
         assert norm_factor(basis) == pytest.approx(expected, rel=1e-12)
 
     def test_modified_t_consistency(self):
-        assert modified_t(2.0, 1.0, 0.5) == pytest.approx(1.0)
-        assert modified_t(3.0, 0.81, 0.5) == pytest.approx(
-            np.sqrt(0.25 * 0.81) * 3.0
-        )
+        def modified_t(t_t, nf):
+            return statistic_forms(t_t, "t", nf, 1, 4, 0.5)["modified"]
+
+        assert modified_t(2.0, 1.0) == pytest.approx(1.0)
+        assert modified_t(3.0, 0.81) == pytest.approx(np.sqrt(0.25 * 0.81) * 3.0)
 
     def test_scaled_f_examples(self):
+        def scaled_f(f_t, p, k):
+            return statistic_forms(f_t, "F", 1.0, p, k, 0.4)["df-scaled"]
+
         # p = 1: the degrees adjustment cancels
-        assert scaled_f(7.0, 1, 12, 0.4) == pytest.approx(0.4 * 0.6 * 7.0)
+        assert scaled_f(7.0, 1, 12) == pytest.approx(0.4 * 0.6 * 7.0)
         # p = 2, K = 2, lam = 0.4: (1/4) * 0.24
-        assert scaled_f(1.0, 2, 2, 0.4) == pytest.approx(0.06)
+        assert scaled_f(1.0, 2, 2) == pytest.approx(0.06)
         with pytest.raises(KTooSmall):
-            scaled_f(1.0, 3, 2, 0.4)
+            scaled_f(1.0, 3, 2)
 
     def test_scaled_t(self):
-        assert scaled_t(2.0, 0.5) == pytest.approx(1.0)
+        forms = statistic_forms(2.0, "t", 1.0, 1, 4, 0.5)
+        assert forms["df-scaled"] == forms["break-weighted"] == pytest.approx(1.0)
 
     def test_scaled_to_modified_ratio(self):
         # with transformed bases the ratio is the degrees adjustment alone
@@ -237,12 +241,15 @@ class TestStatisticCore:
                 assert forms[name][i] == value, name
 
     def test_array_forms_keep_their_checks(self):
+        ones = np.ones(2)
         with pytest.raises(KTooSmall):
-            scaled_f(np.ones(2), 2, np.array([4, 1]), 0.4)
-        with pytest.raises(ValueError):
-            modified_f(np.ones(2), np.array([1.0, 0.0]), 0.4)
-        with pytest.raises(ValueError):
-            modified_t(np.ones(2), np.array([1.0, -1.0]), 0.4)
+            statistic_forms(ones, "F", ones, 2, np.array([4, 1]), 0.4)
+        with pytest.raises(ValueError, match="norm factor"):
+            statistic_forms(ones, "F", np.array([1.0, 0.0]), 2, 4, 0.4)
+        with pytest.raises(ValueError, match="norm factor"):
+            statistic_forms(ones, "t", np.array([1.0, -1.0]), 1, 4, 0.4)
+        # K < p concerns the Wald statistic's degrees of freedom only
+        statistic_forms(ones, "t", ones, 2, 1, 0.4)
 
     @pytest.mark.parametrize(
         "name", ["chisq-transformed", "f-transformed", "t-transformed"]
@@ -260,6 +267,21 @@ class TestStatisticCore:
         assert ref.p_value(ref.critical_value) == pytest.approx(0.05, rel=1e-8)
         assert ref.p_value(ref.critical_value * 1.001) < 0.05
         assert ref.p_value(ref.critical_value * 0.999) > 0.05
+
+    def test_far_tail_p_values_stay_positive(self):
+        # upper tails computed directly, where 1 - cdf rounds to 0
+        chisq = reference(VARIANTS["chisq-fourier"], 2, 8, 0.4, 0.05)
+        assert chisq.p_value(80.0) == pytest.approx(math.exp(-40.0), rel=1e-12)
+        normal_ref = reference(VARIANTS["normal-fourier"], 1, 8, 0.4, 0.05)
+        for x in (12.0, -12.0):
+            assert normal_ref.p_value(x) == pytest.approx(
+                math.erfc(12.0 / math.sqrt(2.0)), rel=1e-12
+            )
+        f_ref = reference(VARIANTS["f-transformed"], 2, 14, 0.4, 0.05)
+        assert f_ref.name == "F(2, 13)"
+        assert f_ref.p_value(500.0) == pytest.approx(
+            (1 + 2 * 500.0 / 13) ** -6.5, rel=1e-12
+        )
 
 
 def simulated_data(seed, t=80, lam=0.4, rho=0.0):
@@ -293,6 +315,18 @@ class TestRunTest:
             scaled_cv = (report.k - 2 + 1) / (report.k * 2) * report.critical_value
             assert (report.statistic_scaled > scaled_cv) == direct
             assert report.reject == (report.p_value < report.alpha)
+
+    def test_boundary_statistic_decides_by_p_value(self, monkeypatch):
+        # lam (1 - lam) times this Wald statistic lands on the chi-square(2)
+        # quantile, where the break-weighted and df-scaled comparisons round
+        # apart; run_test still returns and decides by p < alpha alone
+        monkeypatch.setattr(
+            chowtest, "raw_statistic", lambda *args, **kwargs: 28.530783557657067
+        )
+        data = simulated_data(3, t=100, lam=0.3)
+        report = run_test(data, variant="chisq-transformed", k=4)
+        assert (report.p, report.k, report.statistic_raw) == (2, 4, 28.530783557657067)
+        assert report.reject == (report.p_value < report.alpha)
 
     def test_t_f_decision_equivalence(self):
         hyp = BreakHypothesis(np.array([[0.0, 1.0]]))

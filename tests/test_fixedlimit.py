@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from harchow import fixedlimit
-from harchow.bases import fourier_matrix, kernel_inner, kernel_matrix
+from harchow.bases import fourier_matrix, kernel_matrix
 from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
     _CHUNK,
@@ -33,6 +33,7 @@ from harchow.fixedlimit import (
     simulate_limit,
 )
 from harchow.numkit import RngStream, chi_square, cholesky, dist_quantile, fisher_f
+from oracles import kernel_inner
 
 
 def small_spec(**kwargs):

@@ -3,7 +3,7 @@ import pytest
 
 from harchow.bases import fourier_matrix, gram_transform, kernel_matrix
 from harchow.errors import NotPositiveDefinite
-from harchow.longrun import sandwich_variance, series_lrv, series_outer
+from harchow.longrun import sandwich_variance, score_sums, series_lrv, sums_outer
 from harchow.numkit import cholesky
 from harchow.regression import RegressionData, full_break_hypothesis, ols_fit
 
@@ -126,9 +126,9 @@ class TestPositiveDefiniteness:
             assert np.allclose(v, v.T, atol=1e-12)
 
 
-def test_series_outer_vector_series():
+def test_sums_outer_of_vector_series():
     basis = fourier_matrix(16, 3, 0.5)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(16)
-    out = series_outer(basis, v)
+    out = sums_outer(score_sums(basis, v))
     assert out.shape == (1, 1)

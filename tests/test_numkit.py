@@ -11,6 +11,7 @@ from harchow.numkit import (
     cholesky,
     dist_cdf,
     dist_quantile,
+    dist_sf,
     fisher_f,
     leading_spd_rank,
     lyapunov_solve,
@@ -19,7 +20,6 @@ from harchow.numkit import (
     solve_triangular,
     spd_solve,
     spectral_radius,
-    standard_normals,
     student_t,
 )
 
@@ -281,6 +281,45 @@ class TestDistributions:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+class TestUpperTail:
+    """``dist_sf`` against closed-form tails, to 1e-12 relative, out to
+    where ``1 - dist_cdf`` has rounded to 0 or lost its digits."""
+
+    def test_chi_square_2(self):
+        for x in (0.01, 0.5, 2.0, 5.99, 20.0, 80.0, 300.0, 1400.0):
+            assert dist_sf(chi_square(2), x) == pytest.approx(
+                math.exp(-x / 2), rel=1e-12
+            ), x
+        assert 1.0 - dist_cdf(chi_square(2), 80.0) == 0.0
+        assert dist_sf(chi_square(2), 0.0) == dist_sf(chi_square(2), -1.0) == 1.0
+
+    @pytest.mark.parametrize("d2", [1, 3, 7, 13, 50])
+    def test_fisher_f_2(self, d2):
+        for x in (0.01, 0.4, 3.0, 19.0, 500.0, 1e6):
+            assert dist_sf(fisher_f(2, d2), x) == pytest.approx(
+                (1 + 2 * x / d2) ** (-d2 / 2), rel=1e-12
+            ), x
+
+    def test_normal_two_sided(self):
+        for x in (0.0, 0.3, 1.96, 5.0, 12.0, 30.0):
+            assert 2 * dist_sf(normal(), x) == pytest.approx(
+                math.erfc(x / math.sqrt(2)), rel=1e-12
+            ), x
+
+    def test_student_t_1_two_sided(self):
+        for x in (0.0, 0.2, 1.0, 12.7, 1e3, 1e8):
+            assert 2 * dist_sf(student_t(1), x) == pytest.approx(
+                2 / math.pi * math.atan(1 / x) if x else 1.0, rel=1e-12
+            ), x
+        # the lower half of the line is the complement
+        assert dist_sf(student_t(1), -1.0) == pytest.approx(0.75, rel=1e-15)
+
+    def test_complements_cdf(self):
+        for d in (normal(), chi_square(3), student_t(5), fisher_f(3, 11)):
+            for x in (-1.5, 0.2, 1.0, 4.0):
+                assert dist_sf(d, x) + dist_cdf(d, x) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestRngStream:
     def test_reproducible(self):
         a = RngStream(123, 5).normals(1000)
@@ -293,7 +332,7 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_moments(self):
-        z = standard_normals(RngStream(2024, 0), 1_000_000)
+        z = RngStream(2024, 0).normals(1_000_000)
         assert abs(z.mean()) < 0.005
         assert abs(z.var() - 1.0) < 0.01
 
