@@ -22,6 +22,7 @@ One statistic core serves :func:`run_test` and the Monte Carlo engine:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -141,6 +142,28 @@ def variant_spec(name: str, statistic: str | None = None) -> TestVariant:
             f"expected a variant with a {statistic} statistic, got {name!r}"
         )
     return spec
+
+
+def _k_policy(k, t: int, grid: bool = False) -> str | list[int]:
+    """``k`` as ``"auto"`` or a list of ints: ``"auto"``, one whole number
+    (an integral float or numpy int counts) or, with ``grid``, a non-empty
+    sequence of them. ``ValueError`` for anything else or for a K outside
+    ``1..T-2``."""
+    if isinstance(k, str) and k == "auto":
+        return "auto"
+    values = list(k) if grid and np.ndim(k) else [k]
+    if not values:
+        raise ValueError("no K values requested")
+    for v in values:
+        if not (isinstance(v, numbers.Integral)
+                or isinstance(v, numbers.Real) and float(v).is_integer()):
+            what = "K grid points must be integers" if grid else "need an integer K"
+            raise ValueError(f"{what} or 'auto', got {v!r}")
+    ks = [int(v) for v in values]
+    bad = [v for v in ks if not 1 <= v <= t - 2]
+    if bad:
+        raise ValueError(f"need 1 <= K <= T - 2 = {t - 2}, got K={bad}")
+    return ks
 
 
 def raw_statistic(
@@ -290,9 +313,10 @@ def run_test(
     variant : str
         One of ``VARIANTS``; pairs a basis family with a reference.
     k : int or "auto"
-        Basis count, or "auto" for the plug-in MSE rule. For the
-        kernel-orthonormal family the count is reduced to the numerically
-        feasible maximum when necessary; the report carries both values.
+        Basis count, a whole number in ``1..T-2``, or "auto" for the
+        plug-in MSE rule. For the kernel-orthonormal family the count is
+        reduced to the numerically feasible maximum when necessary; the
+        report carries both values.
     alpha : float
         Test level for the reported critical value and decision.
     cv_seed, cv_replications, cv_grid : int
@@ -301,6 +325,7 @@ def run_test(
         Cache for simulated references; a process-wide cache is the default.
     """
     spec = variant_spec(variant)
+    k_policy = _k_policy(k, data.t)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
     if hyp is None:
@@ -314,16 +339,12 @@ def run_test(
     t = data.t
 
     plugin = None
-    if isinstance(k, str):
-        if k != "auto":
-            raise ValueError(f"k must be an integer or 'auto', got {k!r}")
+    if k_policy == "auto":
         v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
         plugin = autok.build_plugin_model(v_series)
         k_requested = autok.mse_optimal_k(plugin, t, p)
     else:
-        k_requested = int(k)
-        if not (1 <= k_requested <= t - 2):
-            raise ValueError(f"need 1 <= K <= T - 2, got K={k_requested}")
+        [k_requested] = k_policy
 
     basis = series_basis(t, k_requested, data.lam, spec.basis_family)
     k_used = basis.k

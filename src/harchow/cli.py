@@ -56,16 +56,22 @@ def _parse_k(text: str):
     return int(text)
 
 
-def _parse_range(text: str) -> tuple[float, ...]:
-    """``start:stop:step`` inclusive grid, e.g. ``2:20:2`` or ``0:1.2:0.2``."""
+def _parse_range(text: str, max_points: int = sys.maxsize) -> tuple[float, ...]:
+    """``start:stop:step`` inclusive grid, e.g. ``2:20:2`` or ``0:1.2:0.2``;
+    ``ValueError`` for a non-finite number or, before the grid is built,
+    for more than ``max_points`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("step must be positive")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + i * step, 10) for i in range(n))
+    n = max(np.floor((stop - start) / step + 1e-9) + 1, 0)
+    if n > max_points:
+        raise ValueError(f"grid {text!r} has {n:.0f} points, more than {max_points}")
+    return tuple(round(start + i * step, 10) for i in range(int(n)))
 
 
 def _report_envelope(command: str, config: dict, result: dict) -> dict:
@@ -178,65 +184,62 @@ def cmd_simulate_cv(args) -> int:
     return 0
 
 
+def _spec(args, rho: float, psi: float) -> mcstudy.DgpSpec:
+    return mcstudy.DgpSpec(t=args.T, rho=rho, psi=psi, lam=args.break_fraction)
+
+
 def _parse_cells(args) -> list[mcstudy.DgpSpec]:
     if args.preset == "table1":
         grid = mcstudy.TABLE1_GRID
-    elif args.cells:
-        grid = []
-        for cell in args.cells.split(","):
-            if not cell:
-                continue
-            rho, _, psi = cell.partition(":")
-            grid.append((float(rho), float(psi) if psi else 0.0))
     else:
-        grid = []
+        cells = [cell.partition(":") for cell in (args.cells or "").split(",") if cell]
+        grid = [(float(rho), float(psi or 0.0)) for rho, _, psi in cells]
     if not grid:
         raise ValueError("no cells requested (use --preset table1 or --cells)")
-    return [
-        mcstudy.DgpSpec(t=args.T, rho=rho, psi=psi, lam=args.break_fraction)
-        for rho, psi in grid
-    ]
+    return [_spec(args, rho, psi) for rho, psi in grid]
 
 
 def cmd_mc_size(args) -> int:
-    cache = fixedlimit.CriticalValueCache(_cache_dir(args))
     variants = tuple(args.variants.split(","))
+    common = dict(
+        reps=args.reps, master_seed=args.seed, alpha=args.alpha, workers=args.workers,
+        cv_cache=fixedlimit.CriticalValueCache(_cache_dir(args)),
+        cv_seed=args.cv_seed, cv_replications=args.cv_reps, cv_grid=args.cv_grid,
+    )
     if args.preset == "figure":
-        k_values = _parse_range(args.k_grid)
-        if any(k != int(k) for k in k_values):
-            raise ValueError(f"K grid points must be integers, got {k_values}")
-        k_values = tuple(int(k) for k in k_values)
-        spec = mcstudy.DgpSpec(
-            t=args.T, rho=args.rho, psi=args.psi, lam=args.break_fraction
-        )
-        results = mcstudy.k_grid_experiment(
-            spec, k_values, variants, reps=args.reps, master_seed=args.seed,
-            alpha=args.alpha, workers=args.workers, cv_cache=cache,
-            cv_seed=args.cv_seed, cv_replications=args.cv_reps, cv_grid=args.cv_grid,
-        )
+        spec = _spec(args, args.rho, args.psi)
+        k_values = _parse_range(args.k_grid, max_points=args.T - 2)
+        results = mcstudy.k_grid_experiment(spec, k_values, variants, **common)
     else:
         specs = _parse_cells(args)
-        results = mcstudy.size_experiment(
-            specs, variants, k_policy=args.k, reps=args.reps,
-            master_seed=args.seed, alpha=args.alpha, workers=args.workers,
-            cv_cache=cache, cv_seed=args.cv_seed,
-            cv_replications=args.cv_reps, cv_grid=args.cv_grid,
-        )
+        results = mcstudy.size_experiment(specs, variants, args.k, **common)
     _emit(mcstudy.size_table_csv(results), args.out)
     return 0
 
 
 def cmd_mc_power(args) -> int:
-    spec = mcstudy.DgpSpec(
-        t=args.T, rho=args.rho, psi=args.psi, lam=args.break_fraction
-    )
-    deltas = _parse_range(args.deltas)
+    spec = _spec(args, args.rho, args.psi)
     power = mcstudy.power_experiment(
-        spec, deltas, k_policy=args.k, reps=args.reps,
+        spec, _parse_range(args.deltas), k_policy=args.k, reps=args.reps,
         master_seed=args.seed, alpha=args.alpha, workers=args.workers,
     )
     _emit(mcstudy.power_table_csv(power, spec), args.out)
     return 0
+
+
+def _study_options(parser, rho: float, note: str | None) -> None:
+    """The options ``mc-size`` and ``mc-power`` share; ``note`` is the help
+    of ``--rho`` and ``--psi``."""
+    parser.add_argument("--T", type=int, required=True)
+    parser.add_argument("--rho", type=float, default=rho, help=note)
+    parser.add_argument("--psi", type=float, default=0.0, help=note)
+    parser.add_argument("--lambda", dest="break_fraction", type=float, default=0.4)
+    parser.add_argument("--k", type=_parse_k, default="auto")
+    parser.add_argument("--reps", type=int, default=2000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,15 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate_cv)
 
     size = sub.add_parser("mc-size", help="null rejection study")
+    _study_options(size, rho=0.0, note="figure preset only")
     size.add_argument("--preset", choices=["table1", "figure"], default=None)
     size.add_argument("--cells", default=None, help="rho:psi pairs, comma separated")
-    size.add_argument("--T", type=int, required=True)
-    size.add_argument("--rho", type=float, default=0.0, help="figure preset only")
-    size.add_argument("--psi", type=float, default=0.0, help="figure preset only")
-    size.add_argument(
-        "--lambda", dest="break_fraction", type=float, default=0.4
-    )
-    size.add_argument("--k", type=_parse_k, default="auto")
     size.add_argument(
         "--k-grid", default="2:20:2", help="figure preset K grid start:stop:step"
     )
@@ -318,31 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants", default=",".join(mcstudy.F_VARIANTS),
         help="comma-separated variant names",
     )
-    size.add_argument("--reps", type=int, default=2000)
-    size.add_argument("--seed", type=int, default=0)
-    size.add_argument("--alpha", type=float, default=0.05)
-    size.add_argument("--workers", type=int, default=1)
     size.add_argument("--cv-seed", type=int, default=0)
     size.add_argument("--cv-reps", type=int, default=10_000)
     size.add_argument("--cv-grid", type=int, default=1000)
     size.add_argument("--cache-dir", default=None)
-    size.add_argument("--out", default=None, help="CSV output path (default stdout)")
     size.set_defaults(func=cmd_mc_size)
 
     power = sub.add_parser("mc-power", help="size-adjusted power study")
-    power.add_argument("--T", type=int, required=True)
-    power.add_argument("--rho", type=float, default=0.6)
-    power.add_argument("--psi", type=float, default=0.0)
-    power.add_argument(
-        "--lambda", dest="break_fraction", type=float, default=0.4
-    )
+    _study_options(power, rho=0.6, note=None)
     power.add_argument("--deltas", default="0:1.2:0.2")
-    power.add_argument("--k", type=_parse_k, default="auto")
-    power.add_argument("--reps", type=int, default=2000)
-    power.add_argument("--seed", type=int, default=0)
-    power.add_argument("--alpha", type=float, default=0.05)
-    power.add_argument("--workers", type=int, default=1)
-    power.add_argument("--out", default=None)
     power.set_defaults(func=cmd_mc_power)
 
     return parser

@@ -98,6 +98,11 @@ class LimitSpec:
             raise ValueError(f"unknown basis family {self.family!r}")
         if self.grid_n < 100:
             raise ValueError("grid size must be at least 100")
+        if self.k > self.grid_n - 2:
+            raise ValueError(
+                f"need K <= n - 2 = {self.grid_n - 2} on the simulation grid of"
+                f" n = {self.grid_n} points, got K={self.k}"
+            )
         if self.replications < 1000:
             raise ValueError("need at least 1000 replications")
 

@@ -21,9 +21,10 @@ uses fixed-precision formatting so a table is reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -76,6 +77,9 @@ class DgpSpec:
     burn_in: int = 500
 
     def __post_init__(self) -> None:
+        values = (self.rho, self.psi, self.delta)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"need finite rho, psi and delta, got {values}")
         if abs(self.rho) >= 1.0:
             raise ValueError(f"need |rho| < 1, got {self.rho}")
         if self.t < 50:
@@ -159,15 +163,6 @@ def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
         family: series_basis(t, t - 2, lam, family)
         for family in (FOURIER_RAW, FOURIER_TRANSFORMED)
     }
-
-
-def _check_k_policy(k_policy, t: int) -> None:
-    """``ValueError`` unless every fixed K satisfies ``1 <= K <= T - 2``."""
-    if isinstance(k_policy, str):
-        return
-    bad = [k for k in k_policy if not 1 <= k <= t - 2]
-    if bad:
-        raise ValueError(f"need 1 <= K <= T - 2 = {t - 2}, got K={bad}")
 
 
 class CellStats(NamedTuple):
@@ -328,14 +323,11 @@ def _rejections(
 
 
 def _size_rows(
-    spec: DgpSpec, cell_id: int, k_policy, labels: list[str],
-    variants: tuple[str, ...], reps: int, master_seed: int, workers: int,
-    references,
+    spec: DgpSpec, cell_id: int, k_policy, variants: tuple[str, ...], reps: int,
+    master_seed: int, workers: int, references,
 ) -> list[ExperimentResult]:
-    """Rejection frequency per (K grid point, variant) of one cell."""
-    for v in variants:
-        chowtest.variant_spec(v, "F")
-    _check_k_policy(k_policy, spec.t)
+    """Rejection frequency per (K grid point, variant) of one cell, each row
+    labelled by its K or by ``auto``."""
     bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(
         spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
@@ -343,6 +335,7 @@ def _size_rows(
     ok = ~stats.failed[:, 0]
     n_ok = int(ok.sum())
     results = []
+    labels = ["auto"] if k_policy == "auto" else map(str, k_policy)
     for k_idx, label in enumerate(labels):
         for variant in variants:
             reject, k_used = _rejections(
@@ -360,11 +353,20 @@ def _size_rows(
     return results
 
 
-def _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid):
-    """``chowtest.reference`` at level ``alpha`` with the simulation
-    settings bound; ``ValueError`` unless ``0 < alpha < 1``."""
+def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
+    """The parsed K policy of a study, once its inputs are checked before
+    any replication runs: F variants only, a level in (0, 1), and every
+    fixed K within ``1..T-2`` for ``t``, the smallest cell's sample size."""
+    for v in variants:
+        chowtest.variant_spec(v, "F")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
+    return chowtest._k_policy(k_policy, t, grid)
+
+
+def _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid):
+    """``chowtest.reference`` at level ``alpha`` with the simulation
+    settings bound."""
     return partial(
         chowtest.reference, alpha=alpha, cv_seed=cv_seed,
         cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
@@ -389,14 +391,12 @@ def size_experiment(
         raise ValueError("need at least 500 replications")
     if not specs:
         raise ValueError("no cells requested")
+    policy = _study_policy(k_policy, min(s.t for s in specs), variants, alpha)
     references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
-    auto = isinstance(k_policy, str)
-    policy, label = ("auto", "auto") if auto else ([int(k_policy)], str(k_policy))
     results = []
     for cell_id, spec in enumerate(specs):
         results += _size_rows(
-            spec, cell_id, policy, [label], variants, reps, master_seed, workers,
-            references,
+            spec, cell_id, policy, variants, reps, master_seed, workers, references
         )
     return results
 
@@ -415,13 +415,9 @@ def k_grid_experiment(
     cv_grid: int = 1000,
 ) -> list[ExperimentResult]:
     """Rejection frequency across a fixed grid of K values (figure layout)."""
-    if not k_values:
-        raise ValueError("no K values requested")
+    policy = _study_policy(k_values, spec.t, variants, alpha, grid=True)
     references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
-    return _size_rows(
-        spec, 0, list(k_values), [str(k) for k in k_values], variants, reps,
-        master_seed, workers, references,
-    )
+    return _size_rows(spec, 0, policy, variants, reps, master_seed, workers, references)
 
 
 def power_experiment(
@@ -441,11 +437,12 @@ def power_experiment(
     other members share the curve, except that under auto K
     ``chisq-transformed`` (no per-K scaling) can differ from ``f-transformed``.
     """
+    policy = _study_policy(k_policy, spec.t, (), alpha)
     grid = tuple(deltas)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"break sizes must be finite, got {grid}")
     if 0.0 not in grid:
         grid = (0.0,) + grid
-    policy = "auto" if isinstance(k_policy, str) else [int(k_policy)]
-    _check_k_policy(policy, spec.t)
     bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
     ok = ~stats.failed.any(axis=1)
@@ -469,47 +466,26 @@ def power_experiment(
     }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _csv(header: str, row_format: str, rows) -> str:
+    """CSV text of ``rows``; ``row_format`` fixes each column's format, so
+    a float column prints with 6 decimals whatever the value's type."""
+    return "\n".join([header] + [row_format.format(*row) for row in rows]) + "\n"
 
 
 def size_table_csv(results: list[ExperimentResult]) -> str:
-    lines = ["T,rho,psi,delta,variant,k_policy,reps,rejection,mc_se,ave_k,failures"]
-    for r in results:
-        lines.append(
-            ",".join(
-                [
-                    str(r.t),
-                    _fmt(r.rho),
-                    _fmt(r.psi),
-                    _fmt(r.delta),
-                    r.variant,
-                    r.k_policy,
-                    str(r.reps),
-                    _fmt(r.rejection),
-                    _fmt(r.mc_se),
-                    _fmt(r.ave_k),
-                    str(r.failures),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "T,rho,psi,delta,variant,k_policy,reps,rejection,mc_se,ave_k,failures",
+        "{},{:.6f},{:.6f},{:.6f},{},{},{},{:.6f},{:.6f},{:.6f},{}",
+        map(astuple, results),
+    )
 
 
 def power_table_csv(power: dict, spec: DgpSpec) -> str:
-    lines = ["T,rho,psi,delta,family,power"]
-    for family, curve in power["power"].items():
-        for delta, value in zip(power["deltas"], curve):
-            lines.append(
-                ",".join(
-                    [
-                        str(spec.t),
-                        _fmt(spec.rho),
-                        _fmt(spec.psi),
-                        _fmt(delta),
-                        family,
-                        _fmt(value),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "T,rho,psi,delta,family,power", "{},{:.6f},{:.6f},{:.6f},{},{:.6f}",
+        (
+            (spec.t, spec.rho, spec.psi, delta, family, value)
+            for family, curve in power["power"].items()
+            for delta, value in zip(power["deltas"], curve)
+        ),
+    )

@@ -530,3 +530,43 @@ class TestStackedPipeline:
             assert wald[i] == pytest.approx(expected, rel=rel)
         if p == 2:
             assert model.clamped.any() and not model.clamped.all()
+
+
+class TestKPolicy:
+    """The one parser of a K policy, shared by run_test and the studies."""
+
+    @pytest.mark.parametrize("k", [8, 8.0, np.int64(8), np.float64(8.0)])
+    def test_whole_numbers_become_ints(self, k):
+        [parsed] = chowtest._k_policy(k, 60)
+        assert parsed == int(k) and type(parsed) is int
+
+    def test_grid_and_auto(self):
+        assert chowtest._k_policy("auto", 60) == "auto"
+        assert chowtest._k_policy((2, 4.0, np.int32(6)), 60, grid=True) == [2, 4, 6]
+
+    @pytest.mark.parametrize("k, grid, match", [
+        ("8", False, "integer K or 'auto', got '8'"),
+        ("bogus", False, "'bogus'"),
+        (4.5, False, "integer K"),
+        (math.nan, False, "integer K"),
+        (math.inf, False, "integer K"),
+        ([8], False, r"got \[8\]"),
+        ((), True, "no K values"),
+        ((2, 4.5), True, "K grid points must be integers"),
+        ((2, "4"), True, "K grid points must be integers"),
+        (0, False, "1 <= K <= T - 2 = 58"),
+        (59, False, "1 <= K <= T - 2 = 58"),
+        ((2, 100), True, r"got K=\[100\]"),
+    ])
+    def test_rejects(self, k, grid, match):
+        with pytest.raises(ValueError, match=match):
+            chowtest._k_policy(k, 60, grid)
+
+    def test_run_test_takes_one_whole_k(self):
+        data = simulated_data(5, t=80)
+        expected = run_test(data, variant="f-transformed", k=8).to_dict()
+        for k in (8.0, np.int64(8)):
+            assert run_test(data, variant="f-transformed", k=k).to_dict() == expected
+        for k in (4.5, "8", [8], (8,)):
+            with pytest.raises(ValueError):
+                run_test(data, variant="f-transformed", k=k)

@@ -329,3 +329,76 @@ def test_cache_dir_env_var(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(os.listdir(tmp_path / "envcache")) == 1
+
+
+class TestStudyFrontEnd:
+    """Every bad study input exits 2 with one validation line, before any
+    replication runs."""
+
+    def test_k_beyond_the_simulation_grid_names_the_grid(self, data_csv, capsys):
+        path, _, _ = data_csv
+        code = cli.main([
+            "test", "--data", path, "--y", "y", "--x", "const,q", "--lambda", "0.4",
+            "--k", "120", "--variant", "nonstandard-fourier", "--cv-grid", "100",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "simulation grid of n = 100 points" in err
+        assert "T - 2" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["mc-power", "--deltas", "0:inf:0.2"],
+        ["mc-power", "--deltas", "0:1:nan"],
+        ["mc-size", "--preset", "figure", "--k-grid", "2:inf:2"],
+    ])
+    def test_non_finite_grid_exits_2(self, args, capsys):
+        code = cli.main(args + ["--T", "60", "--reps", "500"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_oversized_k_grid_exits_2_before_expanding(self, capsys):
+        code = cli.main(
+            ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "2:1e10:2"]
+        )
+        assert code == 2
+        assert "more than 58" in capsys.readouterr().err
+
+    def test_parse_range_limits_points_before_building(self):
+        assert cli._parse_range("2:6:2", max_points=3) == (2, 4, 6)
+        assert cli._parse_range("3:1:1") == ()
+        for text in ("2:1e10:2", "-1e308:1e308:1e-300"):
+            with pytest.raises(ValueError, match="more than 58"):
+                cli._parse_range(text, max_points=58)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["mc-size", "--cells", "nan"],
+        ["mc-size", "--cells", "0:nan"],
+        ["mc-power", "--psi", "inf"],
+        ["mc-power", "--rho", "nan"],
+    ])
+    def test_non_finite_design_exits_2(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(cli.mcstudy, "_run_cell", _no_replications)
+        code = cli.main(args + ["--T", "60", "--reps", "500"])
+        assert code == 2
+        assert "need finite rho, psi and delta" in capsys.readouterr().err
+
+    def test_shared_options_keep_their_defaults(self):
+        parser = cli.build_parser()
+        size = parser.parse_args(["mc-size", "--T", "60"])
+        power = parser.parse_args(["mc-power", "--T", "60"])
+        shared = ("T", "psi", "break_fraction", "k", "reps", "seed", "alpha",
+                  "workers", "out")
+        assert [getattr(size, n) for n in shared] == [getattr(power, n) for n in shared]
+        assert (size.rho, power.rho) == (0.0, 0.6)
+        assert power.deltas == "0:1.2:0.2" and size.k_grid == "2:20:2"
+
+    def test_figure_preset_notes_stay_on_mc_size(self, capsys):
+        for command, notes in (("mc-size", 2), ("mc-power", 0)):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            assert capsys.readouterr().out.count("figure preset only") == notes
+
+
+def _no_replications(*args, **kwargs):
+    raise AssertionError("a replication ran before the inputs were checked")

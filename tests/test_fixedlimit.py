@@ -522,3 +522,14 @@ def test_spec_validation():
         LimitSpec(p=1, k=4, lam=0.4, replications=10)
     with pytest.raises(ValueError):
         LimitSpec(p=1, k=4, lam=1.5)
+
+
+def test_spec_rejects_k_beyond_the_simulation_grid():
+    # K = n - 2 is the largest basis the grid carries (the raw family's
+    # degenerate Nyquist case included); beyond it the message names the
+    # simulation grid, not a sample size
+    assert LimitSpec(p=2, k=198, lam=0.4, grid_n=200).k == 198
+    with pytest.raises(ValueError, match="simulation grid of n = 200 points"):
+        LimitSpec(p=2, k=199, lam=0.4, grid_n=200)
+    with pytest.raises(ValueError, match="got K=200"):
+        LimitSpec(p=2, k=200, lam=0.4, grid_n=200)

@@ -407,3 +407,61 @@ class TestAdditionalSurfaces:
             rejections += rep_out.reject
         rate = rejections / reps
         assert 0.02 <= rate <= 0.10
+
+
+def _no_replications(*args, **kwargs):
+    raise AssertionError("a replication ran before the inputs were checked")
+
+
+class TestStudyFrontEnd:
+    """Each study parses its K policy once and checks its variants, level
+    and K against every cell before the first replication."""
+
+    @pytest.mark.parametrize("study", [
+        lambda: size_experiment([DgpSpec(t=60, rho=0.0)], k_policy=4.5, reps=500),
+        lambda: size_experiment([DgpSpec(t=60, rho=0.0)], k_policy="8", reps=500),
+        lambda: power_experiment(DgpSpec(t=60, rho=0.0), (0.5,), k_policy="bogus"),
+        lambda: k_grid_experiment(DgpSpec(t=60, rho=0.0), (4.5,)),
+        lambda: k_grid_experiment(DgpSpec(t=60, rho=0.0), ()),
+        lambda: power_experiment(DgpSpec(t=200, rho=0.0), (0.5,), reps=2000, alpha=1.5),
+        lambda: size_experiment(
+            [DgpSpec(t=200, rho=0.0), DgpSpec(t=60, rho=0.0)], k_policy=100, reps=500
+        ),
+        lambda: power_experiment(DgpSpec(t=60, rho=0.0), (0.5, np.inf), k_policy=4),
+    ])
+    def test_bad_input_fails_before_any_replication(self, study, monkeypatch):
+        monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
+        with pytest.raises(ValueError):
+            study()
+
+    def test_whole_k_is_labelled_as_an_int(self):
+        spec = DgpSpec(t=60, rho=0.0)
+        tables = [
+            size_table_csv(size_experiment(
+                [spec], ("f-transformed",), k_policy=k, reps=500, master_seed=3
+            ))
+            for k in (8, 8.0, np.int64(8))
+        ]
+        assert tables[0] == tables[1] == tables[2]
+        assert tables[0].splitlines()[1].split(",")[5] == "8"
+        [row] = k_grid_experiment(spec, (8.0,), ("f-transformed",), reps=500,
+                                  master_seed=3)
+        assert row.k_policy == "8"
+
+    @pytest.mark.parametrize("field", ["rho", "psi", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_design_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="need finite rho, psi and delta"):
+            DgpSpec(**{"t": 60, "rho": 0.0, field: value})
+
+    def test_int_valued_design_prints_in_fixed_precision(self):
+        spec = DgpSpec(t=60, rho=0, psi=0)
+        [row] = size_experiment([spec], ("f-transformed",), k_policy=4, reps=500)
+        assert size_table_csv([row]).splitlines()[1].startswith(
+            "60,0.000000,0.000000,0.000000,f-transformed,4,500,"
+        )
+        power = {"deltas": (0, 1), "power": {"fourier-raw": [0.05, 1]}}
+        assert mcstudy.power_table_csv(power, spec).splitlines()[1:] == [
+            "60,0.000000,0.000000,0.000000,fourier-raw,0.050000",
+            "60,0.000000,0.000000,1.000000,fourier-raw,1.000000",
+        ]
