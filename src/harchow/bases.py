@@ -4,8 +4,21 @@ Provides interleaved cosine/sine (Fourier) basis vectors, the break-geometry
 covariance kernel matrix, the within-regime demeaned ("tilde") transform of
 basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
 respect to the kernel inner product ``a' C_T b / T^2``.
-:func:`series_basis` is the one place that builds a family's first K vectors
-and decides the kernel-feasible K; every consumer asks it for its basis.
+:func:`series_basis` builds a family's first K vectors for the Monte Carlo
+engine and the limit simulator; :func:`series_sums` gives a single test the
+same vectors' sums against a series without forming any of them. Both keep
+the same kernel-feasible K, from one trim rule.
+
+Without a basis, everything comes from the regime-one Fourier sums
+``E(h) = sum_{t <= k*} exp(2 pi i h t / T)``, one FFT of the regime-one
+indicator. The full-sample sums of the Fourier columns vanish and
+``Phi' Phi = T I``, so the kernel Gram of the first K columns is
+
+    G = I / w2^2 + (1/w1^2 - 1/w2^2) P1 / T - (1/w1^3 + 1/w2^3) a a' / T^2
+
+with ``P1 = Phi_1' Phi_1`` the regime-one cross products (entries
+``C(a - b) +- C(a + b)`` and ``S(a + b) - S(a - b)``, C and S the real and
+imaginary parts of E) and ``a = Phi_1' 1`` the regime-one column sums.
 
 The break splits ``{1, ..., T}`` at ``k* = floor(lambda * T)``: regime one is
 ``t <= k*`` and regime two is ``t > k*``. Every function here uses that same
@@ -15,9 +28,12 @@ never disagree about regime membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BreakTooExtreme, NotPositiveDefinite
 from .numkit import leading_spd_rank, solve_triangular
@@ -32,6 +48,9 @@ FOURIER_TRANSFORMED = "fourier-transformed"
 # against an independently recomputed Gram matrix.
 _TRANSFORM_PIVOT_RTOL = 1e-8
 
+# Rows per block of the pivot loop on the K x K Gram of :func:`series_sums`.
+_FACTOR_BLOCK = 64
+
 
 def break_index(lam: float, t: int) -> int:
     """Break row ``k* = floor(lambda * T)`` with a guard against FP dust."""
@@ -42,13 +61,19 @@ def break_index(lam: float, t: int) -> int:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """A ``T x K`` matrix of basis vectors, column ``j`` sampled at ``t/T``."""
+    """A ``T x K`` matrix of basis vectors, column ``j`` sampled at ``t/T``.
+
+    ``norms`` holds each column's average squared demeaned value, the terms
+    of :func:`norm_factor`; :func:`series_basis` fills it from the regime
+    sums, and a basis built by hand leaves it ``None``.
+    """
 
     t: int
     k: int
     lam: float
     family: str
     matrix: np.ndarray
+    norms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
@@ -59,6 +84,8 @@ class BasisSet:
             raise ValueError(f"need 1 <= K <= T - 2, got K={self.k}, T={self.t}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("basis entries must be finite")
+        if self.norms is not None and np.shape(self.norms) != (self.k,):
+            raise ValueError("one norm value per basis column is required")
 
 
 @dataclass(frozen=True)
@@ -77,10 +104,7 @@ def fourier_matrix(t: int, k: int, lam: float) -> BasisSet:
     sqrt(2) cos(4 pi r), sqrt(2) sin(4 pi r), ...``; an odd ``k`` simply
     truncates the interleaved sequence.
     """
-    if t < 4:
-        raise ValueError(f"need T >= 4, got {t}")
-    if not (1 <= k <= t - 2):
-        raise ValueError(f"need 1 <= K <= T - 2, got K={k}, T={t}")
+    _check_dimensions(t, k)
     r = np.arange(1, t + 1) / t
     cols = np.empty((t, k))
     for j in range(k):
@@ -88,6 +112,13 @@ def fourier_matrix(t: int, k: int, lam: float) -> BasisSet:
         angle = 2.0 * np.pi * freq * r
         cols[:, j] = np.sqrt(2.0) * (np.cos(angle) if j % 2 == 0 else np.sin(angle))
     return BasisSet(t=t, k=k, lam=lam, family=FOURIER_RAW, matrix=cols)
+
+
+def _check_dimensions(t: int, k: int) -> None:
+    if t < 4:
+        raise ValueError(f"need T >= 4, got {t}")
+    if not (1 <= k <= t - 2):
+        raise ValueError(f"need 1 <= K <= T - 2, got K={k}, T={t}")
 
 
 def kernel_matrix(t: int, lam: float) -> KernelMatrix:
@@ -138,9 +169,12 @@ def norm_factor(
 ) -> float | np.ndarray:
     """Average squared demeaned basis value ``(1/(KT)) sum_{j<=K} sum_i
     tilde(phi)_j(i/T)^2`` of the first K columns, all by default; an array
-    of K values gives one factor per entry."""
-    tilde = phi_tilde_matrix(basis.matrix, basis.lam, basis.t)
-    cols = (tilde**2).mean(axis=0)
+    of K values gives one factor per entry. The column terms are the
+    basis's ``norms``, or the demeaned columns' mean squares if it has
+    none."""
+    cols = basis.norms
+    if cols is None:
+        cols = (phi_tilde_matrix(basis.matrix, basis.lam, basis.t) ** 2).mean(axis=0)
     if k is None or np.ndim(k) == 0:
         return float(cols[: basis.k if k is None else k].mean())
     ks, where = np.unique(k, return_inverse=True)
@@ -154,6 +188,122 @@ def gram_matrix(basis: BasisSet, kern: KernelMatrix) -> np.ndarray:
         raise ValueError("basis and kernel dimensions differ")
     g = basis.matrix.T @ kern.matrix @ basis.matrix / kern.t**2
     return (g + g.T) / 2.0
+
+
+class _RegimeSums(NamedTuple):
+    """Regime-one sums of the Fourier columns at ``(T, lambda)``.
+
+    ``cos[h]`` and ``sin[h]`` are the real and imaginary parts of ``E(h)``;
+    ``a`` holds the first K columns' regime-one sums. ``c_kernel`` and
+    ``c_demeaned`` weigh ``a a'`` in the kernel Gram and in the Gram of the
+    demeaned columns.
+    """
+
+    t: int
+    lam: float
+    cos: np.ndarray
+    sin: np.ndarray
+    a: np.ndarray
+    c_kernel: float
+    c_demeaned: float
+
+
+def _interleave(cos: np.ndarray, sin: np.ndarray, k: int) -> np.ndarray:
+    """The first K of the rows ``cos[0], sin[0], cos[1], sin[1], ...``."""
+    out = np.empty((2 * len(cos),) + cos.shape[1:])
+    out[0::2] = cos
+    out[1::2] = sin
+    return out[:k]
+
+
+def _regime_sums(t: int, k: int, lam: float) -> _RegimeSums:
+    """``E(h)`` for ``h = 0..2F`` (``F = ceil(K/2)``, the top frequency) by
+    one FFT of the regime-one indicator, and the pieces built from it."""
+    k_star = _checked_break_row(lam, t)
+    top = (k + 1) // 2
+    indicator = np.zeros(t)
+    indicator[1 : k_star + 1] = 1.0  # row t sits at FFT index t mod T
+    z = np.fft.fft(indicator)[: 2 * top + 1]  # the conjugate of E(h)
+    cos, sin = z.real.copy(), -z.imag
+    a = np.sqrt(2.0) * _interleave(cos[1 : top + 1], sin[1 : top + 1], k)
+    w1, w2 = lam, 1.0 - lam
+    return _RegimeSums(
+        t=t, lam=lam, cos=cos, sin=sin, a=a,
+        c_kernel=(1.0 / w1**3 + 1.0 / w2**3) / t**2,
+        c_demeaned=(1.0 / (w1**2 * k_star) + 1.0 / (w2**2 * (t - k_star))) / t,
+    )
+
+
+def _raw_norms(sums: _RegimeSums) -> np.ndarray:
+    """Column terms of :func:`norm_factor` for the raw Fourier columns: the
+    diagonal of the demeaned Gram ``B - c_demeaned a a'``."""
+    w1, w2 = sums.lam, 1.0 - sums.lam
+    top = (len(sums.a) + 1) // 2
+    c0, c2f = sums.cos[0], sums.cos[2 : 2 * top + 1 : 2]
+    p1 = _interleave(c0 + c2f, c0 - c2f, len(sums.a))
+    diag_b = 1.0 / w2**2 + (1.0 / w1**2 - 1.0 / w2**2) * p1 / sums.t
+    return diag_b - sums.c_demeaned * sums.a**2
+
+
+def _transformed_norms(sums: _RegimeSums, y: np.ndarray) -> np.ndarray:
+    """Column terms of :func:`norm_factor` for the kernel-orthonormal
+    columns, from their regime-one sums ``y = U^{-T} a``: one plus the gap
+    between the demeaned and the kernel Gram along ``a``."""
+    return 1.0 + (sums.c_kernel - sums.c_demeaned) * y**2
+
+
+def _kernel_gram(sums: _RegimeSums) -> np.ndarray:
+    """The kernel Gram ``Phi_K' C_T Phi_K / T^2`` of the first K Fourier
+    columns, built from the regime sums alone and exactly symmetric."""
+    k, t = len(sums.a), sums.t
+    w1, w2 = sums.lam, 1.0 - sums.lam
+    top = (k + 1) // 2
+    cos, sin = sums.cos, sums.sin
+    # (F x F) views: C(a - b), S(a - b), C(a + b), S(a + b) for a, b = 1..F;
+    # C is even and S odd in h
+    lags = np.arange(1 - top, top)
+    lag_cos = sliding_window_view(cos[np.abs(lags)], top)[:, ::-1]
+    lag_sin = sliding_window_view(np.sign(lags) * sin[np.abs(lags)], top)[:, ::-1]
+    sum_cos = sliding_window_view(cos[2 : 2 * top + 1], top)
+    sum_sin = sliding_window_view(sin[2 : 2 * top + 1], top)
+    p1 = np.empty((2 * top, 2 * top))
+    np.add(lag_cos, sum_cos, out=p1[0::2, 0::2])
+    np.subtract(lag_cos, sum_cos, out=p1[1::2, 1::2])
+    np.subtract(sum_sin, lag_sin, out=p1[0::2, 1::2])
+    p1[1::2, 0::2] = p1[0::2, 1::2].T
+    g = p1[:k, :k]
+    g *= (1.0 / w1**2 - 1.0 / w2**2) / t
+    g[np.arange(k), np.arange(k)] += 1.0 / w2**2
+    x = np.sqrt(sums.c_kernel) * sums.a
+    for start in range(0, k, 256):  # the rank-one term, a few rows at a time
+        g[start : start + 256] -= np.outer(x[start : start + 256], x)
+    return g
+
+
+def _kernel_factor(
+    gram: Callable[[int], np.ndarray], k: int, trim: bool, block: int | None = None
+) -> np.ndarray:
+    """Upper Cholesky factor ``U`` of ``gram(K)``, the kernel Gram of the
+    first K columns. With ``trim``, K is first cut to the count of accepted
+    pivots and the kept columns are refactored from their own Gram matrix;
+    ``U`` then has the kept size. ``block`` is passed to the pivot loop.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a pivot fails (without ``trim``), or none or not all of the kept
+        ones pass.
+    """
+    u, rank = _pivot_factor(gram(k), _TRANSFORM_PIVOT_RTOL, block)
+    if trim and 0 < rank < k:
+        del u  # free the untrimmed factor before building the smaller one
+        k = rank
+        u, rank = _pivot_factor(gram(k), _TRANSFORM_PIVOT_RTOL, block)
+    if rank < k:
+        raise NotPositiveDefinite(
+            "Gram matrix is too close to singular for a reliable transform"
+        )
+    return u
 
 
 def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
@@ -173,36 +323,34 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
 
 
 def _orthonormalize(raw: BasisSet, kern: KernelMatrix, trim: bool) -> BasisSet:
-    """:func:`gram_transform`; with ``trim``, first cut the raw columns to
-    the accepted-pivot count of their Gram factor and refactor the kept
-    columns from their own Gram matrix."""
-    u, rank = _pivot_factor(gram_matrix(raw, kern), _TRANSFORM_PIVOT_RTOL)
-    if trim and 0 < rank < raw.k:
-        del u  # free the untrimmed factor before building the smaller one
-        raw = BasisSet(
-            t=raw.t, k=rank, lam=raw.lam, family=FOURIER_RAW,
-            matrix=raw.matrix[:, :rank],
+    """:func:`gram_transform` on the dense kernel Gram; with ``trim``, on
+    the kept columns (:func:`_kernel_factor`)."""
+
+    def gram(k: int) -> np.ndarray:
+        cols = raw if k == raw.k else BasisSet(
+            t=raw.t, k=k, lam=raw.lam, family=FOURIER_RAW, matrix=raw.matrix[:, :k]
         )
-        u, rank = _pivot_factor(gram_matrix(raw, kern), _TRANSFORM_PIVOT_RTOL)
-    if rank < raw.k:
-        raise NotPositiveDefinite(
-            "Gram matrix is too close to singular for a reliable transform"
-        )
-    star = solve_triangular(u.T, raw.matrix.T, lower=True).T
+        return gram_matrix(cols, kern)
+
+    u = _kernel_factor(gram, raw.k, trim)
+    k = u.shape[0]
+    star = solve_triangular(u.T, raw.matrix[:, :k].T, lower=True).T
     return BasisSet(
-        t=raw.t, k=raw.k, lam=kern.lam, family=FOURIER_TRANSFORMED, matrix=star
+        t=raw.t, k=k, lam=kern.lam, family=FOURIER_TRANSFORMED, matrix=star
     )
 
 
 def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
-    """The first ``K`` vectors of a basis family: the one basis provider.
+    """The first ``K`` vectors of a basis family, with their ``norms``.
 
     ``fourier-raw`` gives :func:`fourier_matrix`. ``fourier-transformed``
     gives the kernel-orthonormal transform of those columns, with ``K`` cut
     to the kernel-feasible count when the nominal cap ``K <= T - 2``
     overstates the kernel rank: for some ``(T, lambda)`` a combination of
     the last Fourier columns falls in the kernel null space. The returned
-    ``.k`` is the count kept.
+    ``.k`` is the count kept. The transform factors the dense kernel Gram
+    ``gram_matrix(raw, kernel_matrix(T, lambda))``; :func:`series_sums`
+    builds the same Gram from the regime sums.
 
     Raises
     ------
@@ -210,11 +358,57 @@ def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
         If no column survives the kernel inner product.
     """
     raw = fourier_matrix(t, k, lam)
-    if family == FOURIER_RAW:
-        return raw
-    if family != FOURIER_TRANSFORMED:
+    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
         raise ValueError(f"unknown basis family {family!r}")
-    return _orthonormalize(raw, kernel_matrix(t, lam), trim=True)
+    sums = _regime_sums(t, k, lam)
+    if family == FOURIER_RAW:
+        return replace(raw, norms=_raw_norms(sums))
+    star = _orthonormalize(raw, kernel_matrix(t, lam), trim=True)
+    y = star.matrix[: break_index(lam, t)].sum(axis=0)  # regime-one sums, U^{-T} a
+    return replace(star, norms=_transformed_norms(sums, y))
+
+
+def _fourier_sums(series: np.ndarray, k: int) -> np.ndarray:
+    """Sums ``Phi_K' S`` of the first K Fourier columns against a ``T x d``
+    series, from one ``rfft`` along time; equal to
+    ``fourier_matrix(T, K, lam).matrix.T @ S`` up to rounding."""
+    top = (k + 1) // 2
+    z = np.fft.rfft(np.roll(series, 1, axis=0), axis=0)[1 : top + 1]
+    return np.sqrt(2.0) * _interleave(z.real, -z.imag, k)
+
+
+def series_sums(
+    series: np.ndarray, k: int, lam: float, family: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score sums ``Phi' S / sqrt(T)`` of a family's first K vectors against
+    a ``T x d`` series, and the vectors' :func:`norm_factor` terms, without
+    forming a ``T x T``, ``T x K`` or dense-kernel array.
+
+    The vectors and the kept K are those of :func:`series_basis`. The
+    transformed family factors the kernel Gram built from the regime sums,
+    ``G = U' U``, cut by the same trim rule; its sums are ``U^{-T}`` times
+    the raw ones. Costs ``O(T log T)`` plus ``O(K^3)`` for the factor.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If no column survives the kernel inner product.
+    """
+    s = np.asarray(series, dtype=float)
+    t = s.shape[0]
+    _check_dimensions(t, k)
+    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
+        raise ValueError(f"unknown basis family {family!r}")
+    g = _fourier_sums(s, k) / np.sqrt(t)
+    sums = _regime_sums(t, k, lam)
+    if family == FOURIER_RAW:
+        return g, _raw_norms(sums)
+    gram = _kernel_gram(sums)
+    u = _kernel_factor(lambda j: gram[:j, :j], k, trim=True, block=_FACTOR_BLOCK)
+    kept = u.shape[0]
+    rhs = np.column_stack([g[:kept], sums.a[:kept]])
+    solved = solve_triangular(u.T, rhs, lower=True)
+    return solved[:, :-1], _transformed_norms(sums, solved[:, -1])
 
 
 def feasible_k(raw: BasisSet, kern: KernelMatrix) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autok, fixedlimit, longrun
-from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, norm_factor, series_basis
+from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_sums
 from .errors import KTooSmall, NotPositiveDefinite
 from .numkit import (
     DistFamily,
@@ -171,7 +171,8 @@ def raw_statistic(
     k: int | np.ndarray | None = None,
 ) -> Values:
     """Wald (``"F"``) or t statistic from the score sums of the K basis
-    vectors in use (:func:`longrun.score_sums`, one row per vector).
+    vectors in use (:func:`bases.series_sums` or :func:`longrun.score_sums`,
+    one row per vector).
 
     On a stack of fits and score sums the Wald statistic comes out per
     member; ``k`` then may give each member's K, the count of leading rows
@@ -346,14 +347,15 @@ def run_test(
     else:
         [k_requested] = k_policy
 
-    basis = series_basis(t, k_requested, data.lam, spec.basis_family)
-    k_used = basis.k
+    g, norms = series_sums(
+        fit.xz * fit.residuals[:, None], k_requested, data.lam, spec.basis_family
+    )
+    k_used = len(norms)
     if k_used < p:
         raise KTooSmall(f"only {k_used} usable basis vectors for p={p}")
 
-    g = longrun.score_sums(basis, fit.xz * fit.residuals[:, None])
     stat_raw = raw_statistic(g, fit, r, spec.statistic)
-    nf = norm_factor(basis)
+    nf = float(norms.mean())
     forms = statistic_forms(stat_raw, spec.statistic, nf, p, k_used, data.lam)
     form = decision_form(spec)
     ref = reference(

@@ -51,9 +51,15 @@ def _read_csv_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
 
 
 def _parse_k(text: str):
-    if text == "auto":
-        return "auto"
-    return int(text)
+    """``--k`` as given: an int or a float where the text reads as one, else
+    the text. The library's K policy (``chowtest._k_policy``) accepts it or
+    refuses it with a validation error."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _parse_range(text: str, max_points: int = sys.maxsize) -> tuple[float, ...]:
@@ -101,11 +107,13 @@ def cmd_test(args) -> int:
     x = np.column_stack([data_cols[name] for name in args.x])
     z = np.column_stack([data_cols[name] for name in args.z]) if args.z else None
     data = RegressionData(data_cols[args.y], x, z, args.break_fraction)
+    k = chowtest._k_policy(args.k, data.t)
+    k = k if k == "auto" else k[0]
     cache = fixedlimit.CriticalValueCache(_cache_dir(args))
     report = chowtest.run_test(
         data,
         variant=args.variant,
-        k=args.k,
+        k=k,
         alpha=args.alpha,
         cv_seed=args.seed,
         cv_replications=args.cv_reps,
@@ -118,7 +126,7 @@ def cmd_test(args) -> int:
         "x": args.x,
         "z": args.z,
         "lambda": args.break_fraction,
-        "k": args.k,
+        "k": k,
         "variant": args.variant,
         "alpha": args.alpha,
         "seed": args.seed,

@@ -96,25 +96,41 @@ def _broadcast_rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a, np.array(np.broadcast_to(x, lead + x.shape[-2:]), order="C")
 
 
-def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndarray]:
+def _pivot_factor(
+    s: np.ndarray, rtol: float, block: int | None = None
+) -> tuple[np.ndarray, int | np.ndarray]:
     """Cholesky pivots of ``S`` in column order, up to the first failing one.
 
     A pivot is accepted only above ``rtol`` times the largest diagonal entry
     of its matrix. Returns the upper-triangular factor (rows from the first
     failing pivot on are zero) and the number of accepted pivots: an int for
     one matrix, one count per member for a stack.
+
+    With ``block``, the rows are factored ``block`` at a time: one matrix
+    product first subtracts every earlier row's contribution from the
+    block's rows, and the loop below runs over the block's own rows only.
+    The pivots and the factor agree with the unblocked loop up to rounding;
+    a large matrix factors at matrix-product speed.
     """
     a = _symmetrize(s)
     n = a.shape[-1]
     tol = rtol * np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
     u = np.zeros_like(a)
-    a_, u_ = _axes_first(a), _axes_first(u)
+    u_ = _axes_first(u)
     rank = np.full(a.shape[:-2], n)
     dead = np.zeros(a.shape[:-2], dtype=bool)
     any_dead = False
+    step = n if block is None else block
     for j in range(n):
-        col = u_[:j, j]
-        pivot = a_[j, j] - _dot(col, col)
+        if j % step == 0:
+            # this block's rows of S less the earlier rows' part, U_lo' U_lo
+            lo = j
+            r = a[..., lo : lo + step, lo:]
+            if lo:
+                r = r - _t(u[..., :lo, lo : lo + step]) @ u[..., :lo, lo:]
+            r_ = _axes_first(r)
+        col = u_[lo:j, j]
+        pivot = r_[j - lo, j - lo] - _dot(col, col)
         failing = pivot <= tol
         if any_dead:
             failing = failing & ~dead
@@ -129,7 +145,9 @@ def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndar
         diag = np.sqrt(pivot)
         u_[j, j] = diag
         if j + 1 < n:
-            u_[j, j + 1 :] = (a_[j, j + 1 :] - _dot(col, u_[:j, j + 1 :])) / diag
+            u_[j, j + 1 :] = (
+                r_[j - lo, j + 1 - lo :] - _dot(col, u_[lo:j, j + 1 :])
+            ) / diag
         if any_dead:
             u_[j, j:][..., dead] = 0.0
     return u, int(rank) if rank.ndim == 0 else rank

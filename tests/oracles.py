@@ -5,12 +5,17 @@ linear-algebra code paths: densities are written from their closed forms with
 ``math.lgamma``, CDFs come from Simpson quadrature under a square-root
 substitution (smooth at the origin even for one degree of freedom), and
 quantiles invert the quadrature CDF by bisection. The matrix oracles write
-a quantity out in its textbook form, however wasteful.
+a quantity out in its textbook form, however wasteful. ``dense_report``
+replays the dense path ``run_test`` took before it worked from FFT sums: the
+``T x T`` kernel, the dense Gram and the ``T x K`` basis ``Phi U^{-1}``.
 """
 
 import math
 
 import numpy as np
+
+from harchow import autok, bases, chowtest
+from harchow.regression import ols_fit
 
 
 def simpson(f, a, b, n=4000):
@@ -101,3 +106,37 @@ def mse_variance_trace(omega):
     p = omega.shape[0]
     weight = np.eye(p * p) + commutation_matrix(p)
     return float(np.trace(weight @ np.kron(omega, omega)))
+
+
+def dense_report(data, hyp, variant, k, alpha=0.05, **reference_settings):
+    """``run_test``'s report fields (a dict) on the dense path: the basis
+    from ``fourier_matrix``, for the transformed family cut to
+    ``feasible_k`` and orthonormalized by ``gram_transform`` under
+    ``kernel_matrix``; score sums as a matrix product; the norm factor as
+    the demeaned columns' mean square."""
+    spec = chowtest.VARIANTS[variant]
+    fit = ols_fit(data, hyp)
+    r, p, t, lam = hyp.contrast, hyp.p, data.t, data.lam
+    if k == "auto":
+        series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
+        k = autok.mse_optimal_k(autok.build_plugin_model(series), t, p)
+    basis = bases.fourier_matrix(t, k, lam)
+    if spec.basis_family == bases.FOURIER_TRANSFORMED:
+        kern = bases.kernel_matrix(t, lam)
+        kept = bases.feasible_k(basis, kern)
+        basis = bases.gram_transform(bases.fourier_matrix(t, kept, lam), kern)
+    g = basis.matrix.T @ (fit.xz * fit.residuals[:, None]) / math.sqrt(t)
+    stat = chowtest.raw_statistic(g, fit, r, spec.statistic)
+    tilde = bases.phi_tilde_matrix(basis.matrix, lam, t)
+    nf = float((tilde**2).mean(axis=0).mean())
+    forms = chowtest.statistic_forms(stat, spec.statistic, nf, p, basis.k, lam)
+    form = chowtest.decision_form(spec)
+    ref = chowtest.reference(spec, p, basis.k, lam, alpha, **reference_settings)
+    p_value, reject = ref.decide(forms[form])
+    return {
+        "statistic_raw": stat, "statistic_modified": forms["modified"],
+        "statistic_scaled": forms["df-scaled"], "decision_statistic": forms[form],
+        "reference": ref.name, "k": basis.k, "k_requested": k,
+        "p_value": p_value, "critical_value": ref.critical_value,
+        "reject": bool(reject), "norm_factor": nf,
+    }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harchow import bases
 from harchow.bases import (
     FOURIER_RAW,
     FOURIER_TRANSFORMED,
@@ -16,6 +17,7 @@ from harchow.bases import (
     series_basis,
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
+from harchow.numkit.linalg import _pivot_factor
 from oracles import kernel_inner
 
 
@@ -220,16 +222,20 @@ class TestGramTransform:
 
     def test_norm_factor_per_k(self):
         # one K, the default (all columns) and an array of K values agree
-        # with the mean of the leading column factors, bit for bit
-        basis = fourier_matrix(60, 9, 0.3)
-        tilde = phi_tilde_matrix(basis.matrix, 0.3, 60)
-        cols = (tilde**2).mean(axis=0)
-        assert norm_factor(basis) == norm_factor(basis, 9) == float(cols.mean())
-        ks = np.array([[2, 5, 9], [5, 1, 2]])
-        out = norm_factor(basis, ks)
-        assert out.shape == ks.shape
-        for k, value in zip(ks.ravel().tolist(), out.ravel()):
-            assert value == norm_factor(basis, k) == float(cols[:k].mean())
+        # bit for bit; the provider's column terms (from the regime sums)
+        # match the mean of the demeaned columns' squares to 1e-12
+        for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+            basis = series_basis(60, 9, 0.3, family)
+            tilde = phi_tilde_matrix(basis.matrix, 0.3, 60)
+            cols = (tilde**2).mean(axis=0)
+            assert norm_factor(basis) == norm_factor(basis, 9)
+            assert norm_factor(basis) == pytest.approx(float(cols.mean()), rel=1e-12)
+            ks = np.array([[2, 5, 9], [5, 1, 2]])
+            out = norm_factor(basis, ks)
+            assert out.shape == ks.shape
+            for k, value in zip(ks.ravel().tolist(), out.ravel()):
+                assert value == norm_factor(basis, k)
+                assert value == pytest.approx(float(cols[:k].mean()), rel=1e-12)
 
     def test_feasible_k_detects_null_direction(self):
         # even T with even break row: one combination of regime indicators
@@ -276,3 +282,55 @@ class TestSeriesBasis:
 def test_phi_tilde_rejects_extreme_break():
     with pytest.raises(BreakTooExtreme):
         phi_tilde_matrix(np.arange(10.0), 0.05, 10)
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestRegimeSumsGram:
+    """The K x K Gram that series_sums builds from the regime-one sums is
+    the dense ``Phi' C_T Phi / T^2``, and series_sums keeps series_basis's K
+    and sums."""
+
+    POINTS = [(51, 0.7), (101, 0.6), (101, 0.7), (201, 0.7), (100, 0.4),
+              (60, 0.4), (61, 0.35), (500, 0.4)]
+
+    @pytest.mark.parametrize("t, lam", POINTS)
+    def test_gram_equals_dense_gram(self, t, lam):
+        kern = kernel_matrix(t, lam)
+        for k in sorted({1, 2, 7, t // 2, t - 3, t - 2}):
+            dense = gram_matrix(fourier_matrix(t, k, lam), kern)
+            gram = bases._kernel_gram(bases._regime_sums(t, k, lam))
+            assert np.array_equal(gram, gram.T)
+            assert _rel_gap(gram, dense) <= 1e-12, k
+
+    @pytest.mark.parametrize("t, lam, kept", [
+        (51, 0.7, 11), (101, 0.6, 54), (101, 0.7, 21), (201, 0.7, 44),
+        (100, 0.4, 97), (500, 0.4, 497), (61, 0.35, 59),
+    ])
+    def test_same_trim_and_sums_as_series_basis(self, t, lam, kept):
+        series = np.random.default_rng(t).standard_normal((t, 3))
+        g, norms = bases.series_sums(series, t - 2, lam, FOURIER_TRANSFORMED)
+        star = series_basis(t, t - 2, lam, FOURIER_TRANSFORMED)
+        assert len(norms) == star.k == kept
+        assert _rel_gap(g, star.matrix.T @ series / np.sqrt(t)) <= 1e-9
+        assert np.allclose(norms, star.norms, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("t, k", [(100, 98), (101, 99), (37, 6), (36, 1)])
+    def test_raw_sums_and_norms(self, t, k):
+        series = np.random.default_rng(k).standard_normal((t, 2))
+        raw = fourier_matrix(t, k, 0.3)
+        g, norms = bases.series_sums(series, k, 0.3, FOURIER_RAW)
+        assert _rel_gap(g, raw.matrix.T @ series / np.sqrt(t)) <= 1e-12
+        tilde = phi_tilde_matrix(raw.matrix, 0.3, t)
+        assert np.allclose(norms, (tilde**2).mean(axis=0), rtol=1e-12, atol=0)
+        assert np.array_equal(norms, series_basis(t, k, 0.3, FOURIER_RAW).norms)
+
+    def test_blocked_pivot_loop_matches_unblocked(self):
+        # the blocked factor series_sums uses agrees with the one loop
+        gram = bases._kernel_gram(bases._regime_sums(300, 298, 0.4))
+        u, rank = _pivot_factor(gram, 1e-8)
+        u_blocked, rank_blocked = _pivot_factor(gram, 1e-8, block=64)
+        assert rank == rank_blocked == 297
+        assert _rel_gap(u_blocked, u) <= 1e-12

@@ -23,6 +23,7 @@ from harchow.chowtest import (
     wald_stat,
 )
 from harchow.errors import KTooSmall
+from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import DgpSpec, simulate_dgp
 from harchow.numkit import RngStream, dist_quantile, fisher_f
 from harchow.regression import (
@@ -31,6 +32,7 @@ from harchow.regression import (
     full_break_hypothesis,
     ols_fit,
 )
+import oracles
 
 # Deterministic T=12, m=2, l=1 fixture; expected values frozen from a dense
 # numpy.linalg recomputation of the displayed formulas (see dense_pipeline).
@@ -399,19 +401,28 @@ class TestRunTest:
         assert report.k_requested == 58
         assert report.k == 57  # even T, even break row: one null direction
 
-    @pytest.mark.parametrize("t, k", [(150, 98), (60, 58)])
-    def test_transformed_builds_kernel_once(self, monkeypatch, t, k):
-        # one kernel matrix per transformed call, trimmed (60, 58) or not
+    @pytest.mark.parametrize("t, k, kept", [(150, 98, 98), (60, 58, 57)])
+    def test_builds_no_basis_or_kernel(self, monkeypatch, t, k, kept):
+        # run_test works from FFT sums and a K x K Gram: it never builds the
+        # T x T kernel, a T x K basis or the basis provider's output (the
+        # simulated references come from a cache warmed beforehand)
+        hyp = BreakHypothesis(np.array([[0.0, 1.0]]))
+        data = simulated_data(3, t=t)
+        common = dict(cv_replications=1000, cv_grid=150, cache=CriticalValueCache())
+        for variant in ("nonstandard-fourier", "nonstandard-t-fourier"):
+            run_test(data, hyp, variant=variant, k=k, **common)
         calls = []
-        build = bases.kernel_matrix
+        for name in ("kernel_matrix", "fourier_matrix", "series_basis"):
+            def counted(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"run_test called bases.{_name}")
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(bases, "kernel_matrix", counted)
-        run_test(simulated_data(3, t=t), variant="chisq-transformed", k=k)
-        assert len(calls) == 1
+            monkeypatch.setattr(bases, name, counted)
+        for variant, spec in VARIANTS.items():
+            report = run_test(data, hyp, variant=variant, k=k, **common)
+            want = kept if spec.basis_family == bases.FOURIER_TRANSFORMED else k
+            assert (report.k_requested, report.k) == (k, want)
+        assert calls == []
 
     def test_nonstandard_t_matches_f_at_p1(self):
         # with p = 1 the squared t statistic is the Wald statistic and the
@@ -570,3 +581,58 @@ class TestKPolicy:
         for k in (4.5, "8", [8], (8,)):
             with pytest.raises(ValueError):
                 run_test(data, variant="f-transformed", k=k)
+
+
+class TestAgainstDensePath:
+    """run_test from FFT sums and the K x K regime-sum Gram reports what the
+    dense path (T x T kernel, T x K basis; ``oracles.dense_report``) did:
+    the same K, reference and decision, every number within 1e-10."""
+
+    CACHE = CriticalValueCache()
+
+    @staticmethod
+    def _data(t, lam, seed):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(t), rng.standard_normal(t)])
+        z = rng.standard_normal((t, 1))
+        y = x @ [0.5, 0.5] + 0.3 * z[:, 0] + rng.standard_normal(t)
+        return RegressionData(y, x, z, lam)
+
+    @pytest.mark.parametrize("t, lam, k", [
+        (120, 0.4, 20),     # integer break row
+        (101, 0.7, 40),     # non-integer lambda T, kept K cut to 21
+        (60, 0.4, 58),      # K = T - 2 with one kernel-null direction
+        (150, 0.35, "auto"),
+    ])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_report_matches_dense_path(self, t, lam, k, variant):
+        data = self._data(t, lam, seed=t)
+        p = 2 if VARIANTS[variant].statistic == "F" else 1
+        hyp = full_break_hypothesis(2) if p == 2 else BreakHypothesis(
+            np.array([[0.0, 1.0]])
+        )
+        settings = dict(cv_replications=1000, cv_grid=200, cache=self.CACHE)
+        got = run_test(data, hyp, variant=variant, k=k, **settings).to_dict()
+        want = oracles.dense_report(data, hyp, variant, k, **settings)
+        for name, value in want.items():
+            if isinstance(value, float):
+                assert got[name] == pytest.approx(value, rel=1e-10, abs=1e-300), name
+            else:
+                assert got[name] == value, name
+
+    def test_large_t_builds_no_t_by_t_array(self):
+        # T = 20000: the dense kernel alone would be 3.2 GB
+        import tracemalloc
+
+        t = 20000
+        data = self._data(t, 0.4, seed=1)
+        tracemalloc.start()
+        try:
+            report = run_test(data, variant="f-transformed", k=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.k, report.k_requested) == (256, 256)
+        assert np.isfinite([report.statistic_raw, report.p_value]).all()
+        assert report.norm_factor == pytest.approx(1.0, abs=1e-10)
+        assert peak < 64 * 2**20

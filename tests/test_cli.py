@@ -45,6 +45,31 @@ class TestCmdTest:
         text = capsys.readouterr().out
         assert "df-scaled statistic" in text
 
+    @pytest.mark.parametrize("k", ["8", "8.0"])
+    def test_whole_k_runs_and_is_echoed_as_int(self, data_csv, k, capsys):
+        path, _, _ = data_csv
+        code = cli.main(
+            ["test", "--data", path, "--y", "y", "--x", "const,q",
+             "--lambda", "0.4", "--k", k, "--json", "-"]
+        )
+        assert code == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["config"]["k"] == 8
+        assert type(envelope["config"]["k"]) is int
+        assert envelope["result"]["k_requested"] == 8
+
+    @pytest.mark.parametrize("k", ["4.5", "abc", "nan"])
+    def test_bad_k_is_a_k_policy_validation_error(self, data_csv, k, capsys):
+        path, _, _ = data_csv
+        code = cli.main(
+            ["test", "--data", path, "--y", "y", "--x", "const,q",
+             "--lambda", "0.4", "--k", k]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: need an integer K or 'auto'")
+        assert "_parse_k" not in err
+
     def test_extreme_break_fraction_exits_2(self, data_csv, capsys):
         path, _, _ = data_csv
         code = cli.main(
@@ -192,6 +217,28 @@ class TestMcCommands:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3  # header + 2 variants
         assert lines[0].startswith("T,rho,psi")
+
+    def test_mc_size_takes_k_through_the_k_policy(self, capsys):
+        # 8.0 runs as K = 8 (and is labelled 8); 4.5 is a K-policy error
+        code = cli.main(
+            ["mc-size", "--T", "60", "--cells", "0:0", "--k", "8.0",
+             "--variants", "chisq-fourier", "--reps", "500"]
+        )
+        assert code == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert "8" in row
+        code = cli.main(["mc-size", "--T", "60", "--cells", "0:0", "--k", "4.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: need an integer K or 'auto'")
+        assert "_parse_k" not in err
+
+    def test_mc_power_bad_k_is_a_k_policy_error(self, capsys):
+        code = cli.main(["mc-power", "--T", "60", "--k", "abc", "--reps", "500"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: need an integer K or 'auto'")
+        assert "_parse_k" not in err
 
     def test_mc_size_empty_cells_exits_2(self, capsys):
         code = cli.main(["mc-size", "--T", "60", "--cells", "", "--reps", "500"])
