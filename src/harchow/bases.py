@@ -6,10 +6,11 @@ basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
 respect to the kernel inner product ``a' C_T b / T^2``.
 :func:`series_basis` builds a family's first K vectors for the Monte Carlo
 engine and the limit simulator; :func:`series_sums` gives a single test the
-same vectors' sums against a series without forming any of them. Both keep
-the same kernel-feasible K, from one trim rule.
+same vectors' sums against a series without forming any of them. Both factor
+one ``K x K`` kernel Gram, cut to one kernel-feasible K; the dense ``T x T``
+kernel and its Gram are references that no library path builds.
 
-Without a basis, everything comes from the regime-one Fourier sums
+The Gram comes from the regime-one Fourier sums
 ``E(h) = sum_{t <= k*} exp(2 pi i h t / T)``, one FFT of the regime-one
 indicator. The full-sample sums of the Fourier columns vanish and
 ``Phi' Phi = T I``, so the kernel Gram of the first K columns is
@@ -28,7 +29,6 @@ never disagree about regime membership.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -47,9 +47,6 @@ FOURIER_TRANSFORMED = "fourier-transformed"
 # the resulting column could not satisfy orthonormality to 1e-8 when checked
 # against an independently recomputed Gram matrix.
 _TRANSFORM_PIVOT_RTOL = 1e-8
-
-# Rows per block of the pivot loop on the K x K Gram of :func:`series_sums`.
-_FACTOR_BLOCK = 64
 
 
 def break_index(lam: float, t: int) -> int:
@@ -245,13 +242,6 @@ def _raw_norms(sums: _RegimeSums) -> np.ndarray:
     return diag_b - sums.c_demeaned * sums.a**2
 
 
-def _transformed_norms(sums: _RegimeSums, y: np.ndarray) -> np.ndarray:
-    """Column terms of :func:`norm_factor` for the kernel-orthonormal
-    columns, from their regime-one sums ``y = U^{-T} a``: one plus the gap
-    between the demeaned and the kernel Gram along ``a``."""
-    return 1.0 + (sums.c_kernel - sums.c_demeaned) * y**2
-
-
 def _kernel_gram(sums: _RegimeSums) -> np.ndarray:
     """The kernel Gram ``Phi_K' C_T Phi_K / T^2`` of the first K Fourier
     columns, built from the regime sums alone and exactly symmetric."""
@@ -280,30 +270,39 @@ def _kernel_gram(sums: _RegimeSums) -> np.ndarray:
     return g
 
 
-def _kernel_factor(
-    gram: Callable[[int], np.ndarray], k: int, trim: bool, block: int | None = None
-) -> np.ndarray:
-    """Upper Cholesky factor ``U`` of ``gram(K)``, the kernel Gram of the
-    first K columns. With ``trim``, K is first cut to the count of accepted
-    pivots and the kept columns are refactored from their own Gram matrix;
-    ``U`` then has the kept size. ``block`` is passed to the pivot loop.
+def _kernel_factor(gram: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor ``U`` of a kernel Gram's kept leading block: K
+    is cut to the count of accepted pivots and the kept columns are
+    refactored from their own Gram matrix, so ``U`` has the kept size.
 
     Raises
     ------
     NotPositiveDefinite
-        If a pivot fails (without ``trim``), or none or not all of the kept
-        ones pass.
+        If no pivot passes, or not all of the kept ones pass again.
     """
-    u, rank = _pivot_factor(gram(k), _TRANSFORM_PIVOT_RTOL, block)
-    if trim and 0 < rank < k:
+    u, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL)
+    if 0 < rank < len(gram):
         del u  # free the untrimmed factor before building the smaller one
-        k = rank
-        u, rank = _pivot_factor(gram(k), _TRANSFORM_PIVOT_RTOL, block)
-    if rank < k:
+        gram = gram[:rank, :rank]
+        u, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL)
+    if rank < len(gram):
         raise NotPositiveDefinite(
             "Gram matrix is too close to singular for a reliable transform"
         )
     return u
+
+
+def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U^{-T}`` times the kept leading ``rows`` (the raw columns as rows,
+    or their sums against a series), with ``U`` the trimmed factor of the
+    regime-sum kernel Gram, and the kept columns' :func:`norm_factor` terms:
+    one plus the gap between the demeaned and the kernel Gram along their
+    regime-one sums ``y = U^{-T} a``."""
+    u = _kernel_factor(_kernel_gram(sums))
+    rhs = np.column_stack([rows[: len(u)], sums.a[: len(u)]])
+    solved = solve_triangular(u.T, rhs, lower=True)
+    y = solved[:, -1]
+    return solved[:, :-1], 1.0 + (sums.c_kernel - sums.c_demeaned) * y**2
 
 
 def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
@@ -312,6 +311,7 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
     Factors the Gram matrix as ``U' U`` (upper-triangular Cholesky, positive
     diagonal) and returns ``Phi U^{-1}``, whose Gram matrix is the identity.
     Column ``j`` of the result is a combination of raw columns ``1..j`` only.
+    A dense reference for :func:`series_basis`; no library path calls it.
 
     Raises
     ------
@@ -319,24 +319,12 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
         If the Gram matrix is rank deficient, e.g. a raw column is constant
         within both regimes or ``K`` exceeds the kernel rank available.
     """
-    return _orthonormalize(raw, kern, trim=False)
-
-
-def _orthonormalize(raw: BasisSet, kern: KernelMatrix, trim: bool) -> BasisSet:
-    """:func:`gram_transform` on the dense kernel Gram; with ``trim``, on
-    the kept columns (:func:`_kernel_factor`)."""
-
-    def gram(k: int) -> np.ndarray:
-        cols = raw if k == raw.k else BasisSet(
-            t=raw.t, k=k, lam=raw.lam, family=FOURIER_RAW, matrix=raw.matrix[:, :k]
-        )
-        return gram_matrix(cols, kern)
-
-    u = _kernel_factor(gram, raw.k, trim)
-    k = u.shape[0]
-    star = solve_triangular(u.T, raw.matrix[:, :k].T, lower=True).T
+    u = _kernel_factor(gram_matrix(raw, kern))
+    if len(u) < raw.k:
+        raise NotPositiveDefinite(f"only {len(u)} of {raw.k} columns pass the pivots")
+    star = solve_triangular(u.T, raw.matrix.T, lower=True).T
     return BasisSet(
-        t=raw.t, k=k, lam=kern.lam, family=FOURIER_TRANSFORMED, matrix=star
+        t=raw.t, k=raw.k, lam=kern.lam, family=FOURIER_TRANSFORMED, matrix=star
     )
 
 
@@ -348,9 +336,8 @@ def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
     to the kernel-feasible count when the nominal cap ``K <= T - 2``
     overstates the kernel rank: for some ``(T, lambda)`` a combination of
     the last Fourier columns falls in the kernel null space. The returned
-    ``.k`` is the count kept. The transform factors the dense kernel Gram
-    ``gram_matrix(raw, kernel_matrix(T, lambda))``; :func:`series_sums`
-    builds the same Gram from the regime sums.
+    ``.k`` is the count kept. The transform factors the kernel Gram built
+    from the regime sums, as :func:`series_sums` does.
 
     Raises
     ------
@@ -363,9 +350,11 @@ def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
     sums = _regime_sums(t, k, lam)
     if family == FOURIER_RAW:
         return replace(raw, norms=_raw_norms(sums))
-    star = _orthonormalize(raw, kernel_matrix(t, lam), trim=True)
-    y = star.matrix[: break_index(lam, t)].sum(axis=0)  # regime-one sums, U^{-T} a
-    return replace(star, norms=_transformed_norms(sums, y))
+    rows, norms = _kernel_solve(sums, raw.matrix.T)
+    return BasisSet(
+        t=t, k=len(norms), lam=lam, family=FOURIER_TRANSFORMED,
+        matrix=np.ascontiguousarray(rows.T), norms=norms,
+    )
 
 
 def _fourier_sums(series: np.ndarray, k: int) -> np.ndarray:
@@ -403,12 +392,7 @@ def series_sums(
     sums = _regime_sums(t, k, lam)
     if family == FOURIER_RAW:
         return g, _raw_norms(sums)
-    gram = _kernel_gram(sums)
-    u = _kernel_factor(lambda j: gram[:j, :j], k, trim=True, block=_FACTOR_BLOCK)
-    kept = u.shape[0]
-    rhs = np.column_stack([g[:kept], sums.a[:kept]])
-    solved = solve_triangular(u.T, rhs, lower=True)
-    return solved[:, :-1], _transformed_norms(sums, solved[:, -1])
+    return _kernel_solve(sums, g)
 
 
 def feasible_k(raw: BasisSet, kern: KernelMatrix) -> int:

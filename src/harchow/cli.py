@@ -31,23 +31,30 @@ def _cache_dir(args) -> str | None:
 
 
 def _read_csv_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
+    """The named columns of a CSV file with a header row, as float arrays.
+    Each must be named once in the header, and every row must have the
+    header's field count; blank lines are skipped."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header row")
-        missing = [n for n in names if n not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        rows = list(reader)
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: missing header row")
+    header, rows = rows[0], rows[1:]
+    unusable = [n for n in names if header.count(n) != 1]
+    if unusable:
+        raise ValueError(f"{path}: columns {unusable} missing or named more than once")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    out = {}
-    for name in names:
-        try:
-            out[name] = np.array([float(row[name]) for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: non-numeric value in column {name!r}: {exc}")
-    return out
+    ragged = [i for i, row in enumerate(rows, start=1) if len(row) != len(header)]
+    if ragged:
+        raise ValueError(
+            f"{path}: data rows {ragged[:5]} do not have {len(header)} fields"
+        )
+    columns = list(zip(*rows))
+    try:
+        values = np.array([columns[header.index(n)] for n in names], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric value in columns {names}: {exc}")
+    return dict(zip(names, values))
 
 
 def _parse_k(text: str):

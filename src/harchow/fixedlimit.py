@@ -26,15 +26,16 @@ Only the root differs; there is one sampling path. For the transformed
 family at integer ``lam n``, ``M`` is ``diag(M_00, c I_K)`` up to rounding,
 so the scaled draws follow ``F(p, K - p + 1)`` exactly on any grid.
 
-Streams. Replications come in blocks of ``_CHUNK`` consecutive ones, and
-block ``b`` draws the ``Z`` of all its replications from one call to
-``RngStream(seed, b).normals``: the block's ``j``-th replication takes the
-``j``-th run of ``m p`` normals as its ``m x p`` matrix (``m`` the root's
-column count). A replication ``i`` whose weighting matrix is singular is
-redrawn, in the same shape, from its own substream ``attempt * reps + i``
-(``attempt = 1, 2, ...``) and counted; these ids never meet the block ids.
-The draws therefore depend on ``_CHUNK``: changing it changes every
-simulated law's draws and needs a ``FILE_VERSION`` bump.
+Streams. Replications come in blocks of ``max(1, 2**16 // (m p))``
+consecutive ones (``m`` the root's column count), so a block draws about
+``_BLOCK_NORMALS = 2**16`` normals (0.5 MB) whatever K and p are. Block
+``b`` draws the ``Z`` of all its replications from one call to
+``RngStream(seed, b).normals``: its ``j``-th replication takes the ``j``-th
+run of ``m p`` normals as its ``m x p`` matrix. A replication ``i`` whose
+weighting matrix is singular is redrawn, in the same shape, from its own
+substream ``attempt * reps + i`` (``attempt = 1, 2, ...``) and counted;
+these ids never meet the block ids. Changing ``_BLOCK_NORMALS`` changes
+every simulated law's draws and needs a ``FILE_VERSION`` bump.
 
 Simulated distributions can be cached in memory and on disk. The disk format
 is one JSON header line (version and spec fields) followed by the sorted
@@ -56,7 +57,9 @@ import numpy as np
 from .bases import (
     FOURIER_RAW,
     FOURIER_TRANSFORMED,
+    BasisSet,
     break_index,
+    norm_factor,
     phi_tilde_matrix,
     series_basis,
 )
@@ -70,8 +73,8 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 3
-_CHUNK = 2048
+FILE_VERSION = 4
+_BLOCK_NORMALS = 2**16
 
 logger = logging.getLogger(__name__)
 
@@ -121,16 +124,23 @@ class SimulatedDistribution:
         return len(self.draws)
 
 
-def _grids(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Demeaned basis grid (n x K) and the regime-contrast grid (n,)."""
-    n = spec.grid_n
-    basis = series_basis(n, spec.k, spec.lam, spec.family)
+def _basis(spec: LimitSpec) -> BasisSet:
+    """The spec's basis on the grid, every one of its K vectors kept."""
+    basis = series_basis(spec.grid_n, spec.k, spec.lam, spec.family)
     if basis.k < spec.k:
         raise NotPositiveDefinite(
             f"only {basis.k} of K={spec.k} basis vectors are kernel-feasible "
-            f"on a grid of {n}"
+            f"on a grid of {spec.grid_n}"
         )
-    tilde = phi_tilde_matrix(basis.matrix, spec.lam, n)
+    return basis
+
+
+def _grids(
+    spec: LimitSpec, basis: BasisSet | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Demeaned basis grid (n x K) and the regime-contrast grid (n,)."""
+    n = spec.grid_n
+    tilde = phi_tilde_matrix((basis or _basis(spec)).matrix, spec.lam, n)
     k_star = break_index(spec.lam, n)
     phi0 = np.empty(n)
     phi0[:k_star] = 1.0 / spec.lam
@@ -157,11 +167,12 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
 
 
 def _weights(spec: LimitSpec) -> tuple[np.ndarray, float]:
-    """Grid weights ``W = [phi0, tilde] / sqrt(n)`` (n x (K+1)) and the grid
-    quadrature of the mean squared demeaned basis."""
-    tilde, phi0 = _grids(spec)
+    """Grid weights ``W = [phi0, tilde] / sqrt(n)`` (n x (K+1)) and the
+    basis's :func:`norm_factor`, the mean squared demeaned basis value."""
+    basis = _basis(spec)
+    tilde, phi0 = _grids(spec, basis)
     weights = np.column_stack([phi0, tilde]) / np.sqrt(spec.grid_n)
-    return weights, float((tilde**2).mean())
+    return weights, norm_factor(basis)
 
 
 def _root(weights: np.ndarray) -> np.ndarray:
@@ -174,8 +185,8 @@ def _root(weights: np.ndarray) -> np.ndarray:
 
 
 def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Per-replication ``(B, eta0)`` pairs plus redraw count and the grid
-    quadrature of the mean squared demeaned basis."""
+    """Per-replication ``(B, eta0)`` pairs plus redraw count and the
+    basis's norm factor."""
     weights, mean_sq = _weights(spec)
     root = _root(weights)  # (K+1) x m
     m = root.shape[1]
@@ -192,8 +203,9 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
         eta0 = lam_scale * eta[0]
         return (eta0, *_quad_forms(eta0, eta[1:], k))
 
-    for block, start in enumerate(range(0, reps, _CHUNK)):
-        rep_ids = np.arange(start, min(start + _CHUNK, reps))
+    per_block = max(1, _BLOCK_NORMALS // (m * p))
+    for block, start in enumerate(range(0, reps, per_block)):
+        rep_ids = np.arange(start, min(start + per_block, reps))
         z = RngStream(spec.seed, stream=block).normals(len(rep_ids) * m * p)
         eta0, quad, bad = forms(z.reshape(-1, m, p))
         attempt = 0
@@ -212,9 +224,7 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
             eta0_r, quad_r, bad_r = forms(z)
             quad[bad] = quad_r
             eta0[bad] = eta0_r
-            new_bad = np.zeros_like(bad)
-            new_bad[bad] = bad_r
-            bad = new_bad
+            bad[bad] = bad_r
         quads[rep_ids] = quad
         eta0_all[rep_ids] = eta0
     return quads, eta0_all, redraws, mean_sq

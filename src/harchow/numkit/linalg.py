@@ -24,6 +24,7 @@ from ..errors import NotPositiveDefinite, Unstable
 
 _PIVOT_RTOL = 1e-12
 _SYM_RTOL = 1e-10
+_PIVOT_BLOCK = 64
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -96,9 +97,7 @@ def _broadcast_rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a, np.array(np.broadcast_to(x, lead + x.shape[-2:]), order="C")
 
 
-def _pivot_factor(
-    s: np.ndarray, rtol: float, block: int | None = None
-) -> tuple[np.ndarray, int | np.ndarray]:
+def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndarray]:
     """Cholesky pivots of ``S`` in column order, up to the first failing one.
 
     A pivot is accepted only above ``rtol`` times the largest diagonal entry
@@ -106,11 +105,10 @@ def _pivot_factor(
     failing pivot on are zero) and the number of accepted pivots: an int for
     one matrix, one count per member for a stack.
 
-    With ``block``, the rows are factored ``block`` at a time: one matrix
-    product first subtracts every earlier row's contribution from the
-    block's rows, and the loop below runs over the block's own rows only.
-    The pivots and the factor agree with the unblocked loop up to rounding;
-    a large matrix factors at matrix-product speed.
+    The rows are factored 64 at a time: one matrix product subtracts every
+    earlier row's part from a block's rows, and the loop runs over the
+    block's own rows, so a large matrix factors at matrix-product speed. Up
+    to 64 rows the operation order is the plain row loop's.
     """
     a = _symmetrize(s)
     n = a.shape[-1]
@@ -120,14 +118,13 @@ def _pivot_factor(
     rank = np.full(a.shape[:-2], n)
     dead = np.zeros(a.shape[:-2], dtype=bool)
     any_dead = False
-    step = n if block is None else block
     for j in range(n):
-        if j % step == 0:
+        if j % _PIVOT_BLOCK == 0:
             # this block's rows of S less the earlier rows' part, U_lo' U_lo
             lo = j
-            r = a[..., lo : lo + step, lo:]
+            r = a[..., lo : lo + _PIVOT_BLOCK, lo:]
             if lo:
-                r = r - _t(u[..., :lo, lo : lo + step]) @ u[..., :lo, lo:]
+                r = r - _t(u[..., :lo, lo : lo + _PIVOT_BLOCK]) @ u[..., :lo, lo:]
             r_ = _axes_first(r)
         col = u_[lo:j, j]
         pivot = r_[j - lo, j - lo] - _dot(col, col)

@@ -90,6 +90,24 @@ def kernel_inner(a, b, kern):
     return float(a @ kern.matrix @ b) / kern.t**2
 
 
+def pivot_factor_unblocked(s, rtol):
+    """Cholesky pivots of one symmetric matrix in column order, up to the
+    first failing one, by the plain row loop: pivot ``j`` is accepted above
+    ``rtol`` times the largest diagonal entry. Returns the factor (rows from
+    the failing pivot on are zero) and the accepted count."""
+    a = np.asarray(s, dtype=float)
+    n = a.shape[0]
+    tol = rtol * np.diag(a).max()
+    u = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - u[:j, j] @ u[:j, j]
+        if pivot <= tol:
+            return u, j
+        u[j, j] = math.sqrt(pivot)
+        u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / u[j, j]
+    return u, n
+
+
 def commutation_matrix(p):
     """The ``p^2 x p^2`` matrix sending ``vec(A)`` to ``vec(A')``."""
     k = np.zeros((p * p, p * p))

@@ -18,7 +18,7 @@ from harchow.bases import (
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
 from harchow.numkit.linalg import _pivot_factor
-from oracles import kernel_inner
+from oracles import kernel_inner, pivot_factor_unblocked
 
 
 class TestBreakIndex:
@@ -257,17 +257,20 @@ class TestSeriesBasis:
         star = series_basis(t, t - 2, lam, FOURIER_TRANSFORMED)
         assert (star.k, star.family) == (t - 3, FOURIER_TRANSFORMED)
         expected = gram_transform(fourier_matrix(t, t - 3, lam), kern)
-        assert np.array_equal(star.matrix, expected.matrix)
+        assert _rel_gap(star.matrix, expected.matrix) <= 1e-9
         gram = star.matrix.T @ kern.matrix @ star.matrix / t**2
         assert np.max(np.abs(gram - np.eye(t - 3))) <= 1e-8
 
     @pytest.mark.parametrize("k", [8, 99])
     def test_feasible_k_kept_at_odd_t(self, k):
         t, lam = 101, 0.4
+        kern = kernel_matrix(t, lam)
         star = series_basis(t, k, lam, FOURIER_TRANSFORMED)
-        expected = gram_transform(fourier_matrix(t, k, lam), kernel_matrix(t, lam))
+        expected = gram_transform(fourier_matrix(t, k, lam), kern)
         assert star.k == k
-        assert np.array_equal(star.matrix, expected.matrix)
+        assert _rel_gap(star.matrix, expected.matrix) <= 1e-9
+        gram = star.matrix.T @ kern.matrix @ star.matrix / t**2
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
 
     def test_raw_family_is_fourier_matrix(self):
         basis = series_basis(60, 58, 0.4, FOURIER_RAW)
@@ -328,9 +331,35 @@ class TestRegimeSumsGram:
         assert np.array_equal(norms, series_basis(t, k, 0.3, FOURIER_RAW).norms)
 
     def test_blocked_pivot_loop_matches_unblocked(self):
-        # the blocked factor series_sums uses agrees with the one loop
+        # the one pivot loop, blocked in 64 rows, agrees with a plain row loop
         gram = bases._kernel_gram(bases._regime_sums(300, 298, 0.4))
         u, rank = _pivot_factor(gram, 1e-8)
-        u_blocked, rank_blocked = _pivot_factor(gram, 1e-8, block=64)
-        assert rank == rank_blocked == 297
-        assert _rel_gap(u_blocked, u) <= 1e-12
+        u_plain, rank_plain = pivot_factor_unblocked(gram, 1e-8)
+        assert rank == rank_plain == 297
+        assert _rel_gap(u, u_plain) <= 1e-12
+
+
+def test_library_paths_build_no_dense_kernel(monkeypatch):
+    # the basis provider, the limit simulator and the Monte Carlo engine
+    # factor the K x K Gram of the regime sums; the T x T kernel and its
+    # dense Gram are references only
+    from harchow import fixedlimit, mcstudy
+
+    calls = []
+    for name in ("kernel_matrix", "gram_matrix"):
+        def counted(*args, _name=name, _fn=getattr(bases, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bases, name, counted)
+    for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+        series_basis(100, 98, 0.4, family)
+        spec = fixedlimit.LimitSpec(
+            p=1, k=4, lam=0.4, family=family, grid_n=200, replications=1000
+        )
+        fixedlimit.simulate_limit(spec, fixedlimit.F_STAR_INF)
+    mcstudy.size_experiment(
+        [mcstudy.DgpSpec(t=60, rho=0.0)], ("chisq-fourier", "f-transformed"),
+        k_policy=4, reps=500,
+    )
+    assert calls == []

@@ -110,6 +110,32 @@ class TestCmdTest:
         )
         assert code == 2
 
+    def test_column_named_twice_rejected(self, data_csv, tmp_path, capsys):
+        # header y,const,q,q: which q would be tested is ambiguous
+        path, _, _ = data_csv
+        lines = open(path).read().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join(f"{line},{line.split(',')[2]}\n" for line in lines))
+        argv = ["test", "--data", str(twice), "--y", "y", "--x", "const,q"]
+        code = cli.main(argv + ["--lambda", "0.4"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("validation error")
+        assert "'q'" in err[0]
+
+    def test_row_with_extra_field_rejected(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        lines = open(path).read().splitlines()
+        lines[10] += ",1.5"
+        extra = tmp_path / "extra.csv"
+        extra.write_text("\n".join(lines) + "\n")
+        argv = ["test", "--data", str(extra), "--y", "y", "--x", "const,q"]
+        code = cli.main(argv + ["--lambda", "0.4"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("validation error")
+        assert "data rows [10]" in err[0]
+
     def test_z_columns_accepted(self, tmp_path):
         rng = RngStream(7, 0)
         t = 80

@@ -11,7 +11,7 @@ from harchow import fixedlimit
 from harchow.bases import fourier_matrix, kernel_matrix
 from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
-    _CHUNK,
+    _BLOCK_NORMALS,
     F_INF,
     F_STAR_INF,
     SCALED_F_INF,
@@ -195,7 +195,9 @@ class TestExactDraw:
         assert _ks_statistic(draws, reference) < bound
 
     def test_redraw_replaces_only_the_flagged_replication(self, monkeypatch):
-        spec = small_spec(replications=3000)
+        # two blocks of 2**16 // ((K + 1) p) replications, the flag in the first
+        spec = small_spec(replications=5000)
+        per_block = _BLOCK_NORMALS // ((spec.k + 1) * spec.p)
         plain_quads, plain_eta0, redraws, _ = _base_draws(spec)
         assert redraws == 0
         flagged = 5
@@ -213,7 +215,7 @@ class TestExactDraw:
         monkeypatch.setattr(fixedlimit, "_quad_forms", flag_once)
         quads, eta0, redraws, _ = _base_draws(spec)
         assert redraws == 1
-        assert calls == [_CHUNK, 1, spec.replications - _CHUNK]
+        assert calls == [per_block, 1, spec.replications - per_block]
         assert np.nonzero(quads != plain_quads)[0].tolist() == [flagged]
         keep = np.arange(spec.replications) != flagged
         assert np.array_equal(quads[keep], plain_quads[keep])
@@ -243,7 +245,8 @@ class TestExactDraw:
         spec = small_spec(replications=5000)
         dist = simulate_limit(spec, SCALED_F_INF)
         assert dist.redraws == 0
-        assert counts["streams"] == math.ceil(spec.replications / _CHUNK)
+        per_block = _BLOCK_NORMALS // ((spec.k + 1) * spec.p)
+        assert counts["streams"] == math.ceil(spec.replications / per_block) == 2
         assert counts["normals"] == spec.replications * (spec.k + 1) * spec.p
 
     def test_singular_row_covariance_falls_back_to_the_grid_root(self):
@@ -260,6 +263,24 @@ class TestExactDraw:
         dist = simulate_limit(spec, F_STAR_INF)
         assert dist.replications == 1000
         assert np.all(np.isfinite(dist.draws))
+
+    def test_large_grid_builds_no_grid_by_grid_array(self):
+        # a grid of 20000: the dense kernel alone would be 3.2 GB
+        import tracemalloc
+
+        spec = LimitSpec(
+            p=2, k=8, lam=0.4, family="fourier-transformed",
+            grid_n=20000, replications=1000, seed=0,
+        )
+        tracemalloc.start()
+        try:
+            dist = simulate_limit(spec, F_STAR_INF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.replications == 1000
+        assert np.all(np.isfinite(dist.draws))
+        assert peak < 64 * 2**20
 
 
 class TestGridProperties:

@@ -1,10 +1,11 @@
-"""Property test: the materialized and the applied kernel Gram agree.
+"""Property tests: the regime-sum kernel Gram is the dense one.
 
-``series_basis`` factors the dense Gram ``Phi' C_T Phi / T^2`` built from the
-``T x T`` kernel; ``series_sums`` factors the ``K x K`` Gram built from the
-regime-one Fourier sums. Over random ``(T, lambda, K)``, including
+``series_basis`` and ``series_sums`` factor the ``K x K`` Gram built from the
+regime-one Fourier sums; the dense Gram ``Phi' C_T Phi / T^2`` of the
+``T x T`` kernel is the reference. Over random ``(T, lambda, K)``, including
 non-integer ``lambda T`` and ``K`` at the cap ``T - 2``, the two Grams agree
-to 1e-12 and keep the same K. Examples are derandomized and no example
+to 1e-12, the basis and the sums keep the same K, and the basis is the
+dense transform's to 1e-9. Examples are derandomized and no example
 database is kept, so the suite is deterministic.
 """
 
@@ -49,3 +50,23 @@ def test_regime_sum_gram_is_the_dense_gram(geometry):
         return
     _, norms = bases.series_sums(series, k, lam, bases.FOURIER_TRANSFORMED)
     assert len(norms) == kept
+
+
+@SETTINGS
+@given(geometry=geometries())
+def test_series_basis_is_the_dense_transform(geometry):
+    t, lam, k = geometry
+    raw = bases.fourier_matrix(t, k, lam)
+    kern = bases.kernel_matrix(t, lam)
+    try:
+        kept = bases.feasible_k(raw, kern)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            bases.series_basis(t, k, lam, bases.FOURIER_TRANSFORMED)
+        return
+    star = bases.series_basis(t, k, lam, bases.FOURIER_TRANSFORMED)
+    dense = bases.gram_transform(bases.fourier_matrix(t, kept, lam), kern)
+    assert star.k == kept
+    assert star.matrix.flags.c_contiguous
+    gap = np.max(np.abs(star.matrix - dense.matrix))
+    assert gap <= 1e-9 * np.max(np.abs(dense.matrix))
