@@ -5,9 +5,9 @@ covariance kernel matrix, the within-regime demeaned ("tilde") transform of
 basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
 respect to the kernel inner product ``a' C_T b / T^2``.
 :func:`series_basis` builds a family's first K vectors for the Monte Carlo
-engine and the limit simulator; :func:`series_sums` gives a single test the
-same vectors' sums against a series without forming any of them. Both factor
-one ``K x K`` kernel Gram, cut to one kernel-feasible K; the dense ``T x T``
+engine; :func:`series_sums` (a single test's sums) and :func:`series_root`
+(the limit simulator's root) need none of them. All three factor one
+``K x K`` kernel Gram, cut to one kernel-feasible K; the dense ``T x T``
 kernel and its Gram are references that no library path builds.
 
 The Gram comes from the regime-one Fourier sums
@@ -19,7 +19,9 @@ indicator. The full-sample sums of the Fourier columns vanish and
 
 with ``P1 = Phi_1' Phi_1`` the regime-one cross products (entries
 ``C(a - b) +- C(a + b)`` and ``S(a + b) - S(a - b)``, C and S the real and
-imaginary parts of E) and ``a = Phi_1' 1`` the regime-one column sums.
+imaginary parts of E) and ``a = Phi_1' 1`` the regime-one column sums. The
+demeaned Gram ``tilde' tilde / T`` weighs ``a a'`` by
+``(1/(w1^2 k*) + 1/(w2^2 (T - k*))) / T`` instead, equal at integer lambda T.
 
 The break splits ``{1, ..., T}`` at ``k* = floor(lambda * T)``: regime one is
 ``t <= k*`` and regime two is ``t > k*``. Every function here uses that same
@@ -242,9 +244,10 @@ def _raw_norms(sums: _RegimeSums) -> np.ndarray:
     return diag_b - sums.c_demeaned * sums.a**2
 
 
-def _kernel_gram(sums: _RegimeSums) -> np.ndarray:
-    """The kernel Gram ``Phi_K' C_T Phi_K / T^2`` of the first K Fourier
-    columns, built from the regime sums alone and exactly symmetric."""
+def _kernel_gram(sums: _RegimeSums, c: float) -> np.ndarray:
+    """``B - c a a'`` for the first K Fourier columns from the regime sums,
+    exactly symmetric: the kernel Gram ``Phi_K' C_T Phi_K / T^2`` at
+    ``sums.c_kernel``, the demeaned Gram at ``sums.c_demeaned``."""
     k, t = len(sums.a), sums.t
     w1, w2 = sums.lam, 1.0 - sums.lam
     top = (k + 1) // 2
@@ -264,7 +267,7 @@ def _kernel_gram(sums: _RegimeSums) -> np.ndarray:
     g = p1[:k, :k]
     g *= (1.0 / w1**2 - 1.0 / w2**2) / t
     g[np.arange(k), np.arange(k)] += 1.0 / w2**2
-    x = np.sqrt(sums.c_kernel) * sums.a
+    x = np.sqrt(c) * sums.a
     for start in range(0, k, 256):  # the rank-one term, a few rows at a time
         g[start : start + 256] -= np.outer(x[start : start + 256], x)
     return g
@@ -298,7 +301,7 @@ def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.n
     regime-sum kernel Gram, and the kept columns' :func:`norm_factor` terms:
     one plus the gap between the demeaned and the kernel Gram along their
     regime-one sums ``y = U^{-T} a``."""
-    u = _kernel_factor(_kernel_gram(sums))
+    u = _kernel_factor(_kernel_gram(sums, sums.c_kernel))
     rhs = np.column_stack([rows[: len(u)], sums.a[: len(u)]])
     solved = solve_triangular(u.T, rhs, lower=True)
     y = solved[:, -1]
@@ -393,6 +396,25 @@ def series_sums(
     if family == FOURIER_RAW:
         return g, _raw_norms(sums)
     return _kernel_solve(sums, g)
+
+
+def series_root(t: int, k: int, lam: float, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lower root ``R`` of the demeaned Gram ``G = tilde' tilde / T`` of a
+    family's kept vectors, and their :func:`norm_factor` terms, the diagonal
+    of ``G``. With ``V'V`` the raw columns' ``G``, ``R`` is ``V'``, or
+    ``U^{-T} V'`` for the transformed vectors ``Phi U^{-1}`` (``U'U`` the
+    kernel Gram). ``V`` and ``U`` are cut by one trim rule; ``len(R)`` is
+    the count both keep. Raises ``NotPositiveDefinite`` if none passes."""
+    _check_dimensions(t, k)
+    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
+        raise ValueError(f"unknown basis family {family!r}")
+    sums = _regime_sums(t, k, lam)
+    root = _kernel_factor(_kernel_gram(sums, sums.c_demeaned)).T
+    if family == FOURIER_TRANSFORMED:
+        u = _kernel_factor(_kernel_gram(sums, sums.c_kernel))
+        kept = min(len(u), len(root))
+        root = solve_triangular(u[:kept, :kept].T, root[:kept, :kept], lower=True)
+    return root, np.einsum("ij,ij->i", root, root)
 
 
 def feasible_k(raw: BasisSet, kern: KernelMatrix) -> int:

@@ -32,9 +32,9 @@ def _cache_dir(args) -> str | None:
 
 def _read_csv_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
     """The named columns of a CSV file with a header row, as float arrays.
-    Each must be named once in the header, and every row must have the
-    header's field count; blank lines are skipped."""
-    with open(path, newline="") as fh:
+    Each must be named once in the header, every row must have its field
+    count; blank lines and a UTF-8 byte order mark are skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: missing header row")

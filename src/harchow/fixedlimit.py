@@ -18,16 +18,18 @@ variant).
 Exact draw. ``eta`` is matrix normal with row covariance ``M = W'W`` and
 independent columns, so it is drawn as ``eta = R Z`` with ``R R' = M`` and
 ``Z`` a standard normal matrix: ``(K+1) p`` normals per replication instead
-of ``n p``, with the same law as the grid sum. ``R`` is the Cholesky factor
-of ``M``, built once per spec. When ``M`` is not positive definite (the raw
-family at ``K = n - 2`` with even ``n``, where the Nyquist sine vanishes on
-the grid) the root is ``W'`` itself and ``Z`` is ``n x p``: the grid sum.
-Only the root differs; there is one sampling path. For the transformed
-family at integer ``lam n``, ``M`` is ``diag(M_00, c I_K)`` up to rounding,
-so the scaled draws follow ``F(p, K - p + 1)`` exactly on any grid.
+of ``n p``, with the same law as the grid sum. ``phi0`` is constant and
+each ``tphi_j`` sums to zero within a regime, so ``M = diag(M_00, G)`` with
+``M_00 = (k*/lam^2 + (n - k*)/(1 - lam)^2) / n`` and ``G`` the demeaned
+Gram, and ``R = diag(sqrt(M_00), R_G)`` with ``R_G`` from
+:func:`harchow.bases.series_root`: no grid is built. All K vectors must
+pass that root's pivots, else the simulation raises ``NotPositiveDefinite``
+(both families at ``K = n - 2`` with even ``n`` and ``k*``, where ``G`` is
+singular). For the transformed family at integer ``lam n``, ``G`` is
+``I_K`` up to rounding, so the scaled draws are ``F(p, K - p + 1)``.
 
 Streams. Replications come in blocks of ``max(1, 2**16 // (m p))``
-consecutive ones (``m`` the root's column count), so a block draws about
+consecutive ones (``m = K + 1``, the root's size), so a block draws about
 ``_BLOCK_NORMALS = 2**16`` normals (0.5 MB) whatever K and p are. Block
 ``b`` draws the ``Z`` of all its replications from one call to
 ``RngStream(seed, b).normals``: its ``j``-th replication takes the ``j``-th
@@ -54,17 +56,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bases import (
-    FOURIER_RAW,
-    FOURIER_TRANSFORMED,
-    BasisSet,
-    break_index,
-    norm_factor,
-    phi_tilde_matrix,
-    series_basis,
-)
+from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, break_index, series_root
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
-from .numkit import RngStream, cholesky, solve_triangular
+from .numkit import RngStream, solve_triangular
 from .numkit.linalg import _PIVOT_RTOL, _pivot_factor
 
 F_INF = "F_inf"
@@ -73,7 +67,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 4
+FILE_VERSION = 5
 _BLOCK_NORMALS = 2**16
 
 logger = logging.getLogger(__name__)
@@ -124,30 +118,6 @@ class SimulatedDistribution:
         return len(self.draws)
 
 
-def _basis(spec: LimitSpec) -> BasisSet:
-    """The spec's basis on the grid, every one of its K vectors kept."""
-    basis = series_basis(spec.grid_n, spec.k, spec.lam, spec.family)
-    if basis.k < spec.k:
-        raise NotPositiveDefinite(
-            f"only {basis.k} of K={spec.k} basis vectors are kernel-feasible "
-            f"on a grid of {spec.grid_n}"
-        )
-    return basis
-
-
-def _grids(
-    spec: LimitSpec, basis: BasisSet | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Demeaned basis grid (n x K) and the regime-contrast grid (n,)."""
-    n = spec.grid_n
-    tilde = phi_tilde_matrix((basis or _basis(spec)).matrix, spec.lam, n)
-    k_star = break_index(spec.lam, n)
-    phi0 = np.empty(n)
-    phi0[:k_star] = 1.0 / spec.lam
-    phi0[k_star:] = -1.0 / (1.0 - spec.lam)
-    return tilde, phi0
-
-
 def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     """Quadratic forms ``eta0' W^{-1} eta0`` per replication and a singular
     mask, with ``W = K^{-1} sum_j eta_j eta_j'``.
@@ -166,31 +136,30 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     return (y * y).sum(axis=1), bad
 
 
-def _weights(spec: LimitSpec) -> tuple[np.ndarray, float]:
-    """Grid weights ``W = [phi0, tilde] / sqrt(n)`` (n x (K+1)) and the
-    basis's :func:`norm_factor`, the mean squared demeaned basis value."""
-    basis = _basis(spec)
-    tilde, phi0 = _grids(spec, basis)
-    weights = np.column_stack([phi0, tilde]) / np.sqrt(spec.grid_n)
-    return weights, norm_factor(basis)
-
-
-def _root(weights: np.ndarray) -> np.ndarray:
-    """A root ``R`` with ``R R' = W'W``: the Cholesky factor when ``W'W`` is
-    positive definite, else ``W'`` itself."""
-    try:
-        return cholesky(weights.T @ weights).T
-    except NotPositiveDefinite:
-        return weights.T
+def _root(spec: LimitSpec) -> tuple[np.ndarray, float]:
+    """Lower root ``diag(sqrt(M_00), R_G)`` of the row covariance of
+    ``eta`` and the basis's norm factor, the mean of ``G``'s diagonal;
+    raises ``NotPositiveDefinite`` unless all K vectors pass ``R_G``."""
+    n, lam = spec.grid_n, spec.lam
+    gram_root, norms = series_root(n, spec.k, lam, spec.family)
+    if len(norms) < spec.k:
+        raise NotPositiveDefinite(
+            f"only {len(norms)} of K={spec.k} basis vectors pass the Gram's "
+            f"pivots on a grid of {n}"
+        )
+    k_star = break_index(lam, n)
+    root = np.zeros((spec.k + 1, spec.k + 1))
+    root[0, 0] = np.sqrt((k_star / lam**2 + (n - k_star) / (1.0 - lam) ** 2) / n)
+    root[1:, 1:] = gram_root
+    return root, float(norms.mean())
 
 
 def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Per-replication ``(B, eta0)`` pairs plus redraw count and the
     basis's norm factor."""
-    weights, mean_sq = _weights(spec)
-    root = _root(weights)  # (K+1) x m
-    m = root.shape[1]
+    root, mean_sq = _root(spec)
     p, k, reps = spec.p, spec.k, spec.replications
+    m = k + 1
     lam_scale = np.sqrt(spec.lam * (1.0 - spec.lam))
     quads = np.empty(reps)
     eta0_all = np.empty((reps, p))
@@ -198,8 +167,8 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
 
     def forms(z: np.ndarray):
         # z holds one m x p matrix per replication; eta = R Z is
-        # (K+1) x count x p, from one matrix product for the whole batch
-        eta = (root @ z.transpose(1, 0, 2).reshape(m, -1)).reshape(k + 1, -1, p)
+        # m x count x p, from one matrix product for the whole batch
+        eta = (root @ z.transpose(1, 0, 2).reshape(m, -1)).reshape(m, -1, p)
         eta0 = lam_scale * eta[0]
         return (eta0, *_quad_forms(eta0, eta[1:], k))
 
@@ -306,6 +275,8 @@ def load_distribution(path: str) -> SimulatedDistribution:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"malformed header in cache file {path}: not an object")
     if header.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported cache version in {path}")
     try:

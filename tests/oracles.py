@@ -8,6 +8,8 @@ quantiles invert the quadrature CDF by bisection. The matrix oracles write
 a quantity out in its textbook form, however wasteful. ``dense_report``
 replays the dense path ``run_test`` took before it worked from FFT sums: the
 ``T x T`` kernel, the dense Gram and the ``T x K`` basis ``Phi U^{-1}``.
+``grid_weights`` replays the grid the limit simulator drew from before it
+worked from the regime sums.
 """
 
 import math
@@ -106,6 +108,21 @@ def pivot_factor_unblocked(s, rtol):
         u[j, j] = math.sqrt(pivot)
         u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / u[j, j]
     return u, n
+
+
+def grid_weights(spec):
+    """The limit simulator's grid for a ``LimitSpec``: the regime contrast
+    ``phi0`` (n,), the demeaned basis ``tilde`` (n x K) and the weights
+    ``W = [phi0, tilde] / sqrt(n)``, whose ``W'W`` is the row covariance of
+    ``eta``. The basis is ``series_basis``'s, every one of its K vectors
+    kept."""
+    n, lam = spec.grid_n, spec.lam
+    basis = bases.series_basis(n, spec.k, lam, spec.family)
+    assert basis.k == spec.k
+    tilde = bases.phi_tilde_matrix(basis.matrix, lam, n)
+    k_star = bases.break_index(lam, n)
+    phi0 = np.where(np.arange(n) < k_star, 1.0 / lam, -1.0 / (1.0 - lam))
+    return phi0, tilde, np.column_stack([phi0, tilde]) / math.sqrt(n)
 
 
 def commutation_matrix(p):

@@ -304,7 +304,8 @@ class TestRegimeSumsGram:
         kern = kernel_matrix(t, lam)
         for k in sorted({1, 2, 7, t // 2, t - 3, t - 2}):
             dense = gram_matrix(fourier_matrix(t, k, lam), kern)
-            gram = bases._kernel_gram(bases._regime_sums(t, k, lam))
+            sums = bases._regime_sums(t, k, lam)
+            gram = bases._kernel_gram(sums, sums.c_kernel)
             assert np.array_equal(gram, gram.T)
             assert _rel_gap(gram, dense) <= 1e-12, k
 
@@ -332,7 +333,8 @@ class TestRegimeSumsGram:
 
     def test_blocked_pivot_loop_matches_unblocked(self):
         # the one pivot loop, blocked in 64 rows, agrees with a plain row loop
-        gram = bases._kernel_gram(bases._regime_sums(300, 298, 0.4))
+        sums = bases._regime_sums(300, 298, 0.4)
+        gram = bases._kernel_gram(sums, sums.c_kernel)
         u, rank = _pivot_factor(gram, 1e-8)
         u_plain, rank_plain = pivot_factor_unblocked(gram, 1e-8)
         assert rank == rank_plain == 297

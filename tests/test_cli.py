@@ -136,6 +136,21 @@ class TestCmdTest:
         assert len(err) == 1 and err[0].startswith("validation error")
         assert "data rows [10]" in err[0]
 
+    def test_byte_order_mark_is_dropped(self, data_csv, tmp_path, capsys):
+        # a spreadsheet's UTF-8 export starts with a BOM; the report is the
+        # plain file's, byte for byte
+        path, _, _ = data_csv
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        reports = []
+        for data in (path, str(bom)):
+            argv = ["test", "--data", data, "--y", "y", "--x", "const,q"]
+            assert cli.main(argv + ["--lambda", "0.4", "--json", "-"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["config"].pop("data") == str(bom)
+        reports[0]["config"].pop("data")
+        assert reports[0] == reports[1]
+
     def test_z_columns_accepted(self, tmp_path):
         rng = RngStream(7, 0)
         t = 80

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from harchow import fixedlimit
-from harchow.bases import fourier_matrix, kernel_matrix
+from harchow.bases import break_index, fourier_matrix, kernel_matrix
 from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
     _BLOCK_NORMALS,
@@ -21,10 +21,8 @@ from harchow.fixedlimit import (
     SimulatedDistribution,
     _base_draws,
     _cache_filename,
-    _grids,
     _quad_forms,
     _root,
-    _weights,
     critical_value,
     empirical_p,
     export_csv,
@@ -32,8 +30,8 @@ from harchow.fixedlimit import (
     save_distribution,
     simulate_limit,
 )
-from harchow.numkit import RngStream, chi_square, cholesky, dist_quantile, fisher_f
-from oracles import kernel_inner
+from harchow.numkit import RngStream, chi_square, dist_quantile, fisher_f
+from oracles import grid_weights, kernel_inner
 
 
 def small_spec(**kwargs):
@@ -128,7 +126,7 @@ def _grid_sum_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Reference law: replication i draws its n x p grid increments e from
     substream i and forms eta = W'e, the grid sum the exact draw replaces.
     Returns the quadratic forms and the scaled eta_0 rows."""
-    weights, _ = _weights(spec)
+    _, _, weights = grid_weights(spec)
     n, p, reps = spec.grid_n, spec.p, spec.replications
     block = np.empty((n, reps * p))
     for rep in range(reps):
@@ -157,22 +155,26 @@ class TestExactDraw:
         # the paper's proposition on the grid: eta_0 is independent of the
         # eta_j, which are iid, so the scaled draws are F(p, K - p + 1)
         spec = LimitSpec(p=1, k=k, lam=0.4, family="fourier-transformed", grid_n=n)
-        weights, _ = _weights(spec)
+        _, _, weights = grid_weights(spec)
         m = weights.T @ weights
         c = m[1, 1]
         assert np.max(np.abs(m[0, 1:])) / np.sqrt(m[0, 0] * c) < 1e-12
         assert np.max(np.abs(m[1:, 1:] / c - np.eye(k))) < 1e-12
 
-    @pytest.mark.parametrize(
-        "family, n, k",
-        [("fourier-raw", 200, 8), ("fourier-transformed", 200, 8), ("fourier-raw", 100, 98)],
-    )
-    def test_root_reproduces_the_row_covariance(self, family, n, k):
-        # the last case is singular and takes the W' root
-        weights, _ = _weights(LimitSpec(p=1, k=k, lam=0.4, family=family, grid_n=n))
-        root = _root(weights)
+    @pytest.mark.parametrize("family, n, k, lam", [
+        pytest.param(family, n, k, lam, id=f"{family}-{n}-{k}")
+        for n, k, lam in [(200, 8, 0.4), (1000, 32, 0.37), (1001, 100, 0.7)]
+        for family in ("fourier-raw", "fourier-transformed")
+    ])
+    def test_root_reproduces_the_row_covariance(self, family, n, k, lam):
+        # the root comes from the regime sums; the grid's W'W is the oracle,
+        # lambda n non-integer at the last two points
+        spec = LimitSpec(p=1, k=k, lam=lam, family=family, grid_n=n)
+        _, _, weights = grid_weights(spec)
+        root, mean_sq = _root(spec)
         m = weights.T @ weights
         assert np.max(np.abs(root @ root.T - m)) < 1e-12 * np.max(np.diag(m))
+        assert mean_sq == pytest.approx(np.diag(m)[1:].mean(), rel=1e-12)
 
     @pytest.mark.parametrize("family", ["fourier-raw", "fourier-transformed"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -186,7 +188,7 @@ class TestExactDraw:
             grid_n=200, replications=reps, seed=5,
         )
         quad, eta0 = _grid_sum_draws(dataclass_replace(spec, seed=6))
-        _, mean_sq = _weights(spec)
+        mean_sq = (grid_weights(spec)[1] ** 2).mean()
         if p == 1:
             kind, reference = T_STAR_INF, np.sign(eta0[:, 0]) * np.sqrt(quad * mean_sq)
         else:
@@ -221,9 +223,9 @@ class TestExactDraw:
         assert np.array_equal(quads[keep], plain_quads[keep])
         assert np.array_equal(eta0[keep], plain_eta0[keep])
         # the redraw comes from the replication's own substream reps + i
-        root = _root(_weights(spec)[0])
+        root, _ = _root(spec)
         stream = RngStream(spec.seed, stream=spec.replications + flagged)
-        z = stream.normals(root.shape[1] * spec.p).reshape(-1, spec.p)
+        z = stream.normals((spec.k + 1) * spec.p).reshape(-1, spec.p)
         eta = (root @ z).reshape(spec.k + 1, 1, spec.p)
         expected, _ = original(np.sqrt(spec.lam * (1 - spec.lam)) * eta[0], eta[1:], spec.k)
         assert quads[flagged] == expected[0]
@@ -249,44 +251,48 @@ class TestExactDraw:
         assert counts["streams"] == math.ceil(spec.replications / per_block) == 2
         assert counts["normals"] == spec.replications * (spec.k + 1) * spec.p
 
-    def test_singular_row_covariance_falls_back_to_the_grid_root(self):
-        # at even n the raw family's Nyquist sine (K = n - 2) vanishes on
-        # the grid, so W'W is singular and the root is W' itself
-        spec = LimitSpec(
-            p=1, k=98, lam=0.4, family="fourier-raw",
-            grid_n=100, replications=1000, seed=0,
-        )
-        weights, _ = _weights(spec)
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(weights.T @ weights)
-        assert np.array_equal(_root(weights), weights.T)
-        dist = simulate_limit(spec, F_STAR_INF)
-        assert dist.replications == 1000
-        assert np.all(np.isfinite(dist.draws))
+    def test_both_families_raise_on_the_singular_corner(self):
+        # at K = n - 2 with even n and even k*, a combination of the K
+        # vectors is constant within both regimes, so the demeaned Gram is
+        # singular; one vector fewer always passes
+        for n in (100, 101, 200):
+            for lam in (0.4, 0.405, 0.37, 0.25):
+                corner = n % 2 == 0 and break_index(lam, n) % 2 == 0
+                for family in ("fourier-raw", "fourier-transformed"):
+                    spec = LimitSpec(p=1, k=n - 2, lam=lam, family=family, grid_n=n)
+                    if corner:
+                        with pytest.raises(NotPositiveDefinite):
+                            _root(spec)
+                    else:
+                        assert _root(spec)[0].shape == (n - 1, n - 1)
+                    smaller = dataclass_replace(spec, k=n - 3)
+                    assert _root(smaller)[0].shape == (n - 2, n - 2)
 
     def test_large_grid_builds_no_grid_by_grid_array(self):
-        # a grid of 20000: the dense kernel alone would be 3.2 GB
+        # at a grid of 20000 the dense kernel alone would be 3.2 GB; at
+        # 200000 an n x (K+1) grid of weights would be 14 MB
         import tracemalloc
 
-        spec = LimitSpec(
-            p=2, k=8, lam=0.4, family="fourier-transformed",
-            grid_n=20000, replications=1000, seed=0,
-        )
-        tracemalloc.start()
-        try:
-            dist = simulate_limit(spec, F_STAR_INF)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dist.replications == 1000
-        assert np.all(np.isfinite(dist.draws))
-        assert peak < 64 * 2**20
+        for grid_n in (20000, 200000):
+            spec = LimitSpec(
+                p=2, k=8, lam=0.4, family="fourier-transformed",
+                grid_n=grid_n, replications=1000, seed=0,
+            )
+            tracemalloc.start()
+            try:
+                dist = simulate_limit(spec, F_STAR_INF)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dist.replications == 1000
+            assert np.all(np.isfinite(dist.draws))
+            assert peak < 16 * 2**20, grid_n
 
 
 class TestGridProperties:
     def test_eta0_grid_exactly_orthogonal_to_demeaned_columns(self):
         spec = small_spec(grid_n=500)
-        tilde, phi0 = _grids(spec)
+        phi0, tilde, _ = grid_weights(spec)
         assert np.max(np.abs(phi0 @ tilde)) < 1e-9 * spec.grid_n
 
     def test_eta_covariances_match_kernel_inner(self):
@@ -300,7 +306,7 @@ class TestGridProperties:
                 p=1, k=k, lam=lam, family=family,
                 grid_n=n, replications=2000, seed=0,
             )
-            tilde, phi0 = _grids(spec)
+            phi0, tilde, _ = grid_weights(spec)
             rng = RngStream(77, 0)
             draws = rng.normals(reps * n).reshape(reps, n)
             etas = draws @ tilde / np.sqrt(n)  # reps x k
@@ -366,7 +372,7 @@ class TestGridProperties:
     def test_infeasible_transformed_k_raises(self):
         # the grid of 100 points only carries 97 kernel-feasible columns
         with pytest.raises(NotPositiveDefinite):
-            _grids(small_spec(p=1, k=98, grid_n=100))
+            _root(small_spec(p=1, k=98, grid_n=100))
 
 
 class TestQuantilesAndPValues:
@@ -414,7 +420,9 @@ class TestCache:
         d2 = cache2.get(spec, SCALED_F_INF)
         assert np.array_equal(d1.draws, d2.draws)
 
-    @pytest.mark.parametrize("damage", ["payload", "header", "version", "field"])
+    @pytest.mark.parametrize(
+        "damage", ["payload", "header", "version", "field", "not-an-object"]
+    )
     def test_damaged_file_is_resimulated(self, tmp_path, caplog, damage):
         spec = small_spec()
         CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
@@ -426,6 +434,8 @@ class TestCache:
             damaged = header + b"\n" + payload[: len(payload) // 2]
         elif damage == "header":
             damaged = header[: len(header) // 2]
+        elif damage == "not-an-object":
+            damaged = b"[1, 2]\n" + payload
         else:
             fields = json.loads(header)
             if damage == "version":

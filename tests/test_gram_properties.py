@@ -5,8 +5,9 @@ regime-one Fourier sums; the dense Gram ``Phi' C_T Phi / T^2`` of the
 ``T x T`` kernel is the reference. Over random ``(T, lambda, K)``, including
 non-integer ``lambda T`` and ``K`` at the cap ``T - 2``, the two Grams agree
 to 1e-12, the basis and the sums keep the same K, and the basis is the
-dense transform's to 1e-9. Examples are derandomized and no example
-database is kept, so the suite is deterministic.
+dense transform's to 1e-9. The limit simulator's root, ``series_root``,
+reproduces the dense demeaned Gram to 1e-12. Examples are derandomized and
+no example database is kept, so the suite is deterministic.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from harchow import bases  # noqa: E402
 from harchow.errors import NotPositiveDefinite  # noqa: E402
+from oracles import pivot_factor_unblocked  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -39,7 +41,8 @@ def test_regime_sum_gram_is_the_dense_gram(geometry):
     t, lam, k = geometry
     raw = bases.fourier_matrix(t, k, lam)
     dense = bases.gram_matrix(raw, bases.kernel_matrix(t, lam))
-    gram = bases._kernel_gram(bases._regime_sums(t, k, lam))
+    sums = bases._regime_sums(t, k, lam)
+    gram = bases._kernel_gram(sums, sums.c_kernel)
     assert np.max(np.abs(gram - dense)) <= 1e-12 * np.max(np.abs(dense))
     series = np.ones((t, 1))
     try:
@@ -70,3 +73,34 @@ def test_series_basis_is_the_dense_transform(geometry):
     assert star.matrix.flags.c_contiguous
     gap = np.max(np.abs(star.matrix - dense.matrix))
     assert gap <= 1e-9 * np.max(np.abs(dense.matrix))
+
+
+@SETTINGS
+@given(geometry=geometries())
+def test_series_root_is_the_dense_demeaned_gram(geometry):
+    # the root keeps the vectors that the trim rule keeps on the dense Gram
+    # of the family's vectors, and R R' is that Gram; it is compared in the
+    # raw columns' coordinates, where for the transformed vectors Phi U^{-1}
+    # (U'U the kernel Gram) U' R R' U is the raw demeaned Gram
+    t, lam, k = geometry
+    tilde = bases.phi_tilde_matrix(bases.fourier_matrix(t, k, lam).matrix, lam, t)
+    dense = tilde.T @ tilde / t
+    sums = bases._regime_sums(t, k, lam)
+    for family in (bases.FOURIER_RAW, bases.FOURIER_TRANSFORMED):
+        try:
+            basis = bases.series_basis(t, k, lam, family)
+        except NotPositiveDefinite:
+            with pytest.raises(NotPositiveDefinite):
+                bases.series_root(t, k, lam, family)
+            continue
+        tilde_v = bases.phi_tilde_matrix(basis.matrix, lam, t)
+        kept = pivot_factor_unblocked(tilde_v.T @ tilde_v / t, 1e-8)[1]
+        root, norms = bases.series_root(t, k, lam, family)
+        assert len(norms) == len(root) == kept
+        u = np.eye(kept)
+        if family == bases.FOURIER_TRANSFORMED:
+            u = bases._kernel_factor(bases._kernel_gram(sums, sums.c_kernel))
+            u = u[:kept, :kept]
+        gap = u.T @ root @ root.T @ u - dense[:kept, :kept]
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.allclose(norms, basis.norms[:kept], rtol=0, atol=1e-9)
