@@ -163,12 +163,13 @@ class TestExactDraw:
 
     @pytest.mark.parametrize("family, n, k, lam", [
         pytest.param(family, n, k, lam, id=f"{family}-{n}-{k}")
-        for n, k, lam in [(200, 8, 0.4), (1000, 32, 0.37), (1001, 100, 0.7)]
+        for n, k, lam in [(200, 8, 0.4), (1000, 32, 0.37), (1001, 100, 0.7), (100, 98, 0.41)]
         for family in ("fourier-raw", "fourier-transformed")
     ])
     def test_root_reproduces_the_row_covariance(self, family, n, k, lam):
         # the root comes from the regime sums; the grid's W'W is the oracle,
-        # lambda n non-integer at the last two points
+        # lambda n non-integer at the middle two points; the last is K = n - 2
+        # at even n with odd k* = 41, one step off the singular corner
         spec = LimitSpec(p=1, k=k, lam=lam, family=family, grid_n=n)
         _, _, weights = grid_weights(spec)
         root, mean_sq = _root(spec)
