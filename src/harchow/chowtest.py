@@ -246,9 +246,7 @@ class Reference:
 
     def p_value(self, x: Values) -> Values:
         """Upper-tail probability of ``x``, computed directly rather than as
-        one minus the CDF; elementwise on arrays."""
-        if np.ndim(x):
-            return np.vectorize(self.p_value, otypes=[float])(x)
+        one minus the CDF; elementwise on arrays, in one pass."""
         if self.two_sided:
             x = abs(x)
         if isinstance(self.law, fixedlimit.SimulatedDistribution):
@@ -263,20 +261,29 @@ class Reference:
 
 
 def reference(
-    spec: TestVariant, p: int, k: int, lam: float, alpha: float,
+    spec: TestVariant, p: int, k: int | np.ndarray, lam: float, alpha: float,
     cv_seed: int = 0, cv_replications: int = 10_000, cv_grid: int = 1000,
     cache: fixedlimit.CriticalValueCache | None = None,
 ) -> Reference:
     """Reference law of a variant for ``p`` restrictions and ``K`` vectors;
-    simulated laws come from ``cache`` (default: the process-wide cache)."""
+    simulated laws come from ``cache`` (default: the process-wide cache).
+
+    An analytic law also takes an array of K, one per decision statistic,
+    and then decides each statistic against the law of its own K.
+    """
+    per_k = np.ndim(k) > 0
     if spec.reference == "chi-square":
         return Reference(f"chi-square({p})", chi_square(p), alpha)
     if spec.reference == "fisher-f":
-        return Reference(f"F({p}, {k - p + 1})", fisher_f(p, k - p + 1), alpha)
+        df2 = f"K - {p - 1}" if per_k else k - p + 1
+        return Reference(f"F({p}, {df2})", fisher_f(p, k - p + 1), alpha)
     if spec.reference == "normal":
         return Reference("normal", normal(), alpha, two_sided=True)
     if spec.reference == "student-t":
-        return Reference(f"t({k})", student_t(k), alpha, two_sided=True)
+        df = "K" if per_k else k
+        return Reference(f"t({df})", student_t(k), alpha, two_sided=True)
+    if per_k:
+        raise ValueError("a simulated reference takes one K")
     cache = cache if cache is not None else fixedlimit.shared_cache
     limit = fixedlimit.LimitSpec(
         p=p, k=k, lam=lam, family=spec.basis_family, grid_n=cv_grid,

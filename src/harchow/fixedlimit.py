@@ -239,11 +239,15 @@ def critical_value(dist: SimulatedDistribution, alpha: float) -> float:
     return upper_quantile(dist.draws, alpha)
 
 
-def empirical_p(dist: SimulatedDistribution, x: float) -> float:
-    """Tail frequency ``(#{draws >= x} + 1) / (reps + 1)``; never exactly 0."""
+def empirical_p(
+    dist: SimulatedDistribution, x: float | np.ndarray
+) -> float | np.ndarray:
+    """Tail frequency ``(#{draws >= x} + 1) / (reps + 1)``; never exactly 0,
+    and NaN at NaN. An array ``x`` takes one search over the sorted draws."""
     n = len(dist.draws)
-    count = n - int(np.searchsorted(dist.draws, x, side="left"))
-    return (count + 1) / (n + 1)
+    p = (n - np.searchsorted(dist.draws, x, side="left") + 1) / (n + 1)
+    p = np.where(np.isnan(x), np.nan, p)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def _cache_filename(spec: LimitSpec, kind: str) -> str:

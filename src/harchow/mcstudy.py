@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -156,13 +156,23 @@ def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
     return y[0], x[0]
 
 
+@lru_cache(maxsize=1)
 def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
     """Each family's basis at K = T - 2, shared by every replication of a
-    cell; the transformed basis keeps its kernel-feasible columns only."""
-    return {
+    cell; the transformed basis keeps its kernel-feasible columns only.
+
+    The last ``(t, lam)`` is memoized, so consecutive cells of one design
+    build their bases once; the arrays are read-only, as every caller
+    shares them.
+    """
+    bases = {
         family: series_basis(t, t - 2, lam, family)
         for family in (FOURIER_RAW, FOURIER_TRANSFORMED)
     }
+    for basis in bases.values():
+        basis.matrix.flags.writeable = False
+        basis.norms.flags.writeable = False
+    return bases
 
 
 class CellStats(NamedTuple):
@@ -313,8 +323,14 @@ def _rejections(
     lam: float, index: tuple, references,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(reject, K used) of one variant at ``index``, deciding each
-    replication against ``references(variant, p, K, lam)`` of its own K."""
+    replication against ``references(variant, p, K, lam)`` of its own K.
+
+    An analytic law decides every replication in one call, given the array
+    of K; a simulated law is looked up once per distinct K.
+    """
     values, k_used = _decision_values(variant, stats, bases, lam, index)
+    if variant.reference != "nonstandard":
+        return references(variant, 2, k_used, lam).decide(values)[1], k_used
     reject = np.zeros(len(values), dtype=bool)
     for k in np.unique(k_used).tolist():
         sel = k_used == k

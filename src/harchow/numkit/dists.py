@@ -3,7 +3,9 @@
 CDFs and upper tails are assembled from the incomplete gamma/beta functions
 in :mod:`harchow.numkit.special`; an upper tail is computed directly, not as
 ``1 - cdf``, so it keeps its relative accuracy far out where the CDF rounds
-to 1. Quantiles invert the CDF with a bracketed
+to 1. ``dist_sf`` also takes an array of points and a law whose degrees of
+freedom are arrays, broadcast elementwise, each entry bitwise the scalar
+tail. Quantiles invert the CDF with a bracketed
 Newton iteration that falls back to bisection whenever a step leaves the
 bracket, so they inherit the CDF's accuracy (about 1e-14, comfortably within
 the 1e-8 quantile contract).
@@ -14,8 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .special import (
-    erfc, log_gamma, regularized_beta, regularized_gamma_p, regularized_gamma_q,
+    _scalar, erfc, log_gamma, regularized_beta, regularized_gamma_p,
+    regularized_gamma_q,
 )
 
 _FAMILIES = ("normal", "chi-square", "student-t", "fisher-f")
@@ -23,7 +28,9 @@ _FAMILIES = ("normal", "chi-square", "student-t", "fisher-f")
 
 @dataclass(frozen=True)
 class DistFamily:
-    """A reference distribution: family name plus degrees of freedom."""
+    """A reference distribution: family name plus degrees of freedom, each a
+    positive finite number or an array of them (one law per entry, for
+    :func:`dist_sf`; such a law neither hashes nor compares with ``==``)."""
 
     family: str
     df1: float | None = None
@@ -40,8 +47,15 @@ class DistFamily:
             raise ValueError(
                 f"{self.family} takes {needed} degrees-of-freedom parameters"
             )
-        if any(d <= 0 for d in given):
-            raise ValueError("degrees of freedom must be positive")
+        for d in given:
+            if _scalar(d):
+                ok = 0 < d < math.inf
+            else:
+                ok = np.all((np.asarray(d) > 0) & (np.asarray(d) < math.inf))
+            if not ok:
+                raise ValueError(
+                    f"degrees of freedom must be positive and finite, got {d}"
+                )
 
 
 def normal() -> DistFamily:
@@ -75,11 +89,16 @@ def dist_cdf(d: DistFamily, x: float) -> float:
     if x <= 0.0:
         return 0.0
     d1, d2 = d.df1, d.df2
+    if d1 * x + d2 == math.inf:
+        return 1.0
     return regularized_beta(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
 
 
-def dist_sf(d: DistFamily, x: float) -> float:
-    """Upper tail ``P(X > x)`` of ``d``, evaluated directly."""
+def dist_sf(d: DistFamily, x: float | np.ndarray) -> float | np.ndarray:
+    """Upper tail ``P(X > x)`` of ``d``, evaluated directly; elementwise
+    over an array ``x`` and array degrees of freedom."""
+    if not _scalar(x, d.df1, d.df2):
+        return _sf_each(d, np.asarray(x, dtype=float))
     x = float(x)
     if d.family == "normal":
         return 0.5 * erfc(x / math.sqrt(2.0))
@@ -98,6 +117,26 @@ def dist_sf(d: DistFamily, x: float) -> float:
         return 1.0
     d1, d2 = d.df1, d.df2
     return regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
+
+
+@np.errstate(over="ignore")  # x * x overflows to inf, as in float arithmetic
+def _sf_each(d: DistFamily, x: np.ndarray) -> np.ndarray:
+    # dist_sf's branches as masks; points off a branch's domain get a
+    # harmless stand-in and are overwritten
+    if d.family == "normal":
+        return 0.5 * erfc(x / math.sqrt(2.0))
+    if d.family == "student-t":
+        nu = d.df1
+        tail = 0.5 * regularized_beta(nu / 2.0, 0.5, nu / (nu + x * x))
+        return np.where(x == 0.0, 0.5, np.where(x > 0.0, tail, 1.0 - tail))
+    nonpositive = x <= 0.0
+    x = np.where(nonpositive, 1.0, x)
+    if d.family == "chi-square":
+        tail = regularized_gamma_q(d.df1 / 2.0, x / 2.0)
+    else:
+        d1, d2 = d.df1, d.df2
+        tail = regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
+    return np.where(nonpositive, 1.0, tail)
 
 
 def dist_pdf(d: DistFamily, x: float) -> float:

@@ -270,6 +270,22 @@ class TestStatisticCore:
         assert ref.p_value(ref.critical_value * 1.001) < 0.05
         assert ref.p_value(ref.critical_value * 0.999) > 0.05
 
+    @pytest.mark.parametrize("name", ["f-transformed", "t-transformed"])
+    def test_per_replication_k_decides_against_each_own_law(self, name):
+        spec = VARIANTS[name]
+        p = 1 if spec.statistic == "t" else 2
+        ks = np.array([3, 8, 8, 40, 97])
+        xs = np.array([0.5, 2.5, 9.0, -3.0, 4.0])
+        p_values, reject = reference(spec, p, ks, 0.4, 0.05).decide(xs)
+        for k, x, p_value, rej in zip(ks.tolist(), xs, p_values, reject):
+            one = reference(spec, p, k, 0.4, 0.05)
+            assert one.p_value(float(x)) == p_value  # bitwise
+            assert rej == one.decide(float(x))[1]
+
+    def test_per_replication_k_needs_an_analytic_law(self):
+        with pytest.raises(ValueError, match="one K"):
+            reference(VARIANTS["nonstandard-fourier"], 2, np.array([4, 8]), 0.4, 0.05)
+
     def test_far_tail_p_values_stay_positive(self):
         # upper tails computed directly, where 1 - cdf rounds to 0
         chisq = reference(VARIANTS["chisq-fourier"], 2, 8, 0.4, 0.05)

@@ -388,6 +388,24 @@ class TestQuantilesAndPValues:
         assert empirical_p(dist, -1.0) == 1.0
         assert empirical_p(dist, 2.0) == pytest.approx(1 / 1001)
 
+    def test_array_p_values_are_the_scalar_ones(self):
+        draws = np.sort(np.linspace(0.0, 1.0, 1000))
+        dist = SimulatedDistribution(small_spec(), F_INF, draws)
+        xs = np.array([[-1.0, 0.0, 0.25], [0.5, 0.9995, 2.0]])
+        p = empirical_p(dist, xs)
+        assert p.shape == xs.shape
+        assert p.ravel().tolist() == [empirical_p(dist, float(x)) for x in xs.ravel()]
+        assert type(empirical_p(dist, 0.5)) is float
+
+    def test_nan_is_not_a_far_tail(self):
+        # searchsorted puts NaN after every draw; its p-value is NaN, not
+        # the smallest one, so a NaN statistic is never rejected
+        dist = SimulatedDistribution(small_spec(), F_INF, np.sort(np.arange(1000.0)))
+        assert math.isnan(empirical_p(dist, math.nan))
+        assert np.isnan(empirical_p(dist, np.array([math.nan, 1.0]))).tolist() == [
+            True, False,
+        ]
+
     def test_alpha_domain(self):
         dist = SimulatedDistribution(small_spec(), F_INF, np.arange(10.0))
         with pytest.raises(ValueError):

@@ -465,3 +465,77 @@ class TestStudyFrontEnd:
             "60,0.000000,0.000000,0.000000,fourier-raw,0.050000",
             "60,0.000000,0.000000,1.000000,fourier-raw,1.000000",
         ]
+
+
+# Study tables as the per-K scalar decision loop wrote them, pinned as text:
+# deciding all replications of a variant in one array pass, and reusing a
+# cell's bases, must not move a byte.
+PINNED_SIZE_CSV = (
+    "T,rho,psi,delta,variant,k_policy,reps,rejection,mc_se,ave_k,failures\n"
+    "60,0.000000,0.000000,0.000000,chisq-fourier,auto,500,0.138000,0.015424,20.090000,0\n"
+    "60,0.000000,0.000000,0.000000,chisq-transformed,auto,500,0.132000,0.015138,20.090000,0\n"
+    "60,0.000000,0.000000,0.000000,f-transformed,auto,500,0.086000,0.012538,20.090000,0\n"
+    "60,0.600000,0.600000,0.000000,chisq-fourier,auto,500,0.400000,0.021909,4.788000,0\n"
+    "60,0.600000,0.600000,0.000000,chisq-transformed,auto,500,0.354000,0.021386,4.788000,0\n"
+    "60,0.600000,0.600000,0.000000,f-transformed,auto,500,0.102000,0.013535,4.788000,0\n"
+)
+
+PINNED_K_GRID_CSV = (
+    "T,rho,psi,delta,variant,k_policy,reps,rejection,mc_se,ave_k,failures\n"
+    "60,0.300000,0.000000,0.000000,chisq-fourier,4,500,0.328000,0.020996,4.000000,0\n"
+    "60,0.300000,0.000000,0.000000,nonstandard-fourier,4,500,0.048000,0.009560,4.000000,0\n"
+    "60,0.300000,0.000000,0.000000,f-transformed,4,500,0.052000,0.009929,4.000000,0\n"
+    "60,0.300000,0.000000,0.000000,chisq-fourier,8,500,0.198000,0.017821,8.000000,0\n"
+    "60,0.300000,0.000000,0.000000,nonstandard-fourier,8,500,0.090000,0.012798,8.000000,0\n"
+    "60,0.300000,0.000000,0.000000,f-transformed,8,500,0.070000,0.011411,8.000000,0\n"
+    "60,0.300000,0.000000,0.000000,chisq-fourier,16,500,0.146000,0.015791,16.000000,0\n"
+    "60,0.300000,0.000000,0.000000,nonstandard-fourier,16,500,0.084000,0.012405,16.000000,0\n"
+    "60,0.300000,0.000000,0.000000,f-transformed,16,500,0.078000,0.011993,16.000000,0\n"
+)
+
+
+class TestPinnedTables:
+    def test_auto_k_size_table(self):
+        results = size_experiment(
+            [DgpSpec(t=60, rho=0.0), DgpSpec(t=60, rho=0.6, psi=0.6)],
+            ("chisq-fourier", "chisq-transformed", "f-transformed"),
+            k_policy="auto", reps=500, master_seed=17,
+        )
+        assert size_table_csv(results) == PINNED_SIZE_CSV
+
+    def test_k_grid_table_with_a_simulated_reference(self):
+        results = k_grid_experiment(
+            DgpSpec(t=60, rho=0.3), (4, 8, 16),
+            ("chisq-fourier", "nonstandard-fourier", "f-transformed"),
+            reps=500, master_seed=23, cv_cache=CriticalValueCache(),
+            cv_replications=1000, cv_grid=150,
+        )
+        assert size_table_csv(results) == PINNED_K_GRID_CSV
+
+
+class TestCellBasesMemo:
+    def _table(self):
+        return size_table_csv(size_experiment(
+            [DgpSpec(t=60, rho=0.3)], ("chisq-fourier", "f-transformed"),
+            reps=500, master_seed=5,
+        ))
+
+    def test_cold_and_warm_tables_agree(self):
+        _cell_bases.cache_clear()
+        cold = self._table()
+        assert _cell_bases.cache_info().misses == 1
+        warm = self._table()
+        info = _cell_bases.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert cold == warm
+
+    def test_holds_one_design_with_read_only_arrays(self):
+        _cell_bases(60, 0.4)
+        first = _cell_bases(70, 0.4)
+        assert _cell_bases.cache_info().currsize == 1
+        assert _cell_bases(70, 0.4) is first
+        for basis in first.values():
+            for array in (basis.matrix, basis.norms):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0

@@ -12,10 +12,14 @@ from harchow.numkit import (
     dist_cdf,
     dist_quantile,
     dist_sf,
+    erfc,
     fisher_f,
     leading_spd_rank,
     lyapunov_solve,
     normal,
+    regularized_beta,
+    regularized_gamma_p,
+    regularized_gamma_q,
     solve_general,
     solve_triangular,
     spd_solve,
@@ -318,6 +322,94 @@ class TestUpperTail:
         for d in (normal(), chi_square(3), student_t(5), fisher_f(3, 11)):
             for x in (-1.5, 0.2, 1.0, 4.0):
                 assert dist_sf(d, x) + dist_cdf(d, x) == pytest.approx(1.0, abs=1e-14)
+
+
+LAWS = [normal(), chi_square(2), student_t(3), fisher_f(2, 5)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestNonFiniteTails:
+    """Infinite and overflowing points take the limits of the tail and the
+    CDF, and NaN gives NaN, on the scalar and the array path alike."""
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: d.family)
+    def test_limits(self, law):
+        for x in (math.inf, 1e308):
+            assert dist_sf(law, x) == 0.0
+            assert dist_cdf(law, x) == 1.0
+        assert dist_cdf(law, -math.inf) == 0.0
+        assert dist_sf(law, -math.inf) == 1.0
+        tails = dist_sf(law, np.array([math.inf, 1e308, -math.inf]))
+        assert tails.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: d.family)
+    def test_nan_gives_nan(self, law):
+        assert math.isnan(dist_sf(law, math.nan))
+        assert math.isnan(dist_cdf(law, math.nan))
+        assert np.isnan(dist_sf(law, np.array([math.nan, 1.0]))).tolist() == [
+            True, False,
+        ]
+
+    def test_special_functions(self):
+        assert math.isnan(erfc(math.nan))
+        assert erfc(math.inf) == erfc(1e200) == 0.0
+        assert erfc(-math.inf) == 2.0
+        assert regularized_gamma_q(1.5, math.inf) == 0.0
+        assert regularized_gamma_p(1.5, math.inf) == 1.0
+        for f in (regularized_gamma_p, regularized_gamma_q):
+            assert math.isnan(f(1.5, math.nan))
+        assert math.isnan(regularized_beta(2.0, 3.0, math.nan))
+
+
+class TestArraySpecialFunctions:
+    """The array path broadcasts over every argument and is bitwise the
+    scalar function; invalid entries raise as the scalar does."""
+
+    def test_bitwise_scalar_and_broadcast(self):
+        a = np.array([[0.5], [2.0], [37.5]])
+        x = np.array([0.0, 1e-9, 0.7, 3.0, 41.0, 900.0, math.inf])
+        out = regularized_gamma_q(a, x)
+        assert out.shape == (3, 7)
+        expected = [[regularized_gamma_q(float(ai), float(xi)) for xi in x]
+                    for ai in a[:, 0]]
+        assert np.array_equal(_bits(out), _bits(expected))
+        w = np.array([0.0, 1e-12, 0.2, 0.5, 0.93, 1.0])
+        out = regularized_beta(a, 3.5, w)
+        expected = [[regularized_beta(float(ai), 3.5, float(wi)) for wi in w]
+                    for ai in a[:, 0]]
+        assert np.array_equal(_bits(out), _bits(expected))
+        z = np.array([-3.0, -0.1, 0.0, 0.4, 5.0])
+        assert erfc(z).tolist() == [erfc(float(v)) for v in z]
+
+    def test_empty_arrays(self):
+        assert dist_sf(fisher_f(2, np.array([])), np.array([])).shape == (0,)
+        assert regularized_beta(1.0, 2.0, np.array([])).shape == (0,)
+
+    def test_invalid_entries_raise(self):
+        with pytest.raises(ValueError):
+            regularized_gamma_q(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError):
+            regularized_gamma_q(1.0, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            regularized_beta(1.0, 1.0, np.array([0.5, 1.5]))
+
+
+class TestDistFamilyDegreesOfFreedom:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_nonpositive_and_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            fisher_f(2, bad)
+        with pytest.raises(ValueError):
+            chi_square(bad)
+        with pytest.raises(ValueError):
+            student_t(np.array([3.0, bad]))
+
+    def test_accepts_arrays_of_positive_finite_values(self):
+        law = fisher_f(2, np.arange(1, 6))
+        assert dist_sf(law, np.full(5, 2.0)).shape == (5,)
 
 
 class TestRngStream:
