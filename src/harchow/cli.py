@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -257,6 +258,7 @@ def _study_options(parser, rho: float, note: str | None) -> None:
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=1)  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harchow",

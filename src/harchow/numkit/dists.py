@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import (
-    _scalar, erfc, log_gamma, regularized_beta, regularized_gamma_p,
+    _pick, _scalar, erfc, log_gamma, regularized_beta, regularized_gamma_p,
     regularized_gamma_q,
 )
 
@@ -89,54 +89,34 @@ def dist_cdf(d: DistFamily, x: float) -> float:
     if x <= 0.0:
         return 0.0
     d1, d2 = d.df1, d.df2
-    if d1 * x + d2 == math.inf:
-        return 1.0
-    return regularized_beta(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
-
-
-def dist_sf(d: DistFamily, x: float | np.ndarray) -> float | np.ndarray:
-    """Upper tail ``P(X > x)`` of ``d``, evaluated directly; elementwise
-    over an array ``x`` and array degrees of freedom."""
-    if not _scalar(x, d.df1, d.df2):
-        return _sf_each(d, np.asarray(x, dtype=float))
-    x = float(x)
-    if d.family == "normal":
-        return 0.5 * erfc(x / math.sqrt(2.0))
-    if d.family == "chi-square":
-        if x <= 0.0:
-            return 1.0
-        return regularized_gamma_q(d.df1 / 2.0, x / 2.0)
-    if d.family == "student-t":
-        if x == 0.0:
-            return 0.5
-        nu = d.df1
-        tail = 0.5 * regularized_beta(nu / 2.0, 0.5, nu / (nu + x * x))
-        return tail if x > 0.0 else 1.0 - tail
-    # fisher-f
-    if x <= 0.0:
-        return 1.0
-    d1, d2 = d.df1, d.df2
-    return regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
+    z = d1 * x / (d1 * x + d2)
+    if z < 1.0:
+        return regularized_beta(d1 / 2.0, d2 / 2.0, z)
+    # z rounds to 1, or is NaN once d1 x overflows: the upper tail keeps the
+    # digits that I_z(d1/2, d2/2) = 1 would lose when d2 is small
+    return 1.0 - dist_sf(d, x)
 
 
 @np.errstate(over="ignore")  # x * x overflows to inf, as in float arithmetic
-def _sf_each(d: DistFamily, x: np.ndarray) -> np.ndarray:
-    # dist_sf's branches as masks; points off a branch's domain get a
-    # harmless stand-in and are overwritten
+def dist_sf(d: DistFamily, x: float | np.ndarray) -> float | np.ndarray:
+    """Upper tail ``P(X > x)`` of ``d``, evaluated directly; elementwise
+    over an array ``x`` and array degrees of freedom."""
+    x = float(x) if _scalar(x, d.df1, d.df2) else np.asarray(x, dtype=float)
     if d.family == "normal":
         return 0.5 * erfc(x / math.sqrt(2.0))
     if d.family == "student-t":
         nu = d.df1
         tail = 0.5 * regularized_beta(nu / 2.0, 0.5, nu / (nu + x * x))
-        return np.where(x == 0.0, 0.5, np.where(x > 0.0, tail, 1.0 - tail))
+        return _pick(x == 0.0, 0.5, _pick(x > 0.0, tail, 1.0 - tail))
+    # points at or below 0 take a harmless stand-in and tail 1
     nonpositive = x <= 0.0
-    x = np.where(nonpositive, 1.0, x)
+    x = _pick(nonpositive, 1.0, x)
     if d.family == "chi-square":
         tail = regularized_gamma_q(d.df1 / 2.0, x / 2.0)
     else:
         d1, d2 = d.df1, d.df2
         tail = regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d1 * x + d2))
-    return np.where(nonpositive, 1.0, tail)
+    return _pick(nonpositive, 1.0, tail)
 
 
 def dist_pdf(d: DistFamily, x: float) -> float:
@@ -173,19 +153,16 @@ def dist_pdf(d: DistFamily, x: float) -> float:
 
 
 def _bracket(d: DistFamily, q: float) -> tuple[float, float]:
-    if d.family in ("normal", "student-t"):
-        width = 1.0
-        while dist_cdf(d, -width) > q or dist_cdf(d, width) < q:
-            width *= 2.0
-            if width > 1e12:
-                break
-        return -width, width
-    hi = 1.0
-    while dist_cdf(d, hi) < q:
-        hi *= 2.0
-        if hi > 1e15:
-            break
-    return 0.0, hi
+    symmetric = d.family in ("normal", "student-t")
+    cap = 1e12 if symmetric else 1e15
+    reach = 1.0
+    while (symmetric and dist_cdf(d, -reach) > q) or dist_cdf(d, reach) < q:
+        if reach > cap:
+            raise ValueError(
+                f"the {q} quantile of {d} lies beyond {reach:.3g}: no bracket closes"
+            )
+        reach *= 2.0
+    return (-reach if symmetric else 0.0), reach
 
 
 def dist_quantile(d: DistFamily, q: float) -> float:

@@ -1,21 +1,23 @@
 """Special functions backing the distribution CDFs.
 
-Scalar double-precision implementations of the classical expansions: a
-Lanczos approximation for the log-gamma function, the power series and
-Lentz-style continued fraction for the regularized incomplete gamma
-functions, and the continued fraction for the regularized incomplete beta
-function. Accuracy is a few ulps away from machine precision over the
-parameter ranges used here (degrees of freedom up to a few hundred), well
-inside the 1e-9 budget of the distribution layer.
+Double-precision implementations of the classical expansions: a Lanczos
+approximation for the log-gamma function, the power series and Lentz-style
+continued fraction for the regularized incomplete gamma functions, and the
+continued fraction for the regularized incomplete beta function. Accuracy is
+a few ulps away from machine precision over the parameter ranges used here
+(degrees of freedom up to a few hundred), well inside the 1e-9 budget of the
+distribution layer.
 
-``regularized_gamma_q``, ``regularized_beta`` and ``erfc`` also take
-arrays, broadcast over every argument. The array path runs the scalar loops'
-operations in the same order on all elements at once; an element leaves at
-the iteration where its scalar loop breaks, and ``exp``/``log``/``log1p``
-come from :mod:`math` per element (numpy's differ in the last ulp), so each
-entry is bitwise the scalar result. Python and numpy scalars keep the
-scalar loops, which are much faster for one value. NaN maps to NaN, and an
-infinite argument to the limit of the function.
+Each expansion is written once, as a step function that advances one
+iteration. ``_until_converged`` drives it: a plain loop on Python floats,
+and on arrays a masked loop in which an element leaves at the iteration
+where its own float loop breaks. Both run the same operations in the same
+order, and ``exp``/``log``/``log1p`` come from :mod:`math` per element
+(numpy's differ in the last ulp), so every array entry is bitwise the float
+result. ``regularized_gamma_q``, ``regularized_beta`` and ``erfc`` take
+arrays, broadcast over every argument; Python and numpy scalars are turned
+into floats and stay on the float loop, which is much faster for one value.
+NaN maps to NaN, and an infinite argument to the limit of the function.
 """
 
 from __future__ import annotations
@@ -66,29 +68,53 @@ def log_gamma(x: float) -> float:
     return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _each(f, values: np.ndarray) -> np.ndarray:
-    """``f`` (a :mod:`math` function) applied to every element."""
-    return np.array([f(v) for v in values.tolist()], dtype=float)
+def _pick(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a plain conditional on a
+    bool, ``np.where`` on an array."""
+    if cond is True:
+        return a
+    if cond is False:
+        return b
+    return np.where(cond, a, b)
 
 
-def _log_gamma_each(values: np.ndarray) -> np.ndarray:
-    """:func:`log_gamma` of every element, evaluated once per distinct value."""
-    distinct, where = np.unique(values, return_inverse=True)
+def _each(f, v):
+    """``f`` (a :mod:`math` function) of a float, or of every element of an
+    array."""
+    if isinstance(v, np.ndarray):
+        return np.array([f(e) for e in v.tolist()], dtype=float)
+    return f(v)
+
+
+def _log_gamma_each(v):
+    """:func:`log_gamma` of a float, or of every element of an array,
+    evaluated once per distinct value."""
+    if not isinstance(v, np.ndarray):
+        return log_gamma(v)
+    distinct, where = np.unique(v, return_inverse=True)
     return _each(log_gamma, distinct)[where]
 
 
-def _floor_tiny(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < _TINY, _TINY, v)
+def _floor_tiny(v):
+    return _pick(abs(v) < _TINY, _TINY, v)
 
 
-def _until_converged(step, iters, result: int, *state: np.ndarray) -> np.ndarray:
-    """Run a scalar loop on arrays of independent elements.
+def _until_converged(step, iters, result: int, *state):
+    """Run an expansion until it converges and return ``state[result]``.
 
-    ``step(i, *state)`` returns the next state and a mask of the elements
-    whose scalar loop breaks at ``i``. Those leave with ``state[result]``
-    as their value; elements still running when ``iters`` ends keep their
-    last value, as the scalar loop does.
+    ``step(i, *state)`` returns the next state and whether the loop breaks
+    at ``i``. Floats run a plain loop. Arrays hold independent elements:
+    those whose loop breaks at ``i`` leave with their value, and elements
+    still running when ``iters`` ends keep their last value, as the float
+    loop does.
     """
+    if not isinstance(state[0], np.ndarray):
+        for i in iters:
+            *state, done = step(i, *state)
+            if done:
+                break
+        return state[result]
+    state = np.broadcast_arrays(*state)
     out = np.empty(len(state[0]))
     idx = np.arange(len(out))
     for i in iters:
@@ -104,58 +130,22 @@ def _until_converged(step, iters, result: int, *state: np.ndarray) -> np.ndarray
     return out
 
 
-def _gamma_front_each(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _gamma_front(a, x):
     # exp(-x) x^a / Gamma(a), the factor both gamma expansions end with
     return _each(math.exp, -x + a * _each(math.log, x) - _log_gamma_each(a))
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # power series for P(a, x), efficient when x < a + 1
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - log_gamma(a))
 
 
 def _series_step(_, x, denom, term, total):
     denom = denom + 1.0
     term = term * (x / denom)
     total = total + term
-    return x, denom, term, total, np.abs(term) < np.abs(total) * _EPS
+    return x, denom, term, total, abs(term) < abs(total) * _EPS
 
 
-def _gamma_p_series_each(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _gamma_series(a, x):
+    # power series for P(a, x), efficient when x < a + 1
     total = _until_converged(_series_step, range(_MAX_ITER), 3, x, a, 1.0 / a, 1.0 / a)
-    return total * _gamma_front_each(a, x)
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # modified Lentz continued fraction for Q(a, x), efficient when x >= a + 1
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - log_gamma(a))
+    return total * _gamma_front(a, x)
 
 
 def _gamma_contfrac_step(i, a, b, c, d, h):
@@ -166,17 +156,17 @@ def _gamma_contfrac_step(i, a, b, c, d, h):
     d = 1.0 / d
     delta = d * c
     h = h * delta
-    return a, b, c, d, h, np.abs(delta - 1.0) < _EPS
+    return a, b, c, d, h, abs(delta - 1.0) < _EPS
 
 
-def _gamma_q_contfrac_each(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _gamma_contfrac(a, x):
+    # modified Lentz continued fraction for Q(a, x), efficient when x >= a + 1
     b = x + 1.0 - a
     d = 1.0 / b
     h = _until_converged(
-        _gamma_contfrac_step, range(1, _MAX_ITER), 4,
-        a, b, np.full_like(b, 1.0 / _TINY), d, d,
+        _gamma_contfrac_step, range(1, _MAX_ITER), 4, a, b, 1.0 / _TINY, d, d
     )
-    return h * _gamma_front_each(a, x)
+    return h * _gamma_front(a, x)
 
 
 def _any(mask) -> bool:
@@ -199,14 +189,15 @@ def _gamma_q_each(a, x) -> np.ndarray:
     out = np.where(x == 0.0, 1.0, np.where(x == math.inf, 0.0, x))
     series = (x > 0.0) & (x < a + 1.0)
     contfrac = (x >= a + 1.0) & (x < math.inf)
-    out[series] = 1.0 - _gamma_p_series_each(a[series], x[series])
-    out[contfrac] = _gamma_q_contfrac_each(a[contfrac], x[contfrac])
+    out[series] = 1.0 - _gamma_series(a[series], x[series])
+    out[contfrac] = _gamma_contfrac(a[contfrac], x[contfrac])
     return out
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x)."""
     _gamma_args(a, x)
+    a, x = float(a), float(x)
     if x == 0.0:
         return 0.0
     if x == math.inf:
@@ -214,8 +205,8 @@ def regularized_gamma_p(a: float, x: float) -> float:
     if math.isnan(x):
         return x
     if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+        return _gamma_series(a, x)
+    return 1.0 - _gamma_contfrac(a, x)
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
@@ -223,6 +214,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
     if not _scalar(a, x):
         return _gamma_q_each(a, x)
     _gamma_args(a, x)
+    a, x = float(a), float(x)
     if x == 0.0:
         return 1.0
     if x == math.inf:
@@ -230,44 +222,8 @@ def regularized_gamma_q(a: float, x: float) -> float:
     if math.isnan(x):
         return x
     if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
-def _beta_contfrac(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+        return 1.0 - _gamma_series(a, x)
+    return _gamma_contfrac(a, x)
 
 
 def _beta_contfrac_step(m, a, b, x, qab, qap, qam, c, d, h):
@@ -283,17 +239,28 @@ def _beta_contfrac_step(m, a, b, x, qab, qap, qam, c, d, h):
     d = 1.0 / d
     delta = d * c
     h = h * delta
-    return a, b, x, qab, qap, qam, c, d, h, np.abs(delta - 1.0) < _EPS
+    return a, b, x, qab, qap, qam, c, d, h, abs(delta - 1.0) < _EPS
 
 
-def _beta_contfrac_each(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    qab = a + b
-    qap = a + 1.0
-    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
-    return _until_converged(
-        _beta_contfrac_step, range(1, _MAX_ITER), 8,
-        a, b, x, qab, qap, a - 1.0, np.ones_like(d), d, d,
+def _beta_inner(a, b, x):
+    """I_x(a, b) for 0 < x < 1."""
+    front = _each(
+        math.exp,
+        _log_gamma_each(a + b) - _log_gamma_each(a) - _log_gamma_each(b)
+        + a * _each(math.log, x) + b * _each(math.log1p, -x),
     )
+    # the continued fraction converges fast only below the distribution
+    # mode; above it, expand I_{1-x}(b, a) and take the complement
+    low = x < (a + 1.0) / (a + b + 2.0)
+    a_, b_, x_ = _pick(low, a, b), _pick(low, b, a), _pick(low, x, 1.0 - x)
+    qab = a_ + b_
+    qap = a_ + 1.0
+    d = 1.0 / _floor_tiny(1.0 - qab * x_ / qap)
+    frac = _until_converged(
+        _beta_contfrac_step, range(1, _MAX_ITER), 8,
+        a_, b_, x_, qab, qap, a_ - 1.0, 1.0, d, d,
+    )
+    return _pick(low, front * frac / a, 1.0 - front * frac / b)
 
 
 def _beta_each(a, b, x) -> np.ndarray:
@@ -302,18 +269,7 @@ def _beta_each(a, b, x) -> np.ndarray:
     _beta_args(a, b, x)
     out = x + 0.0  # x = 0, x = 1 and NaN are their own values; -0.0 becomes 0.0
     inner = (x > 0.0) & (x < 1.0)
-    a, b, x = a[inner], b[inner], x[inner]
-    front = _each(
-        math.exp,
-        _log_gamma_each(a + b) - _log_gamma_each(a) - _log_gamma_each(b)
-        + a * _each(math.log, x) + b * _each(math.log1p, -x),
-    )
-    # each element takes the side of its mode the scalar function takes
-    low = x < (a + 1.0) / (a + b + 2.0)
-    frac = _beta_contfrac_each(
-        np.where(low, a, b), np.where(low, b, a), np.where(low, x, 1.0 - x)
-    )
-    out[inner] = np.where(low, front * frac / a, 1.0 - front * frac / b)
+    out[inner] = _beta_inner(a[inner], b[inner], x[inner])
     return out
 
 
@@ -329,35 +285,20 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     if not _scalar(a, b, x):
         return _beta_each(a, b, x)
     _beta_args(a, b, x)
+    a, b, x = float(a), float(b), float(x)
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
     if math.isnan(x):
         return x
-    front = math.exp(
-        log_gamma(a + b)
-        - log_gamma(a)
-        - log_gamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    # the continued fraction converges fast only below the distribution mode
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+    return _beta_inner(a, b, x)
 
 
+@np.errstate(over="ignore")  # x * x overflows to inf, as in float arithmetic
 def erfc(x: float) -> float:
     """Complementary error function via the incomplete gamma route; 0 once
     ``x * x`` overflows."""
-    if not _scalar(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            q = regularized_gamma_q(0.5, x * x)
-        return np.where(x < 0.0, 2.0 - q, q)
-    if x >= 0.0:
-        return regularized_gamma_q(0.5, x * x) if x > 0.0 else 1.0
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    return x  # NaN
+    x = float(x) if _scalar(x) else np.asarray(x, dtype=float)
+    q = regularized_gamma_q(0.5, x * x)
+    return _pick(x < 0.0, 2.0 - q, q)

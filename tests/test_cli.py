@@ -406,6 +406,38 @@ class TestParsing:
             cli.main(["--version"])
         assert exc.value.code == 0
 
+    def test_cached_parser_answers_as_a_fresh_one(self, data_csv, monkeypatch, capsys):
+        # one parser serves every call in a process; calls on different
+        # commands, error exits among them, behave as through a new parser
+        path, _, _ = data_csv
+        calls = [
+            ["test", "--data", path, "--y", "y", "--x", "const,q",
+             "--lambda", "0.4", "--k", "6", "--json", "-"],
+            ["mc-size", "--T", "60", "--cells", "nan"],
+            ["simulate-cv", "--p", "1"],
+            ["test", "--data", path, "--y", "y", "--x", "q", "--z", "const",
+             "--lambda", "0.5", "--variant", "t-transformed"],
+            ["mc-power", "--help"],
+            ["test", "--data", path, "--y", "y", "--x", "const,q",
+             "--lambda", "0.4", "--variant", "chisq-fourier"],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in calls:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        cached = outcomes()
+        assert cli.build_parser() is cli.build_parser()
+        assert [c[0] for c in cached] == [0, 2, 2, 0, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert outcomes() == cached
+
 
 def test_cache_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))

@@ -284,6 +284,15 @@ class TestDistributions:
         values = [dist_cdf(student_t(4), x) for x in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("law, q", [
+        (fisher_f(2, 0.01), 0.5),  # the 0.5 quantile is near 8e57
+        (student_t(0.05), 0.99),
+    ])
+    def test_quantile_beyond_the_bracket_raises(self, law, q):
+        # the bracket search stops at its cap; a point there is no quantile
+        with pytest.raises(ValueError, match="no bracket closes"):
+            dist_quantile(law, q)
+
 
 class TestUpperTail:
     """``dist_sf`` against closed-form tails, to 1e-12 relative, out to
@@ -322,6 +331,17 @@ class TestUpperTail:
         for d in (normal(), chi_square(3), student_t(5), fisher_f(3, 11)):
             for x in (-1.5, 0.2, 1.0, 4.0):
                 assert dist_sf(d, x) + dist_cdf(d, x) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 0.01), (1, 0.3), (5, 0.02)])
+    def test_fisher_cdf_complements_where_the_argument_rounds_to_1(self, d1, d2):
+        # d1 x / (d1 x + d2) rounds to 1 long before the tail is small
+        law = fisher_f(d1, d2)
+        for x in (1e17, 1e100, 1e300):
+            assert d1 * x / (d1 * x + d2) == 1.0
+            assert dist_cdf(law, x) + dist_sf(law, x) == pytest.approx(1.0, abs=1e-12)
+        closed = (1 + 2 * 1e100 / 0.01) ** (-0.01 / 2)
+        assert dist_sf(fisher_f(2, 0.01), 1e100) == pytest.approx(closed, rel=1e-12)
+        assert dist_cdf(fisher_f(2, 0.01), 1e100) == pytest.approx(1 - closed, rel=1e-12)
 
 
 LAWS = [normal(), chi_square(2), student_t(3), fisher_f(2, 5)]
