@@ -170,12 +170,15 @@ def norm_factor(
     tilde(phi)_j(i/T)^2`` of the first K columns, all by default; an array
     of K values gives one factor per entry. The column terms are the
     basis's ``norms``, or the demeaned columns' mean squares if it has
-    none."""
+    none. ``ValueError`` for any K outside ``1..basis.k``."""
     cols = basis.norms
     if cols is None:
         cols = (phi_tilde_matrix(basis.matrix, basis.lam, basis.t) ** 2).mean(axis=0)
-    if k is None or np.ndim(k) == 0:
-        return float(cols[: basis.k if k is None else k].mean())
+    k = basis.k if k is None else k
+    if np.any((np.asarray(k) < 1) | (np.asarray(k) > basis.k)):
+        raise ValueError(f"need 1 <= K <= {basis.k} basis columns, got K={k}")
+    if np.ndim(k) == 0:
+        return float(cols[:k].mean())
     ks, where = np.unique(k, return_inverse=True)
     factors = np.array([cols[:j].mean() for j in ks.tolist()])
     return factors[where].reshape(np.shape(k))

@@ -10,10 +10,10 @@ numbers).
 
 Replications run in blocks of ``_BLOCK`` consecutive ones. A block is
 evaluated as one stack: its innovations are filtered as one matrix, and the
-fit, the plug-in rule and the Wald form of :func:`harchow.chowtest.run_test`
-run once per break size on arrays with a leading replication axis. The block
-size is fixed, and workers receive whole blocks, so results are byte-level
-reproducible regardless of the worker count.
+fit, plug-in rule and score sums of :func:`harchow.chowtest.run_test` run
+once per replication, with a leading replication axis; a break of size
+``delta`` only moves ``beta_2`` by ``delta``. The block size is fixed and
+workers get whole blocks, so results are byte-identical for any worker count.
 
 Rejection counts are aggregated as integers in fixed block order; CSV output
 uses fixed-precision formatting so a table is reproducible byte for byte.
@@ -197,12 +197,15 @@ def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
 
 
 def _stack_statistics(
-    y: np.ndarray, x: np.ndarray, lam: float, bases: dict[str, BasisSet], k_policy
+    lam: float, bases: dict[str, BasisSet], k_policy, deltas: tuple[float, ...],
+    y: np.ndarray, x: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Wald statistic and K used per basis family, as ``(B, n_K)`` arrays,
-    of a stack of ``B`` series: run_test's fit, plug-in rule and Wald form
-    on arrays with a leading replication axis. Each family uses
-    ``min(K, basis.k)`` of its basis columns."""
+    """Wald statistic per basis family as ``(B, n_deltas, n_K)`` arrays, and
+    K used as ``(B, n_K)`` arrays, of a stack of ``B`` null series: run_test's
+    fit, plug-in rule and Wald form with a leading replication axis. Each
+    family uses ``min(K, basis.k)`` of its basis columns. A break of size
+    ``delta`` adds ``delta`` times the design's post-break columns to ``y``,
+    so it moves ``beta_2`` by ``delta`` and leaves residuals, K and sums."""
     hyp = full_break_hypothesis(2)
     r = hyp.contrast
     fit = ols_fit(RegressionData(y, x, None, lam), hyp)
@@ -211,14 +214,16 @@ def _stack_statistics(
         model = autok.plugin_from_fit(*autok.fit_var1(v_series))
         k_policy = [autok.mse_optimal_k(model, y.shape[-1], hyp.p)]
     scores = fit.xz * fit.residuals[..., None]
+    shift = np.multiply.outer(deltas, np.repeat([0.0, 1.0], hyp.m))[:, None]
+    moved = replace(fit, beta_hat=fit.beta_hat + shift)
     wald, k_used = {}, {}
     for family, basis in bases.items():
         sums = longrun.score_sums(basis, scores)
         used = [np.minimum(k, basis.k) for k in k_policy]
         k_used[family] = np.stack([np.broadcast_to(k, len(y)) for k in used], axis=-1)
         wald[family] = np.stack(
-            [chowtest.raw_statistic(sums, fit, r, "F", k) for k in used], axis=-1
-        )
+            [chowtest.raw_statistic(sums, moved, r, "F", k) for k in used], axis=-1
+        ).swapaxes(0, 1)
     return wald, k_used
 
 
@@ -232,41 +237,36 @@ def _run_block(
     rep_range: tuple[int, int],
 ) -> CellStats:
     """Statistics for a contiguous block of replications, evaluated as one
-    stack per break size. A break size whose stacked evaluation raises
-    ``HarchowError`` is evaluated again one replication at a time, through
-    the same functions, so exactly the failing replications are flagged."""
+    stack at every break size. If that raises ``HarchowError``, each
+    replication is evaluated alone, through the same functions, and a
+    failing one is flagged at every break size."""
     start, stop = rep_range
     n = spec.t + spec.burn_in
     z = np.stack([
         _rep_stream(master_seed, cell_id, rep).normals(2 * n)
         for rep in range(start, stop)
     ])
-    y0, x = _simulate_stack(replace(spec, delta=0.0), z)
-    k_star = break_index(spec.lam, spec.t)
-    shift = np.zeros_like(y0)
-    shift[:, k_star:] = x[:, k_star:].sum(axis=-1)
+    y, x = _simulate_stack(replace(spec, delta=0.0), z)
     n_k = 1 if isinstance(k_policy, str) else len(k_policy)
     shape = (stop - start, len(deltas), n_k)
     wald = {family: np.full(shape, np.nan) for family in bases}
     k_used = {family: np.zeros(shape, dtype=np.int64) for family in bases}
     failed = np.zeros(shape[:2], dtype=bool)
-    evaluate = partial(_stack_statistics, lam=spec.lam, bases=bases, k_policy=k_policy)
-    for d_idx, delta in enumerate(deltas):
-        y = y0 + delta * shift
-        try:
-            parts = [(slice(None), evaluate(y, x))]
-        except HarchowError:
-            parts = []
-            for i in range(len(y)):
-                rows = slice(i, i + 1)
-                try:
-                    parts.append((rows, evaluate(y[rows], x[rows])))
-                except HarchowError:
-                    failed[i, d_idx] = True
-        for rows, (part_wald, part_k) in parts:
-            for family in bases:
-                wald[family][rows, d_idx] = part_wald[family]
-                k_used[family][rows, d_idx] = part_k[family]
+    evaluate = partial(_stack_statistics, spec.lam, bases, k_policy, deltas)
+    try:
+        parts = [(slice(None), evaluate(y, x))]
+    except HarchowError:
+        parts = []
+        for i in range(len(y)):
+            rows = slice(i, i + 1)
+            try:
+                parts.append((rows, evaluate(y[rows], x[rows])))
+            except HarchowError:
+                failed[i] = True
+    for rows, (part_wald, part_k) in parts:
+        for family in bases:
+            wald[family][rows] = part_wald[family]
+            k_used[family][rows] = part_k[family][:, None]
     return CellStats(wald, k_used, failed)
 
 
@@ -372,12 +372,17 @@ def _size_rows(
 def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
     """The parsed K policy of a study, once its inputs are checked before
     any replication runs: F variants only, a level in (0, 1), and every
-    fixed K within ``1..T-2`` for ``t``, the smallest cell's sample size."""
+    fixed K within ``2..T-2`` for ``t``, the smallest cell's sample size;
+    a study tests p = 2 restrictions, and K below p has no Wald form."""
     for v in variants:
         chowtest.variant_spec(v, "F")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
-    return chowtest._k_policy(k_policy, t, grid)
+    policy = chowtest._k_policy(k_policy, t, grid)
+    low = [] if policy == "auto" else [k for k in policy if k < 2]
+    if low:
+        raise ValueError(f"studies test p = 2 restrictions: need K >= 2, got K={low}")
+    return policy
 
 
 def _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid):

@@ -236,6 +236,12 @@ class TestGramTransform:
             for k, value in zip(ks.ravel().tolist(), out.ravel()):
                 assert value == norm_factor(basis, k)
                 assert value == pytest.approx(float(cols[:k].mean()), rel=1e-12)
+        # a K outside 1..basis.k is refused, alone or as an array entry,
+        # instead of slicing past the last column or from the end
+        basis = fourier_matrix(100, 8, 0.4)
+        for k in (20, -3, 0, np.array([2, 20]), np.array([[4], [0]])):
+            with pytest.raises(ValueError, match="need 1 <= K <= 8"):
+                norm_factor(basis, k)
 
     def test_feasible_k_detects_null_direction(self):
         # even T with even break row: one combination of regime indicators

@@ -94,6 +94,7 @@ bad_k_grids = st.one_of(
     _with_one_bad(small),
     malformed,
     st.integers(-100, 0).map(lambda a: f"{a}:10:1"),  # K below 1
+    st.integers(1, 58).map(lambda b: f"1:{b}:1"),  # K below p = 2
     st.integers(59, 10**9).map(lambda b: f"2:{b}:1"),  # K above T - 2 = 58
     st.integers(2, 50).map(lambda a: f"{a}.5:58:1"),  # not whole numbers
     st.integers(2, 50).map(lambda a: f"{a}:{a - 1}:1"),  # empty grid

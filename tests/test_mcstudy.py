@@ -428,6 +428,10 @@ class TestStudyFrontEnd:
             [DgpSpec(t=200, rho=0.0), DgpSpec(t=60, rho=0.0)], k_policy=100, reps=500
         ),
         lambda: power_experiment(DgpSpec(t=60, rho=0.0), (0.5, np.inf), k_policy=4),
+        # every study tests p = 2 restrictions, so K = 1 has no Wald form
+        lambda: size_experiment([DgpSpec(t=60, rho=0.0)], k_policy=1, reps=500),
+        lambda: power_experiment(DgpSpec(t=60, rho=0.0), (0.5,), k_policy=1),
+        lambda: k_grid_experiment(DgpSpec(t=60, rho=0.0), (1, 4)),
     ])
     def test_bad_input_fails_before_any_replication(self, study, monkeypatch):
         monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
@@ -494,6 +498,29 @@ PINNED_K_GRID_CSV = (
 )
 
 
+# Power tables as the per-break-size refits wrote them, pinned as text:
+# taking every break size from the null fit must not move a byte.
+PINNED_POWER_AUTO_K_CSV = (
+    "T,rho,psi,delta,family,power\n"
+    "60,0.600000,0.000000,0.000000,fourier-raw,0.046875\n"
+    "60,0.600000,0.000000,0.500000,fourier-raw,0.195312\n"
+    "60,0.600000,0.000000,1.000000,fourier-raw,0.617188\n"
+    "60,0.600000,0.000000,0.000000,fourier-transformed,0.046875\n"
+    "60,0.600000,0.000000,0.500000,fourier-transformed,0.187500\n"
+    "60,0.600000,0.000000,1.000000,fourier-transformed,0.617188\n"
+)
+
+PINNED_POWER_K8_CSV = (
+    "T,rho,psi,delta,family,power\n"
+    "60,0.600000,0.000000,0.000000,fourier-raw,0.046875\n"
+    "60,0.600000,0.000000,0.500000,fourier-raw,0.179688\n"
+    "60,0.600000,0.000000,1.000000,fourier-raw,0.546875\n"
+    "60,0.600000,0.000000,0.000000,fourier-transformed,0.046875\n"
+    "60,0.600000,0.000000,0.500000,fourier-transformed,0.210938\n"
+    "60,0.600000,0.000000,1.000000,fourier-transformed,0.617188\n"
+)
+
+
 class TestPinnedTables:
     def test_auto_k_size_table(self):
         results = size_experiment(
@@ -511,6 +538,17 @@ class TestPinnedTables:
             cv_replications=1000, cv_grid=150,
         )
         assert size_table_csv(results) == PINNED_K_GRID_CSV
+
+    @pytest.mark.parametrize("k_policy, pinned", [
+        ("auto", PINNED_POWER_AUTO_K_CSV), (8, PINNED_POWER_K8_CSV),
+    ])
+    def test_power_table(self, k_policy, pinned):
+        spec = DgpSpec(t=60, rho=0.6)
+        power = power_experiment(
+            spec, (0.0, 0.5, 1.0), k_policy=k_policy, reps=128, master_seed=29
+        )
+        assert power["n_ok"] == 128
+        assert mcstudy.power_table_csv(power, spec) == pinned
 
 
 class TestCellBasesMemo:
