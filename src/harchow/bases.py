@@ -276,26 +276,29 @@ def _kernel_gram(sums: _RegimeSums, c: float) -> np.ndarray:
     return g
 
 
-def _kernel_factor(gram: np.ndarray) -> np.ndarray:
+def _kernel_factor(gram: np.ndarray, rhs: np.ndarray | None = None):
     """Upper Cholesky factor ``U`` of a kernel Gram's kept leading block: K
     is cut to the count of accepted pivots and the kept columns are
-    refactored from their own Gram matrix, so ``U`` has the kept size.
+    refactored from their own Gram matrix, so ``U`` has the kept size. With
+    ``rhs`` (K rows) it returns ``(U, U^{-T} rhs)`` over the kept rows,
+    solved inside the factor loop.
 
     Raises
     ------
     NotPositiveDefinite
         If no pivot passes, or not all of the kept ones pass again.
     """
-    u, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL)
+    *factor, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL, rhs)
     if 0 < rank < len(gram):
-        del u  # free the untrimmed factor before building the smaller one
+        del factor  # free the untrimmed factor before building the smaller one
         gram = gram[:rank, :rank]
-        u, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL)
+        kept = None if rhs is None else rhs[:rank]
+        *factor, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL, kept)
     if rank < len(gram):
         raise NotPositiveDefinite(
             "Gram matrix is too close to singular for a reliable transform"
         )
-    return u
+    return factor[0] if rhs is None else tuple(factor)
 
 
 def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +306,10 @@ def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.n
     or their sums against a series), with ``U`` the trimmed factor of the
     regime-sum kernel Gram, and the kept columns' :func:`norm_factor` terms:
     one plus the gap between the demeaned and the kernel Gram along their
-    regime-one sums ``y = U^{-T} a``."""
-    u = _kernel_factor(_kernel_gram(sums, sums.c_kernel))
-    rhs = np.column_stack([rows[: len(u)], sums.a[: len(u)]])
-    solved = solve_triangular(u.T, rhs, lower=True)
+    regime-one sums ``y = U^{-T} a``. Both come out of the factor's rows;
+    no separate triangular solve runs."""
+    rhs = np.column_stack([rows, sums.a])
+    _, solved = _kernel_factor(_kernel_gram(sums, sums.c_kernel), rhs)
     y = solved[:, -1]
     return solved[:, :-1], 1.0 + (sums.c_kernel - sums.c_demeaned) * y**2
 

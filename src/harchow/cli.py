@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,8 +35,56 @@ def _cache_dir(args) -> str | None:
 
 def _read_csv_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
     """The named columns of a CSV file with a header row, as float arrays.
-    Each must be named once in the header, every row must have its field
-    count; blank lines and a UTF-8 byte order mark are skipped."""
+
+    The header comes from the ``csv`` module and the body from numpy's C
+    parser. A file that parser may read otherwise than ``float()`` is read
+    again by :func:`_read_csv_rows`, which alone defines a valid file: it
+    returns the same columns or raises its message."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            header = next(row for row in csv.reader(fh) if row)
+            body = fh.read()
+        except (StopIteration, ValueError):  # no header row, or not UTF-8
+            header, body = [], ""
+    data = _parse_body(body, header, names)
+    if data is None:
+        return _read_csv_rows(path, names)
+    values = data[:, [header.index(n) for n in names]].T
+    return dict(zip(names, np.ascontiguousarray(values)))
+
+
+# ASCII separators that numpy's parser strips as space and float() refuses
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_body(body: str, header: list[str], names: list[str]) -> np.ndarray | None:
+    """The rows after the header as one float array, by ``np.loadtxt``; the
+    unnamed columns read as 0, so they may hold text. ``None`` where a named
+    column is missing or named twice, the body holds a separator in
+    ``_NOT_FLOAT_SPACE``, the parser refuses a field or a row's width, or
+    the width is not the header's or there is no row."""
+    if any(header.count(n) != 1 for n in names) or any(
+        c in body for c in _NOT_FLOAT_SPACE
+    ):
+        return None
+    unnamed = (i for i, n in enumerate(header) if n not in names)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(
+                io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                ndmin=2, converters=dict.fromkeys(unnamed, lambda field: 0.0),
+            )
+    except ValueError:
+        return None
+    return data if data.shape[1] == len(header) and len(data) else None
+
+
+def _read_csv_rows(path: str, names: list[str]) -> dict[str, np.ndarray]:
+    """:func:`_read_csv_columns` one ``csv`` module row and one ``float()``
+    per cell at a time. Each named column must appear once in the header,
+    every row must have the header's field count; blank lines and a UTF-8
+    byte order mark are skipped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, break_index, series_root
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
-from .numkit import RngStream, solve_triangular
+from .numkit import RngStream
 from .numkit.linalg import _PIVOT_RTOL, _pivot_factor
 
 F_INF = "F_inf"
@@ -123,17 +123,14 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     mask, with ``W = K^{-1} sum_j eta_j eta_j'``.
 
     numkit's pivot rule factors the stack of every replication's ``W`` as
-    ``U'U``, and the forward solve ``U'y = eta0`` gives the form as ``y'y``.
-    A replication is singular when a pivot is at or below ``1e-12`` times
-    the largest diagonal entry of its ``W``.
+    ``U'U`` and, in the same loop, solves ``U'y = eta0``: the form is
+    ``y'y``. A replication is singular when a pivot is at or below ``1e-12``
+    times the largest diagonal entry of its ``W``; its form is redrawn.
     """
-    p = eta0.shape[1]
     w = np.einsum("kcp,kcq->cpq", etas, etas) / k
-    u, rank = _pivot_factor(w, _PIVOT_RTOL)
-    bad = rank < p
-    u[bad] = np.eye(p)  # any regular factor: singular forms are redrawn
-    y = solve_triangular(np.swapaxes(u, 1, 2), eta0[:, :, None], lower=True)[:, :, 0]
-    return (y * y).sum(axis=1), bad
+    _, y, rank = _pivot_factor(w, _PIVOT_RTOL, eta0[:, :, None])
+    y = y[:, :, 0]
+    return (y * y).sum(axis=1), rank < eta0.shape[1]
 
 
 def _root(spec: LimitSpec) -> tuple[np.ndarray, float]:

@@ -13,7 +13,9 @@ BLAS speed, and elementwise products summed across the whole stack for a
 stack, so many small matrices cost one array operation per step.
 
 A right-hand side is one vector (1-D), or a matrix ``(..., n, r)`` whose
-leading axes broadcast against those of the stack.
+leading axes broadcast against those of the stack. The pivot loop can carry
+a matrix one: its rows then hold the right-hand side's columns too, and the
+forward solve ``U'Y = B`` comes out of the same loop as the factor.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _broadcast_rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a, np.array(np.broadcast_to(x, lead + x.shape[-2:]), order="C")
 
 
-def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndarray]:
+def _pivot_factor(s: np.ndarray, rtol: float, rhs: np.ndarray | None = None):
     """Cholesky pivots of ``S`` in column order, up to the first failing one.
 
     A pivot is accepted only above ``rtol`` times the largest diagonal entry
@@ -105,29 +107,44 @@ def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndar
     failing pivot on are zero) and the number of accepted pivots: an int for
     one matrix, one count per member for a stack.
 
+    With a right-hand side ``B`` of shape ``(..., n, r)`` the rows carry
+    its columns too, so the loop that makes row ``j`` of ``U`` also makes row
+    ``j`` of ``Y = U^{-T} B``, the forward solve ``U'Y = B``; it returns
+    ``(U, Y, rank)``, and ``Y`` is zero where ``U`` is.
+
     The rows are factored 64 at a time: one matrix product subtracts every
     earlier row's part from a block's rows, and the loop runs over the
     block's own rows, so a large matrix factors at matrix-product speed. Up
-    to 64 rows the operation order is the plain row loop's.
+    to 64 rows the operation order is the plain row loop's, and the plain
+    forward substitution's for ``Y``.
     """
     a = _symmetrize(s)
     n = a.shape[-1]
     tol = rtol * np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
-    u = np.zeros_like(a)
-    u_ = _axes_first(u)
+    if rhs is not None:
+        a, b = _broadcast_rhs(a, rhs)
+    # row j of U, then row j of Y; a block of rows holds the rows of [S B]
+    # until the loop turns them into rows of [U Y]
+    width = n if rhs is None else n + b.shape[-1]
+    rows = np.zeros_like(a, shape=a.shape[:-1] + (width,))
+    u = rows[..., :n]
+    rows_ = _axes_first(rows)
     rank = np.full(a.shape[:-2], n)
     dead = np.zeros(a.shape[:-2], dtype=bool)
     any_dead = False
     for j in range(n):
         if j % _PIVOT_BLOCK == 0:
-            # this block's rows of S less the earlier rows' part, U_lo' U_lo
+            # this block's rows of [S B] less the earlier rows' part,
+            # U_lo' [U_lo Y_lo]
             lo = j
-            r = a[..., lo : lo + _PIVOT_BLOCK, lo:]
+            block = rows[..., lo : lo + _PIVOT_BLOCK, lo:]
+            block[..., : n - lo] = a[..., lo : lo + _PIVOT_BLOCK, lo:]
+            if rhs is not None:
+                block[..., n - lo :] = b[..., lo : lo + _PIVOT_BLOCK, :]
             if lo:
-                r = r - _t(u[..., :lo, lo : lo + _PIVOT_BLOCK]) @ u[..., :lo, lo:]
-            r_ = _axes_first(r)
-        col = u_[lo:j, j]
-        pivot = r_[j - lo, j - lo] - _dot(col, col)
+                block -= _t(u[..., :lo, lo : lo + _PIVOT_BLOCK]) @ rows[..., :lo, lo:]
+        col = rows_[lo:j, j]
+        pivot = rows_[j, j] - _dot(col, col)
         failing = pivot <= tol
         if any_dead:
             failing = failing & ~dead
@@ -135,19 +152,23 @@ def _pivot_factor(s: np.ndarray, rtol: float) -> tuple[np.ndarray, int | np.ndar
             rank = np.where(failing, j, rank)
             dead = dead | failing
             if dead.all():
+                rows_[j:] = 0.0
                 break
             any_dead = True
         if any_dead:
             pivot = np.where(dead, 1.0, pivot)
         diag = np.sqrt(pivot)
-        u_[j, j] = diag
-        if j + 1 < n:
-            u_[j, j + 1 :] = (
-                r_[j - lo, j + 1 - lo :] - _dot(col, u_[lo:j, j + 1 :])
-            ) / diag
+        rows_[j, lo:j] = 0.0  # the block's copy of S below the diagonal
+        rows_[j, j] = diag
+        if j + 1 < width:
+            rest = rows_[j, j + 1 :]
+            rows_[j, j + 1 :] = (rest - _dot(col, rows_[lo:j, j + 1 :])) / diag
         if any_dead:
-            u_[j, j:][..., dead] = 0.0
-    return u, int(rank) if rank.ndim == 0 else rank
+            rows_[j, j:][..., dead] = 0.0
+    rank = int(rank) if rank.ndim == 0 else rank
+    if rhs is None:
+        return u, rank
+    return u, rows[..., n:], rank
 
 
 def cholesky(s: np.ndarray) -> np.ndarray:

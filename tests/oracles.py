@@ -9,9 +9,12 @@ a quantity out in its textbook form, however wasteful. ``dense_report``
 replays the dense path ``run_test`` took before it worked from FFT sums: the
 ``T x T`` kernel, the dense Gram and the ``T x K`` basis ``Phi U^{-1}``.
 ``grid_weights`` replays the grid the limit simulator drew from before it
-worked from the regime sums.
+worked from the regime sums. ``read_csv_columns`` is the CLI's CSV reader
+as it was before its body went through ``numpy.loadtxt``: one ``float()``
+per cell of a ``csv`` module row.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -108,6 +111,33 @@ def pivot_factor_unblocked(s, rtol):
         u[j, j] = math.sqrt(pivot)
         u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / u[j, j]
     return u, n
+
+
+def read_csv_columns(path, names):
+    """The named columns of a CSV file with a header row, as float arrays,
+    read row by row with the ``csv`` module; ``ValueError`` with the CLI's
+    message for a file it refuses."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: missing header row")
+    header, rows = rows[0], rows[1:]
+    unusable = [n for n in names if header.count(n) != 1]
+    if unusable:
+        raise ValueError(f"{path}: columns {unusable} missing or named more than once")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    ragged = [i for i, row in enumerate(rows, start=1) if len(row) != len(header)]
+    if ragged:
+        raise ValueError(
+            f"{path}: data rows {ragged[:5]} do not have {len(header)} fields"
+        )
+    columns = list(zip(*rows))
+    try:
+        values = np.array([columns[header.index(n)] for n in names], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric value in columns {names}: {exc}")
+    return dict(zip(names, values))
 
 
 def grid_weights(spec):

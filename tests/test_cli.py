@@ -151,6 +151,82 @@ class TestCmdTest:
         reports[0]["config"].pop("data")
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("edit", [
+        "blank-lines", "crlf", "quoted-numbers", "quoted-text-column",
+    ])
+    def test_tolerated_layouts_give_the_plain_report(
+        self, data_csv, tmp_path, edit, capsys
+    ):
+        path, _, _ = data_csv
+        lines = open(path).read().splitlines()
+        if edit == "blank-lines":
+            text = "\n\n" + lines[0] + "\n\n" + "\n\n".join(lines[1:]) + "\n\n"
+        elif edit == "crlf":
+            text = "\r\n".join(lines) + "\r\n"
+        elif edit == "quoted-numbers":
+            quoted = [",".join(f'"{f}"' for f in line.split(",")) for line in lines[1:]]
+            text = "\n".join([lines[0]] + quoted) + "\n"
+        else:
+            text = "\n".join(
+                [lines[0] + ",note"] + [line + ',"a, b"' for line in lines[1:]]
+            ) + "\n"
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(text.encode())
+        reports = []
+        for data in (path, str(edited)):
+            argv = ["test", "--data", data, "--y", "y", "--x", "const,q"]
+            assert cli.main(argv + ["--lambda", "0.4", "--json", "-"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(out.replace(json.dumps(data), '"<data>"'))
+        assert reports[0] == reports[1]
+
+    def test_plain_file_is_read_without_the_row_reader(self, data_csv, monkeypatch):
+        path, y, x = data_csv
+        monkeypatch.setattr(cli, "_read_csv_rows", None)
+        columns = cli._read_csv_columns(path, ["q", "y"])
+        assert list(columns) == ["q", "y"]
+        assert np.array_equal(columns["y"], y) and np.array_equal(columns["q"], x[:, 1])
+
+    @pytest.mark.parametrize("edit, message", [
+        ("empty", "edited.csv: missing header row"),
+        ("header-only", "edited.csv: no data rows"),
+        ("short-row", "edited.csv: data rows [6] do not have 3 fields"),
+        ("long-first-row", "edited.csv: data rows [1] do not have 3 fields"),
+        ("text-in-named-column", "edited.csv: non-numeric value in columns"),
+        ("hash-field", "edited.csv: non-numeric value in columns"),
+        ("nan-in-y", "data must be finite"),
+    ])
+    def test_refused_files_exit_2_with_one_line(
+        self, data_csv, tmp_path, edit, message, capsys
+    ):
+        path, _, _ = data_csv
+        lines = open(path).read().splitlines()
+        if edit == "empty":
+            lines = []
+        elif edit == "header-only":
+            lines = lines[:1]
+        elif edit == "short-row":
+            lines[6] = lines[6].rsplit(",", 1)[0]
+        elif edit == "long-first-row":
+            lines[1] += ",1.5"
+        elif edit == "text-in-named-column":
+            lines[3] = "abc," + lines[3].split(",", 1)[1]
+        elif edit == "hash-field":
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",#1"
+        else:
+            lines[3] = "nan," + lines[3].split(",", 1)[1]
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(line + "\n" for line in lines))
+        argv = ["test", "--data", str(edited), "--y", "y", "--x", "const,q"]
+        code = cli.main(argv + ["--lambda", "0.4"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert message in err[0]
+
     def test_z_columns_accepted(self, tmp_path):
         rng = RngStream(7, 0)
         t = 80

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -146,6 +147,38 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, x, side="right") / len(a)
     fb = np.searchsorted(b, x, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+# SHA-256 of the draws (quadratic forms, then eta_0) of 10k replications at
+# grid 100, lambda 0.4, seed 21, made by the factor followed by a separate
+# forward solve: the solve inside the factor must give the same bits. The
+# digests are those of this numpy and BLAS build.
+PINNED_DRAWS = [
+    ("fourier-raw", 1, 4, "beb913e871705652f58095b296c07c5a6e318749f2506dff77beccbb991d818a"),
+    ("fourier-raw", 2, 8, "56c510e957ba500d173fe3a71c4f5f41b62755ce0340843a0cf514f86c792e66"),
+    ("fourier-raw", 3, 12, "aee48987d9f7af93e5a9a18005b7c09af7007629dce1ac1e71f373afea92b9b8"),
+    ("fourier-raw", 1, 40, "3303e301f8b7b4b2197ac14731da5243c8a6d0c224fa36fdc61d013984379890"),
+    ("fourier-transformed", 1, 4, "bacf95df20e4ecd3611186e2ba880f2cb30dffe077266c17399c9a4f9fc85b24"),
+    ("fourier-transformed", 2, 8, "88fad95116cfe9da2f1619b19c446fe1961b389740253dad2fb75703035c6e90"),
+    ("fourier-transformed", 3, 12, "69452f1c481c984314d5e7158c5a1f86eede5f3239677a5bcb43399566d0a477"),
+    ("fourier-transformed", 1, 40, "194d9906f1c70d7e23a2a9ce102d7127ef5d9aba51d1432d47e0be0617d93438"),
+]
+
+
+@pytest.mark.parametrize("family, p, k, digest", PINNED_DRAWS)
+def test_draws_are_pinned(family, p, k, digest):
+    spec = LimitSpec(p=p, k=k, lam=0.4, family=family, grid_n=100, seed=21)
+    quads, eta0, redraws, _ = _base_draws(spec)
+    assert redraws == 0
+    assert hashlib.sha256(quads.tobytes() + eta0.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", ["fourier-raw", "fourier-transformed"])
+def test_singular_corner_spec_raises(family):
+    # K = n - 2 at even n and even k*: the Gram has no root
+    spec = LimitSpec(p=2, k=98, lam=0.4, family=family, grid_n=100, seed=21)
+    with pytest.raises(NotPositiveDefinite):
+        _base_draws(spec)
 
 
 class TestExactDraw:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from harchow import bases
 from harchow.errors import NotPositiveDefinite, Unstable
 from harchow.numkit.linalg import _pivot_factor
 from harchow.numkit import (
@@ -227,6 +229,55 @@ class TestStacks:
         a[2] *= 1.2 / 0.9
         with pytest.raises(Unstable):
             lyapunov_solve(a, sigma)
+
+
+def _kernel_gram(t, lam, k):
+    sums = bases._regime_sums(t, k, lam)
+    return bases._kernel_gram(sums, sums.c_kernel)
+
+
+class TestFactorWithRightHandSide:
+    """``_pivot_factor(s, rtol, rhs)`` is the factor without ``rhs`` plus the
+    forward solve ``U'Y = rhs`` on the kept rows."""
+
+    @pytest.mark.parametrize("name, make", [
+        ("kernel-600-40", lambda: _kernel_gram(600, 0.4, 40)),
+        ("kernel-600-125", lambda: _kernel_gram(600, 0.4, 125)),
+        ("kernel-900-600", lambda: _kernel_gram(900, 0.4, 600)),
+        ("kernel-101-0.7-99-trimmed", lambda: _kernel_gram(101, 0.7, 99)),
+        ("plain-spd", lambda: random_spd(150, np.random.default_rng(50))),
+    ])
+    def test_one_matrix(self, name, make):
+        s = make()
+        rtol = 1e-8 if name.startswith("kernel") else 1e-12
+        rhs = np.random.default_rng(51).standard_normal((len(s), 3))
+        u0, rank0 = _pivot_factor(s, rtol)
+        u, y, rank = _pivot_factor(s, rtol, rhs)
+        assert rank == rank0
+        assert (rank < len(s)) == name.endswith("trimmed")
+        assert np.max(np.abs(u - u0)) <= 1e-14 * np.max(np.abs(u0))
+        kept = u0[:rank, :rank]
+        want = solve_triangular(kept.T, rhs[:rank], lower=True)
+        assert np.max(np.abs(y[:rank] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not y[rank:].any()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stack_is_the_factor_then_the_solve_bitwise(self, p):
+        rng = np.random.default_rng(60 + p)
+        stack = np.concatenate([_mixed_stack(p, rng) for _ in range(625)])[:5000]
+        rhs = rng.standard_normal((5000, p, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u, y, rank = _pivot_factor(stack, 1e-12, rhs)
+        u0, rank0 = _pivot_factor(stack, 1e-12)
+        assert np.array_equal(_bits(u), _bits(u0))
+        assert np.array_equal(rank, rank0)
+        kept = rank == p
+        assert kept.any() and (~kept).any()
+        want = solve_triangular(np.swapaxes(u0[kept], 1, 2), rhs[kept], lower=True)
+        assert np.array_equal(_bits(y[kept]), _bits(want))
+        for y_i, rank_i in zip(y[~kept], rank[~kept]):
+            assert not y_i[rank_i:].any()
 
 
 class TestDistributions:
