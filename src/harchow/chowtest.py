@@ -29,17 +29,11 @@ import numpy as np
 
 from . import autok, fixedlimit, longrun
 from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_sums
-from .errors import KTooSmall, NotPositiveDefinite
+from .errors import KTooSmall
 from .numkit import (
-    DistFamily,
-    chi_square,
-    dist_quantile,
-    dist_sf,
-    fisher_f,
-    normal,
-    spd_solve,
-    student_t,
+    DistFamily, chi_square, dist_quantile, dist_sf, fisher_f, normal, student_t,
 )
+from .numkit.linalg import _spd_factor
 from .regression import (
     BreakHypothesis,
     FitResult,
@@ -111,24 +105,25 @@ class TestReport:
 
 def wald_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> Values:
     """Wald statistic ``T (R b)' V^{-1} (R b)`` for the contrast variance
-    ``V``; one per member of a stack of estimates and variances."""
+    ``V``; one per member of a stack of estimates and variances. The loop
+    that factors ``V = U'U`` (numkit's pivot rule) solves ``U'y = R b``, and
+    the statistic is ``T y'y``, the limit simulator's form for its draws."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     rb = (r @ np.asarray(beta_hat, dtype=float)[..., None])[..., 0]
-    solved = spd_solve(v, rb[..., None])
-    stat = ((t * rb)[..., None, :] @ solved)[..., 0, 0]
+    _, y = _spd_factor(v, rb[..., None])
+    stat = t * (y * y).sum(axis=(-2, -1))
     return float(stat) if stat.ndim == 0 else stat
 
 
 def t_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> float:
-    """t statistic ``sqrt(T) R b / sqrt(V)`` for a single restriction."""
+    """t statistic ``sqrt(T) R b / sqrt(V)`` for a single restriction, the
+    signed root of its Wald statistic: one form and one rule for ``V``."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if r.shape[0] != 1 or v.shape != (1, 1):
         raise ValueError("the t statistic requires exactly one restriction")
-    if v[0, 0] <= 0.0:
-        raise NotPositiveDefinite("contrast variance is not positive")
     rb = float((r @ np.asarray(beta_hat, dtype=float))[0])
-    return math.sqrt(t) * rb / math.sqrt(float(v[0, 0]))
+    return math.copysign(math.sqrt(wald_stat(beta_hat, r, v, t)), rb)
 
 
 def variant_spec(name: str, statistic: str | None = None) -> TestVariant:

@@ -44,7 +44,7 @@ def _read_csv_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
         try:
             header = next(row for row in csv.reader(fh) if row)
             body = fh.read()
-        except (StopIteration, ValueError):  # no header row, or not UTF-8
+        except (StopIteration, ValueError, csv.Error):  # no header, not UTF-8, bad row
             header, body = [], ""
     data = _parse_body(body, header, names)
     if data is None:
@@ -86,7 +86,10 @@ def _read_csv_rows(path: str, names: list[str]) -> dict[str, np.ndarray]:
     every row must have the header's field count; blank lines and a UTF-8
     byte order mark are skipped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: missing header row")
     header, rows = rows[0], rows[1:]

@@ -129,8 +129,7 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     """
     w = np.einsum("kcp,kcq->cpq", etas, etas) / k
     _, y, rank = _pivot_factor(w, _PIVOT_RTOL, eta0[:, :, None])
-    y = y[:, :, 0]
-    return (y * y).sum(axis=1), rank < eta0.shape[1]
+    return (y * y).sum(axis=(-2, -1)), rank < eta0.shape[1]
 
 
 def _root(spec: LimitSpec) -> tuple[np.ndarray, float]:

@@ -13,9 +13,10 @@ BLAS speed, and elementwise products summed across the whole stack for a
 stack, so many small matrices cost one array operation per step.
 
 A right-hand side is one vector (1-D), or a matrix ``(..., n, r)`` whose
-leading axes broadcast against those of the stack. The pivot loop can carry
-a matrix one: its rows then hold the right-hand side's columns too, and the
-forward solve ``U'Y = B`` comes out of the same loop as the factor.
+leading axes broadcast against those of the stack. Every SPD solve carries
+it through the one pivot loop, whose rows then hold its columns too: the
+forward solve ``U'Y = B`` comes out of the loop that makes the factor, and
+back substitution is the only second pass.
 """
 
 from __future__ import annotations
@@ -171,23 +172,22 @@ def _pivot_factor(s: np.ndarray, rtol: float, rhs: np.ndarray | None = None):
     return u, rows[..., n:], rank
 
 
+def _spd_factor(s: np.ndarray, rhs: np.ndarray | None = None):
+    """:func:`cholesky`'s ``U``, or with a right-hand side ``B`` the pair
+    ``(U, Y)`` with ``U'Y = B`` from the same loop, under its pivot rule."""
+    *out, rank = _pivot_factor(s, _PIVOT_RTOL, rhs)
+    if np.count_nonzero(rank < out[0].shape[-1]):
+        raise NotPositiveDefinite(f"pivot at column {np.min(rank)} is at or below "
+                                  f"{_PIVOT_RTOL:g} times the largest diagonal entry")
+    return out[0] if rhs is None else out
+
+
 def cholesky(s: np.ndarray) -> np.ndarray:
     """Upper-triangular factor ``U`` with ``S = U' U`` and positive diagonal,
-    of one matrix or of every member of a stack.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If any pivot falls at or below ``1e-12`` times the largest diagonal
-        entry of its matrix, signalling (numerical) rank deficiency.
-    """
-    u, rank = _pivot_factor(s, _PIVOT_RTOL)
-    if np.count_nonzero(rank < u.shape[-1]):
-        raise NotPositiveDefinite(
-            f"pivot at column {np.min(rank)} is at or below {_PIVOT_RTOL:g} times "
-            "the largest diagonal entry"
-        )
-    return u
+    of one matrix or of every member of a stack; :class:`NotPositiveDefinite`
+    if any pivot falls at or below ``1e-12`` times the largest diagonal entry
+    of its matrix, signalling (numerical) rank deficiency."""
+    return _spd_factor(s)
 
 
 def leading_spd_rank(s: np.ndarray, rtol: float = _PIVOT_RTOL) -> int:
@@ -212,14 +212,13 @@ def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 def spd_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``S X = B`` for symmetric positive definite ``S`` (or a stack).
 
-    Uses :func:`cholesky` followed by forward and backward substitution;
-    :class:`NotPositiveDefinite` propagates from the factorization.
+    One pivot loop makes the factor ``S = U'U`` and the forward solve
+    ``U'Y = B``, and back substitution ``U X = Y`` is the only second pass;
+    :class:`NotPositiveDefinite` where :func:`cholesky` raises it.
     """
-    u = cholesky(s)
-    rhs = np.asarray(b, dtype=float)
-    y = solve_triangular(_t(u), rhs[:, None] if rhs.ndim == 1 else rhs, lower=True)
+    u, y = _spd_factor(s, b)
     x = solve_triangular(u, y, lower=False)
-    return x[..., 0] if rhs.ndim == 1 else x
+    return x[..., 0] if np.ndim(b) == 1 else x
 
 
 def solve_general(a: np.ndarray, b: np.ndarray) -> np.ndarray:

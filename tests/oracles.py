@@ -5,7 +5,9 @@ linear-algebra code paths: densities are written from their closed forms with
 ``math.lgamma``, CDFs come from Simpson quadrature under a square-root
 substitution (smooth at the origin even for one degree of freedom), and
 quantiles invert the quadrature CDF by bisection. The matrix oracles write
-a quantity out in its textbook form, however wasteful. ``dense_report``
+a quantity out in its textbook form, however wasteful. ``spd_solve_two_pass``
+is the SPD solve as it was before the forward solve moved into the pivot
+loop: the factor, then a forward and a back substitution. ``dense_report``
 replays the dense path ``run_test`` took before it worked from FFT sums: the
 ``T x T`` kernel, the dense Gram and the ``T x K`` basis ``Phi U^{-1}``.
 ``grid_weights`` replays the grid the limit simulator drew from before it
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from harchow import autok, bases, chowtest
+from harchow.numkit import cholesky, solve_triangular
 from harchow.regression import ols_fit
 
 
@@ -111,6 +114,17 @@ def pivot_factor_unblocked(s, rtol):
         u[j, j] = math.sqrt(pivot)
         u[j, j + 1 :] = (a[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / u[j, j]
     return u, n
+
+
+def spd_solve_two_pass(s, b):
+    """``S X = B`` by ``cholesky``, then the forward solve ``U'Y = B`` and
+    the back solve ``U X = Y`` as two ``solve_triangular`` calls."""
+    u = cholesky(s)
+    rhs = np.asarray(b, dtype=float)
+    rhs = rhs[:, None] if rhs.ndim == 1 else rhs
+    y = solve_triangular(np.swapaxes(u, -1, -2), rhs, lower=True)
+    x = solve_triangular(u, y, lower=False)
+    return x[..., 0] if np.ndim(b) == 1 else x
 
 
 def read_csv_columns(path, names):

@@ -22,7 +22,7 @@ from harchow.chowtest import (
     variant_spec,
     wald_stat,
 )
-from harchow.errors import KTooSmall
+from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import DgpSpec, simulate_dgp
 from harchow.numkit import RngStream, dist_quantile, fisher_f
@@ -138,18 +138,35 @@ class TestWaldAndT:
         assert wald_stat(beta, r, np.eye(2), 100) == pytest.approx(0.0, abs=1e-12)
 
     def test_p1_wald_is_t_squared(self):
-        rng = np.random.default_rng(0)
-        beta = rng.standard_normal(4)
+        # t is the signed root of the Wald form: t^2 is it to 2 ulp, and t
+        # takes the sign of Rb, a zero's sign included
+        rng = np.random.default_rng(1)
         r = np.array([[0.0, 1.0, 0.0, -1.0]])
-        v = np.array([[0.37]])
-        f = wald_stat(beta, r, v, 50)
-        t = t_stat(beta, r, v, 50)
-        assert f == pytest.approx(t**2, rel=1e-12)
-        assert np.sign(t) == np.sign(float((r @ beta)[0]))
+        scales = 10.0 ** rng.integers(-6, 6, (400, 1))
+        betas = list(rng.standard_normal((400, 4)) * scales)
+        betas += [np.zeros(4), np.array([0.0, -0.0, 0.0, 0.0]), np.full(4, -0.0)]
+        for i, beta in enumerate(betas):
+            v = np.array([[rng.uniform(1e-3, 1e3)]])
+            f = wald_stat(beta, r, v, 37 + i)
+            t = t_stat(beta, r, v, 37 + i)
+            assert abs(t * t - f) <= 2 * math.ulp(f)
+            assert math.copysign(1.0, t) == math.copysign(1.0, float((r @ beta)[0]))
 
     def test_t_requires_single_restriction(self):
         with pytest.raises(ValueError):
             t_stat(np.zeros(4), np.eye(2, 4), np.eye(2), 10)
+
+    @pytest.mark.parametrize("v", [[[0.0]], [[-1.0]], [[1.0, 2.0], [2.0, 4.0]]],
+                             ids=["zero", "negative", "singular-2x2"])
+    def test_variance_refused_by_the_pivot_rule(self, v):
+        v = np.array(v)
+        p = len(v)
+        beta, r = np.arange(1.0, 2 * p + 1), np.hstack([np.eye(p), -np.eye(p)])
+        with pytest.raises(NotPositiveDefinite):
+            wald_stat(beta, r, v, 50)
+        if p == 1:
+            with pytest.raises(NotPositiveDefinite):
+                t_stat(beta, r, v, 50)
 
 
 class TestModifiedAndScaled:

@@ -196,6 +196,9 @@ class TestCmdTest:
         ("text-in-named-column", "edited.csv: non-numeric value in columns"),
         ("hash-field", "edited.csv: non-numeric value in columns"),
         ("nan-in-y", "data must be finite"),
+        # past csv.field_size_limit(): numpy refuses the field, then csv.Error
+        ("huge-field", "edited.csv: field larger than field limit"),
+        ("huge-header-field", "edited.csv: field larger than field limit"),
     ])
     def test_refused_files_exit_2_with_one_line(
         self, data_csv, tmp_path, edit, message, capsys
@@ -214,6 +217,11 @@ class TestCmdTest:
             lines[3] = "abc," + lines[3].split(",", 1)[1]
         elif edit == "hash-field":
             lines[3] = lines[3].rsplit(",", 1)[0] + ",#1"
+        elif edit == "huge-field":
+            lines[3] = "a" * 140_000 + "," + lines[3].split(",", 1)[1]
+        elif edit == "huge-header-field":
+            lines[0] = "y" * 140_000 + ",y,const,q"
+            lines[1:] = [line + ",0" for line in lines[1:]]
         else:
             lines[3] = "nan," + lines[3].split(",", 1)[1]
         edited = tmp_path / "edited.csv"

@@ -29,7 +29,7 @@ from harchow.numkit import (
     student_t,
 )
 
-from oracles import chi2_pdf, f_pdf, quantile_positive
+from oracles import chi2_pdf, f_pdf, quantile_positive, spd_solve_two_pass
 
 
 def random_spd(n, rng, jitter=0.5):
@@ -278,6 +278,60 @@ class TestFactorWithRightHandSide:
         assert np.array_equal(_bits(y[kept]), _bits(want))
         for y_i, rank_i in zip(y[~kept], rank[~kept]):
             assert not y_i[rank_i:].any()
+
+
+class TestSpdSolveContract:
+    """``spd_solve`` is the factor, the forward solve and the back solve of
+    ``spd_solve_two_pass``: bitwise on a stack, whose loop products are the
+    same elementwise sums, and to rounding on one matrix, whose BLAS products
+    span the factor's row and the right-hand side together."""
+
+    @staticmethod
+    def _rhs(rng, shape, width):
+        """One vector for ``width=None``, else ``width`` columns per matrix."""
+        if width is None:
+            return rng.standard_normal(shape[-1])
+        return rng.standard_normal(shape[:-1] + (width,))
+
+    @pytest.mark.parametrize("width", [1, 3, 300, None])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_stack_is_the_two_pass_solve_bitwise(self, p, width):
+        rng = np.random.default_rng(70 + p)
+        a = rng.standard_normal((5000, p, p))
+        stack = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(p)
+        rhs = self._rhs(rng, stack.shape, width)
+        x = spd_solve(stack, rhs)
+        want = spd_solve_two_pass(stack, rhs)
+        assert x.shape == want.shape
+        assert np.array_equal(_bits(x), _bits(want))
+
+    @pytest.mark.parametrize("width", [3, None])
+    @pytest.mark.parametrize("n", [4, 40, 130])
+    def test_one_matrix_is_the_two_pass_solve(self, n, width):
+        rng = np.random.default_rng(80 + n)
+        s = random_spd(n, rng)
+        rhs = self._rhs(rng, s.shape, width)
+        x, want = spd_solve(s, rhs), spd_solve_two_pass(s, rhs)
+        assert x.shape == want.shape
+        assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_matrix_against_a_stacked_right_hand_side(self):
+        rng = np.random.default_rng(90)
+        s = random_spd(3, rng)
+        rhs = rng.standard_normal((50, 3, 2))
+        x, want = spd_solve(s, rhs), spd_solve_two_pass(s, rhs)
+        assert x.shape == want.shape == (50, 3, 2)
+        assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_singular_members_raise_the_factor_message(self, p):
+        stack = _mixed_stack(p, np.random.default_rng(95 + p))
+        with pytest.raises(NotPositiveDefinite) as factor:
+            cholesky(stack)
+        for rhs in (np.ones(p), np.ones((len(stack), p, 2))):
+            with pytest.raises(NotPositiveDefinite) as solve:
+                spd_solve(stack, rhs)
+            assert str(solve.value) == str(factor.value)
 
 
 class TestDistributions:
