@@ -277,28 +277,23 @@ def _kernel_gram(sums: _RegimeSums, c: float) -> np.ndarray:
 
 
 def _kernel_factor(gram: np.ndarray, rhs: np.ndarray | None = None):
-    """Upper Cholesky factor ``U`` of a kernel Gram's kept leading block: K
-    is cut to the count of accepted pivots and the kept columns are
-    refactored from their own Gram matrix, so ``U`` has the kept size. With
-    ``rhs`` (K rows) it returns ``(U, U^{-T} rhs)`` over the kept rows,
-    solved inside the factor loop.
+    """Upper Cholesky factor ``U`` of a kernel Gram's kept leading block,
+    K cut to the count of accepted pivots: the leading block of the one
+    factorization. With ``rhs`` (K rows) it returns ``(U, U^{-T} rhs)``
+    over the kept rows, solved inside the factor loop.
 
     Raises
     ------
     NotPositiveDefinite
-        If no pivot passes, or not all of the kept ones pass again.
+        If no pivot passes.
     """
     *factor, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL, rhs)
-    if 0 < rank < len(gram):
-        del factor  # free the untrimmed factor before building the smaller one
-        gram = gram[:rank, :rank]
-        kept = None if rhs is None else rhs[:rank]
-        *factor, rank = _pivot_factor(gram, _TRANSFORM_PIVOT_RTOL, kept)
-    if rank < len(gram):
+    if rank == 0:
         raise NotPositiveDefinite(
             "Gram matrix is too close to singular for a reliable transform"
         )
-    return factor[0] if rhs is None else tuple(factor)
+    u = factor[0][:rank, :rank]
+    return u if rhs is None else (u, factor[1][:rank])
 
 
 def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

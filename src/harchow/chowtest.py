@@ -2,8 +2,8 @@
 
 One statistic core serves :func:`run_test` and the Monte Carlo engine:
 
-* :func:`raw_statistic`: the Wald or t statistic from the score sums ``G``
-  of the K basis vectors in use, via ``Omega = G'G / K`` and the sandwich;
+* :func:`raw_statistic`: the Wald or t statistic from the basis sums ``G``
+  of the ``T x p`` score proxy, with contrast variance ``V = G'G / K``;
 * :func:`statistic_forms`, on scalars or arrays: the "modified" form,
   rescaled by ``lam (1 - lam)`` and the average squared demeaned basis value
   (``norm_factor``) for a chi-square or normal reference; the "df-scaled"
@@ -110,8 +110,11 @@ def wald_stat(beta_hat: np.ndarray, r: np.ndarray, v: np.ndarray, t: int) -> Val
     the statistic is ``T y'y``, the limit simulator's form for its draws."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     rb = (r @ np.asarray(beta_hat, dtype=float)[..., None])[..., 0]
-    _, y = _spd_factor(v, rb[..., None])
-    stat = t * (y * y).sum(axis=(-2, -1))
+    # R b's leading axes beyond V's become columns: each V is factored once
+    outer = rb.shape[: max(rb.ndim + 1 - np.ndim(v), 0)]
+    _, y = _spd_factor(v, np.moveaxis(rb.reshape((-1,) + rb.shape[len(outer):]), 0, -1))
+    stat = t * np.moveaxis((y * y).sum(axis=-2), -1, 0)
+    stat = stat.reshape(outer + stat.shape[1:])
     return float(stat) if stat.ndim == 0 else stat
 
 
@@ -165,17 +168,16 @@ def raw_statistic(
     g: np.ndarray, fit: FitResult, r: np.ndarray, statistic: str,
     k: int | np.ndarray | None = None,
 ) -> Values:
-    """Wald (``"F"``) or t statistic from the score sums of the K basis
-    vectors in use (:func:`bases.series_sums` or :func:`longrun.score_sums`,
-    one row per vector).
+    """Wald (``"F"``) or t statistic from the sums ``G`` of the score proxy
+    (:func:`autok.score_series`) against the K basis vectors in use, one row
+    per vector; ``G'G / K`` is the contrast variance.
 
     On a stack of fits and score sums the Wald statistic comes out per
     member; ``k`` then may give each member's K, the count of leading rows
     of its sums in use (all rows by default).
     """
-    v_mat = longrun.sandwich_variance(r, fit.q_hat, longrun.sums_outer(g, k))
     stat = wald_stat if statistic == "F" else t_stat
-    return stat(fit.beta_hat, r, v_mat, fit.residuals.shape[-1])
+    return stat(fit.beta_hat, r, longrun.sums_outer(g, k), fit.residuals.shape[-1])
 
 
 def statistic_forms(
@@ -341,17 +343,15 @@ def run_test(
     p = hyp.p
     t = data.t
 
+    v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
     plugin = None
     if k_policy == "auto":
-        v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
         plugin = autok.build_plugin_model(v_series)
         k_requested = autok.mse_optimal_k(plugin, t, p)
     else:
         [k_requested] = k_policy
 
-    g, norms = series_sums(
-        fit.xz * fit.residuals[:, None], k_requested, data.lam, spec.basis_family
-    )
+    g, norms = series_sums(v_series, k_requested, data.lam, spec.basis_family)
     k_used = len(norms)
     if k_used < p:
         raise KTooSmall(f"only {k_used} usable basis vectors for p={p}")

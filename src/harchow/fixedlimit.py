@@ -39,6 +39,10 @@ substream ``attempt * reps + i`` (``attempt = 1, 2, ...``) and counted;
 these ids never meet the block ids. Changing ``_BLOCK_NORMALS`` changes
 every simulated law's draws and needs a ``FILE_VERSION`` bump.
 
+The draws' bits hold for one BLAS build and thread count: OpenBLAS rounds
+``R Z`` differently on one and two threads at some K. Row-wise or ``einsum``
+products did not, but change the bits, so they need a ``FILE_VERSION`` bump.
+
 Simulated distributions can be cached in memory and on disk. The disk format
 is one JSON header line (version and spec fields) followed by the sorted
 draws as little-endian float64. A file whose version, kind or spec differs

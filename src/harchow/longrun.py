@@ -1,10 +1,11 @@
 """Series long-run variance estimator and the sandwich variance of contrasts.
 
-The estimator averages K outer products of basis-weighted partial sums of the
-score series (regressor rows times residuals). Scores are accumulated in one
-pass as ``G = Phi' S / sqrt(T)`` with ``S`` the T x 2m score matrix, giving
-``Omega = G' G / K`` without any T x T intermediate. Each function also takes
-a stack of series or score sums with leading axes, one result per member.
+The estimator averages K outer products ``G' G / K`` of the basis-weighted
+sums ``G = Phi' S / sqrt(T)`` of a T x d series, with no T x T intermediate.
+It is linear in the series, so on a contrast's score proxy
+``R Q^{-1} xz_t' u_t`` it is :func:`sandwich_variance`, the reference form,
+of its value ``Omega`` on the T x 2m scores. Each function also takes a
+stack of series or score sums with leading axes, one result per member.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def series_lrv(basis: BasisSet, xz: np.ndarray, u_hat: np.ndarray) -> np.ndarray
     """Long-run variance estimate of the scores ``xz_t' u_t``."""
     xz = np.asarray(xz, dtype=float)
     u = np.asarray(u_hat, dtype=float)
-    if xz.shape[0] != u.shape[0]:
+    if xz.shape[:-1] != u.shape:
         raise ValueError("xz and u_hat must have the same number of rows")
-    return sums_outer(score_sums(basis, xz * u[:, None]))
+    return sums_outer(score_sums(basis, xz * u[..., None]))
 
 
 def sandwich_variance(

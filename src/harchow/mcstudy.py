@@ -209,16 +209,15 @@ def _stack_statistics(
     hyp = full_break_hypothesis(2)
     r = hyp.contrast
     fit = ols_fit(RegressionData(y, x, None, lam), hyp)
+    v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
     if isinstance(k_policy, str):
-        v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
         model = autok.plugin_from_fit(*autok.fit_var1(v_series))
         k_policy = [autok.mse_optimal_k(model, y.shape[-1], hyp.p)]
-    scores = fit.xz * fit.residuals[..., None]
     shift = np.multiply.outer(deltas, np.repeat([0.0, 1.0], hyp.m))[:, None]
     moved = replace(fit, beta_hat=fit.beta_hat + shift)
     wald, k_used = {}, {}
     for family, basis in bases.items():
-        sums = longrun.score_sums(basis, scores)
+        sums = longrun.score_sums(basis, v_series)
         used = [np.minimum(k, basis.k) for k in k_policy]
         k_used[family] = np.stack([np.broadcast_to(k, len(y)) for k in used], axis=-1)
         wald[family] = np.stack(

@@ -5,7 +5,10 @@ linear-algebra code paths: densities are written from their closed forms with
 ``math.lgamma``, CDFs come from Simpson quadrature under a square-root
 substitution (smooth at the origin even for one degree of freedom), and
 quantiles invert the quadrature CDF by bisection. The matrix oracles write
-a quantity out in its textbook form, however wasteful. ``spd_solve_two_pass``
+a quantity out in its textbook form, however wasteful.
+``kernel_factor_refactored`` is the trimmed kernel factor as it was before
+it became a slice of the one factorization: the kept block refactored from
+its own Gram. ``spd_solve_two_pass``
 is the SPD solve as it was before the forward solve moved into the pivot
 loop: the factor, then a forward and a back substitution. ``dense_report``
 replays the dense path ``run_test`` took before it worked from FFT sums: the
@@ -21,8 +24,10 @@ import math
 
 import numpy as np
 
-from harchow import autok, bases, chowtest
+from harchow import autok, bases, chowtest, longrun
+from harchow.errors import NotPositiveDefinite
 from harchow.numkit import cholesky, solve_triangular
+from harchow.numkit.linalg import _pivot_factor
 from harchow.regression import ols_fit
 
 
@@ -116,6 +121,20 @@ def pivot_factor_unblocked(s, rtol):
     return u, n
 
 
+def kernel_factor_refactored(gram, rhs=None):
+    """``bases._kernel_factor`` as it was before it sliced its one
+    factorization: factor, cut K to the accepted pivots, then refactor the
+    kept leading block of the Gram (and of ``rhs``) from scratch."""
+    *factor, rank = _pivot_factor(gram, bases._TRANSFORM_PIVOT_RTOL, rhs)
+    if 0 < rank < len(gram):
+        gram = gram[:rank, :rank]
+        kept = None if rhs is None else rhs[:rank]
+        *factor, rank = _pivot_factor(gram, bases._TRANSFORM_PIVOT_RTOL, kept)
+    if rank < len(gram):
+        raise NotPositiveDefinite("Gram matrix too close to singular")
+    return factor[0] if rhs is None else tuple(factor)
+
+
 def spd_solve_two_pass(s, b):
     """``S X = B`` by ``cholesky``, then the forward solve ``U'Y = B`` and
     the back solve ``U X = Y`` as two ``solve_triangular`` calls."""
@@ -191,8 +210,10 @@ def dense_report(data, hyp, variant, k, alpha=0.05, **reference_settings):
     """``run_test``'s report fields (a dict) on the dense path: the basis
     from ``fourier_matrix``, for the transformed family cut to
     ``feasible_k`` and orthonormalized by ``gram_transform`` under
-    ``kernel_matrix``; score sums as a matrix product; the norm factor as
-    the demeaned columns' mean square."""
+    ``kernel_matrix``; sums of the ``T x 2m`` scores as a matrix product,
+    their long-run variance ``Omega`` and the sandwich
+    ``R Q^{-1} Omega Q^{-1} R'`` as the contrast variance; the norm factor
+    as the demeaned columns' mean square."""
     spec = chowtest.VARIANTS[variant]
     fit = ols_fit(data, hyp)
     r, p, t, lam = hyp.contrast, hyp.p, data.t, data.lam
@@ -205,7 +226,9 @@ def dense_report(data, hyp, variant, k, alpha=0.05, **reference_settings):
         kept = bases.feasible_k(basis, kern)
         basis = bases.gram_transform(bases.fourier_matrix(t, kept, lam), kern)
     g = basis.matrix.T @ (fit.xz * fit.residuals[:, None]) / math.sqrt(t)
-    stat = chowtest.raw_statistic(g, fit, r, spec.statistic)
+    v = longrun.sandwich_variance(r, fit.q_hat, g.T @ g / basis.k)
+    stat_fn = chowtest.wald_stat if spec.statistic == "F" else chowtest.t_stat
+    stat = stat_fn(fit.beta_hat, r, v, t)
     tilde = bases.phi_tilde_matrix(basis.matrix, lam, t)
     nf = float((tilde**2).mean(axis=0).mean())
     forms = chowtest.statistic_forms(stat, spec.statistic, nf, p, basis.k, lam)

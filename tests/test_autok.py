@@ -8,7 +8,7 @@ from harchow.autok import (
     plugin_from_fit,
     score_series,
 )
-from harchow.bases import fourier_matrix
+from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_basis, series_sums
 from harchow.errors import NotPositiveDefinite
 from harchow.longrun import sandwich_variance, score_sums, series_lrv, sums_outer
 from harchow.numkit import RngStream
@@ -37,16 +37,47 @@ class TestScoreSeries:
         v = score_series(r1, fit.q_hat, fit.xz, fit.residuals)
         assert v.shape == (data.t, 1)
 
+    # (T, lambda, K, stack size, stable covariates z)
+    IDENTITY_CASES = [
+        (12, 0.5, 3, None, False),
+        (101, 0.7, 40, None, False),  # non-integer lambda T: K cut to 21
+        (100, 0.4, 98, None, False),  # trimmed K: 97 kept
+        (80, 0.4, 20, 6, False),      # a stack of six fits
+        (90, 0.35, 30, None, True),
+    ]
+
     def test_sandwich_consistency_identity(self):
-        # the series estimator applied to the score proxy reproduces the
-        # sandwich variance of the contrast
-        data, hyp, fit = fitted(seed=2)
-        basis = fourier_matrix(data.t, 3, data.lam)
-        v = score_series(hyp.contrast, fit.q_hat, fit.xz, fit.residuals)
-        direct = sums_outer(score_sums(basis, v))
-        omega = series_lrv(basis, fit.xz, fit.residuals)
-        sandwich = sandwich_variance(hyp.contrast, fit.q_hat, omega)
-        assert np.max(np.abs(direct - sandwich)) < 1e-10
+        # the series estimator is linear in the series, so applied to the
+        # T x p score proxy it is the sandwich of the 2m-column scores' one,
+        # through a basis and through series_sums alike
+        r = full_break_hypothesis(2).contrast
+        for t, lam, k, reps, with_z in self.IDENTITY_CASES:
+            rng = np.random.default_rng(t)
+            shape = (t,) if reps is None else (reps, t)
+            x = np.stack([np.ones(shape), rng.standard_normal(shape)], axis=-1)
+            z = rng.standard_normal((t, 1)) if with_z else None
+            y = rng.standard_normal(shape) + (0.3 * z[:, 0] if with_z else 0.0)
+            fit = ols_fit(RegressionData(y, x, z, lam), full_break_hypothesis(2))
+            v = score_series(r, fit.q_hat, fit.xz, fit.residuals)
+            scores = fit.xz * fit.residuals[..., None]
+            for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+                basis = series_basis(t, k, lam, family)
+                omega = series_lrv(basis, fit.xz, fit.residuals)
+                pairs = [(
+                    sums_outer(score_sums(basis, v)),
+                    sandwich_variance(r, fit.q_hat, omega),
+                )]
+                for i in np.ndindex(shape[:-1]):
+                    g_v, norms = series_sums(v[i], k, lam, family)
+                    g_scores, _ = series_sums(scores[i], k, lam, family)
+                    assert len(norms) == basis.k
+                    pairs.append((
+                        sums_outer(g_v),
+                        sandwich_variance(r, fit.q_hat[i], sums_outer(g_scores)),
+                    ))
+                for direct, sandwich in pairs:
+                    gap = np.max(np.abs(direct - sandwich)) / np.max(np.abs(sandwich))
+                    assert gap <= 1e-12, (t, lam, k, family, gap)
 
 
 class TestFitVar1:

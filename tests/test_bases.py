@@ -18,7 +18,7 @@ from harchow.bases import (
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
 from harchow.numkit.linalg import _pivot_factor
-from oracles import kernel_inner, pivot_factor_unblocked
+from oracles import kernel_factor_refactored, kernel_inner, pivot_factor_unblocked
 
 
 class TestBreakIndex:
@@ -345,6 +345,25 @@ class TestRegimeSumsGram:
         u_plain, rank_plain = pivot_factor_unblocked(gram, 1e-8)
         assert rank == rank_plain == 297
         assert _rel_gap(u, u_plain) <= 1e-12
+
+    @pytest.mark.parametrize("t, lam, k", [
+        (51, 0.7, 49), (101, 0.7, 99), (100, 0.4, 98), (200, 0.4, 198),
+        (2000, 0.4, 1998),
+    ])
+    def test_trimmed_factor_is_the_refactored_block(self, t, lam, k):
+        # the kept block of the one factorization is the factor that
+        # refactoring the kept block of the Gram gives
+        sums = bases._regime_sums(t, k, lam)
+        gram = bases._kernel_gram(sums, sums.c_kernel)
+        rhs = np.column_stack([
+            np.random.default_rng(t).standard_normal((k, 3)), sums.a
+        ])
+        u, y = bases._kernel_factor(gram, rhs)
+        u_ref, y_ref = kernel_factor_refactored(gram, rhs)
+        assert len(u) == len(y) == len(u_ref) < k
+        assert _rel_gap(u, u_ref) <= 1e-13
+        assert _rel_gap(y, y_ref) <= 1e-13
+        assert len(bases._kernel_factor(gram)) == len(u)
 
 
 def test_library_paths_build_no_dense_kernel(monkeypatch):

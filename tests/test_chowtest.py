@@ -152,6 +152,32 @@ class TestWaldAndT:
             assert abs(t * t - f) <= 2 * math.ulp(f)
             assert math.copysign(1.0, t) == math.copysign(1.0, float((r @ beta)[0]))
 
+    def test_each_variance_factored_once_across_break_sizes(self, monkeypatch):
+        # the power path's (n_deltas, B, p) contrasts against a (B, p, p)
+        # variance stack: one factor call on the stack, the break sizes as
+        # right-hand-side columns, bitwise the V-broadcast-per-delta form
+        rng = np.random.default_rng(3)
+        r = full_break_hypothesis(2).contrast
+        a = rng.standard_normal((50, 2, 5))
+        v = a @ a.swapaxes(-1, -2) / 5
+        beta = rng.standard_normal((50, 4)) + np.multiply.outer(
+            np.linspace(0.0, 1.5, 7), [0.0, 0.0, 1.0, 1.0]
+        )[:, None]
+        rb = (r @ beta[..., None])[..., 0]
+        _, y = chowtest._spd_factor(np.broadcast_to(v, (7, 50, 2, 2)), rb[..., None])
+        broadcast = 100 * (y * y).sum(axis=(-2, -1))
+        calls = []
+
+        def spy(s, rhs=None):
+            calls.append((np.shape(s), np.shape(rhs)))
+            return factor(s, rhs)
+
+        factor = chowtest._spd_factor
+        monkeypatch.setattr(chowtest, "_spd_factor", spy)
+        wald = wald_stat(beta, r, v, 100)
+        assert calls == [((50, 2, 2), (50, 2, 7))]
+        assert wald.shape == (7, 50) and np.array_equal(wald, broadcast)
+
     def test_t_requires_single_restriction(self):
         with pytest.raises(ValueError):
             t_stat(np.zeros(4), np.eye(2, 4), np.eye(2), 10)
@@ -553,24 +579,21 @@ class TestStackedPipeline:
         model = autok.plugin_from_fit(*autok.fit_var1(v))
         k = autok.mse_optimal_k(model, 100, p)
         used = np.minimum(k, basis.k)
-        g = longrun.score_sums(basis, fit.xz * fit.residuals[..., None])
+        g = longrun.score_sums(basis, v)
         wald = chowtest.raw_statistic(g, fit, r, "F", used)
         for i in range(len(y)):
             one = ols_fit(RegressionData(y[i], x[i], None, 0.4), hyp)
-            one_model = autok.build_plugin_model(
-                autok.score_series(r, one.q_hat, one.xz, one.residuals)
-            )
+            v_one = autok.score_series(r, one.q_hat, one.xz, one.residuals)
+            one_model = autok.build_plugin_model(v_one)
             k_one = autok.mse_optimal_k(one_model, 100, p)
             assert (k[i], model.clamped[i]) == (k_one, one_model.clamped)
-            g_one = longrun.score_sums(basis, one.xz * one.residuals[:, None])
+            g_one = longrun.score_sums(basis, v_one)
             expected = chowtest.raw_statistic(g_one[:used[i]], one, r, "F")
-            # the stacked and the single Omega differ by rounding, which the
+            # the stacked and the single V differ by rounding, which the
             # condition number of the contrast variance amplifies: ~100 units
             # of roundoff per unit of condition, and 1e-12 when well conditioned
-            v_one = longrun.sandwich_variance(
-                r, one.q_hat, longrun.sums_outer(g_one[:used[i]])
-            )
-            rel = max(1e-12, 1e-14 * np.linalg.cond(v_one))
+            var_one = longrun.sums_outer(g_one[:used[i]])
+            rel = max(1e-12, 1e-14 * np.linalg.cond(var_one))
             assert wald[i] == pytest.approx(expected, rel=rel)
         if p == 2:
             assert model.clamped.any() and not model.clamped.all()
