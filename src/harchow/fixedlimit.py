@@ -16,20 +16,23 @@ Draw kinds are rescalings of ``B`` (or its signed square root for the t
 variant).
 
 Exact draw. ``eta`` is matrix normal with row covariance ``M = W'W`` and
-independent columns, so it is drawn as ``eta = R Z`` with ``R R' = M`` and
-``Z`` a standard normal matrix: ``(K+1) p`` normals per replication instead
-of ``n p``, with the same law as the grid sum. ``phi0`` is constant and
-each ``tphi_j`` sums to zero within a regime, so ``M = diag(M_00, G)`` with
-``M_00 = (k*/lam^2 + (n - k*)/(1 - lam)^2) / n`` and ``G`` the demeaned
-Gram, and ``R = diag(sqrt(M_00), R_G)`` with ``R_G`` from
-:func:`harchow.bases.series_root`: no grid is built. All K vectors must
-pass that root's pivots, else the simulation raises ``NotPositiveDefinite``
-(both families at ``K = n - 2`` with even ``n`` and ``k*``, where ``G`` is
-singular). For the transformed family at integer ``lam n``, ``G`` is
-``I_K`` up to rounding, so the scaled draws are ``F(p, K - p + 1)``.
+independent columns, so a standard normal ``(K+1) x p`` matrix ``Z`` per
+replication draws it: ``(K+1) p`` normals instead of ``n p``, with the same
+law as the grid sum. ``phi0`` is constant and each ``tphi_j`` sums to zero
+within a regime, so ``M = diag(M_00, G)`` with ``M_00 = (k*/lam^2 +
+(n - k*)/(1 - lam)^2) / n`` and ``G`` the demeaned Gram: ``eta_0`` is
+independent of ``eta_1..K``. The scaled ``eta_0`` is ``sqrt(lam (1 - lam)
+M_00)`` times row 0 of ``Z``, and ``eta_1..K`` is ``R_G Z[1:]`` with
+``R_G`` from :func:`harchow.bases.series_root`, one ``(count p) x K``
+row-major product with ``R_G'`` per block: no grid is built. All K vectors
+must pass that root's pivots, else the simulation raises
+``NotPositiveDefinite`` (both families at ``K = n - 2`` with even ``n`` and
+``k*``, where ``G`` is singular). For the transformed family at integer
+``lam n``, ``G`` is ``I_K`` up to rounding, so the scaled draws are
+``F(p, K - p + 1)``.
 
 Streams. Replications come in blocks of ``max(1, 2**16 // (m p))``
-consecutive ones (``m = K + 1``, the root's size), so a block draws about
+consecutive ones (``m = K + 1``, the rows of ``Z``), so a block draws about
 ``_BLOCK_NORMALS = 2**16`` normals (0.5 MB) whatever K and p are. Block
 ``b`` draws the ``Z`` of all its replications from one call to
 ``RngStream(seed, b).normals``: its ``j``-th replication takes the ``j``-th
@@ -39,9 +42,12 @@ substream ``attempt * reps + i`` (``attempt = 1, 2, ...``) and counted;
 these ids never meet the block ids. Changing ``_BLOCK_NORMALS`` changes
 every simulated law's draws and needs a ``FILE_VERSION`` bump.
 
-The draws' bits hold for one BLAS build and thread count: OpenBLAS rounds
-``R Z`` differently on one and two threads at some K. Row-wise or ``einsum``
-products did not, but change the bits, so they need a ``FILE_VERSION`` bump.
+The draws' bits hold for one numpy and BLAS build. Under
+``OPENBLAS_NUM_THREADS=1`` and ``2`` they were bitwise equal in every case
+checked below K = 100 (README, "Cache file format"). From K = 100 OpenBLAS
+still rounds some blocks' product differently by thread count, mostly a
+last, partial block, and whole blocks from K = 220; at K = 300
+``series_root``'s blocked factor differs too.
 
 Simulated distributions can be cached in memory and on disk. The disk format
 is one JSON header line (version and spec fields) followed by the sorted
@@ -64,6 +70,7 @@ from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, break_index, series_root
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
 from .numkit import RngStream
 from .numkit.linalg import _PIVOT_RTOL, _pivot_factor
+from .numkit.rng import _require_integers
 
 F_INF = "F_inf"
 F_STAR_INF = "F_star_inf"
@@ -71,7 +78,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 5
+FILE_VERSION = 6
 _BLOCK_NORMALS = 2**16
 
 logger = logging.getLogger(__name__)
@@ -91,6 +98,12 @@ class LimitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = ("p", "k", "grid_n", "replications", "seed")
+        _require_integers(**{name: getattr(self, name) for name in counts})
+        for name in counts:  # a numpy int becomes an int, for the cache header
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.p < 1 or self.k < 1:
             raise ValueError("p and K must be positive")
         if not 0.0 < self.lam < 1.0:
@@ -136,41 +149,32 @@ def _quad_forms(eta0: np.ndarray, etas: np.ndarray, k: int):
     return (y * y).sum(axis=(-2, -1)), rank < eta0.shape[1]
 
 
-def _root(spec: LimitSpec) -> tuple[np.ndarray, float]:
-    """Lower root ``diag(sqrt(M_00), R_G)`` of the row covariance of
-    ``eta`` and the basis's norm factor, the mean of ``G``'s diagonal;
-    raises ``NotPositiveDefinite`` unless all K vectors pass ``R_G``."""
-    n, lam = spec.grid_n, spec.lam
-    gram_root, norms = series_root(n, spec.k, lam, spec.family)
-    if len(norms) < spec.k:
+def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Per-replication ``(B, eta0)`` pairs plus redraw count and the
+    basis's norm factor, the mean of ``G``'s diagonal; raises
+    ``NotPositiveDefinite`` unless all K vectors pass ``R_G``'s pivots."""
+    n, lam, p, k, reps = spec.grid_n, spec.lam, spec.p, spec.k, spec.replications
+    gram_root, norms = series_root(n, k, lam, spec.family)
+    if len(norms) < k:
         raise NotPositiveDefinite(
-            f"only {len(norms)} of K={spec.k} basis vectors pass the Gram's "
+            f"only {len(norms)} of K={k} basis vectors pass the Gram's "
             f"pivots on a grid of {n}"
         )
     k_star = break_index(lam, n)
-    root = np.zeros((spec.k + 1, spec.k + 1))
-    root[0, 0] = np.sqrt((k_star / lam**2 + (n - k_star) / (1.0 - lam) ** 2) / n)
-    root[1:, 1:] = gram_root
-    return root, float(norms.mean())
-
-
-def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Per-replication ``(B, eta0)`` pairs plus redraw count and the
-    basis's norm factor."""
-    root, mean_sq = _root(spec)
-    p, k, reps = spec.p, spec.k, spec.replications
+    m_00 = (k_star / lam**2 + (n - k_star) / (1.0 - lam) ** 2) / n
+    eta0_scale = np.sqrt(lam * (1.0 - lam) * m_00)
     m = k + 1
-    lam_scale = np.sqrt(spec.lam * (1.0 - spec.lam))
     quads = np.empty(reps)
     eta0_all = np.empty((reps, p))
     redraws = 0
 
     def forms(z: np.ndarray):
-        # z holds one m x p matrix per replication; eta = R Z is
-        # m x count x p, from one matrix product for the whole batch
-        eta = (root @ z.transpose(1, 0, 2).reshape(m, -1)).reshape(m, -1, p)
-        eta0 = lam_scale * eta[0]
-        return (eta0, *_quad_forms(eta0, eta[1:], k))
+        # z holds one m x p matrix per replication: eta_0 scales its row 0,
+        # and eta_1..K = R_G Z[1:] comes from one (count p) x K product
+        eta0 = eta0_scale * z[:, 0]
+        etas = z[:, 1:].transpose(0, 2, 1).reshape(-1, k) @ gram_root.T
+        etas = etas.reshape(len(z), p, k).transpose(2, 0, 1)
+        return (eta0, *_quad_forms(eta0, etas, k))
 
     per_block = max(1, _BLOCK_NORMALS // (m * p))
     for block, start in enumerate(range(0, reps, per_block)):
@@ -196,7 +200,7 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
             bad[bad] = bad_r
         quads[rep_ids] = quad
         eta0_all[rep_ids] = eta0
-    return quads, eta0_all, redraws, mean_sq
+    return quads, eta0_all, redraws, float(norms.mean())
 
 
 def simulate_limit(spec: LimitSpec, kind: str) -> SimulatedDistribution:

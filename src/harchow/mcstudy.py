@@ -41,6 +41,7 @@ from .bases import (
 )
 from .errors import HarchowError
 from .numkit import RngStream
+from .numkit.rng import _require_integers
 from .regression import RegressionData, full_break_hypothesis, ols_fit
 
 F_VARIANTS = (
@@ -77,6 +78,7 @@ class DgpSpec:
     burn_in: int = 500
 
     def __post_init__(self) -> None:
+        _require_integers(t=self.t, burn_in=self.burn_in)
         values = (self.rho, self.psi, self.delta)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"need finite rho, psi and delta, got {values}")
@@ -176,9 +178,10 @@ def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
 
 
 class CellStats(NamedTuple):
-    """Per-replication statistics of a cell or block: the Wald statistic and
-    the K used, keyed by basis family, as (reps, n_deltas, n_k) arrays, and a
-    (reps, n_deltas) failure mask."""
+    """Per-replication statistics of a cell or block, keyed by basis family:
+    the Wald statistic as (reps, n_deltas, n_k) arrays and the K used as
+    (reps, n_k) arrays, since a break size moves neither K nor the fit's
+    success; and a (reps,) failure mask."""
 
     wald: dict[str, np.ndarray]
     k_used: dict[str, np.ndarray]
@@ -238,7 +241,7 @@ def _run_block(
     """Statistics for a contiguous block of replications, evaluated as one
     stack at every break size. If that raises ``HarchowError``, each
     replication is evaluated alone, through the same functions, and a
-    failing one is flagged at every break size."""
+    failing one is flagged once, for all break sizes."""
     start, stop = rep_range
     n = spec.t + spec.burn_in
     z = np.stack([
@@ -247,10 +250,10 @@ def _run_block(
     ])
     y, x = _simulate_stack(replace(spec, delta=0.0), z)
     n_k = 1 if isinstance(k_policy, str) else len(k_policy)
-    shape = (stop - start, len(deltas), n_k)
-    wald = {family: np.full(shape, np.nan) for family in bases}
-    k_used = {family: np.zeros(shape, dtype=np.int64) for family in bases}
-    failed = np.zeros(shape[:2], dtype=bool)
+    count = stop - start
+    wald = {family: np.full((count, len(deltas), n_k), np.nan) for family in bases}
+    k_used = {family: np.zeros((count, n_k), dtype=np.int64) for family in bases}
+    failed = np.zeros(count, dtype=bool)
     evaluate = partial(_stack_statistics, spec.lam, bases, k_policy, deltas)
     try:
         parts = [(slice(None), evaluate(y, x))]
@@ -265,7 +268,7 @@ def _run_block(
     for rows, (part_wald, part_k) in parts:
         for family in bases:
             wald[family][rows] = part_wald[family]
-            k_used[family][rows] = part_k[family][:, None]
+            k_used[family][rows] = part_k[family]
     return CellStats(wald, k_used, failed)
 
 
@@ -308,10 +311,14 @@ def _decision_values(
     variant: chowtest.TestVariant, stats: CellStats, bases: dict[str, BasisSet],
     lam: float, index: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(decision statistic, K used) of one variant at ``index`` into a cell's
-    (replication, delta, K) statistic arrays."""
+    """(decision statistic, K used) of one variant at ``index = (rows,
+    delta, K)`` into a cell's (replication, delta, K) statistic arrays; K
+    used is per (replication, K), so it broadcasts over a slice of deltas."""
     family = variant.basis_family
-    wald, k_used = stats.wald[family][index], stats.k_used[family][index]
+    rows, deltas, k_idx = index
+    wald, k_used = stats.wald[family][index], stats.k_used[family][rows, k_idx]
+    if isinstance(deltas, slice):
+        k_used = k_used[:, None]
     nf = norm_factor(bases[family], k_used)
     forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
     return forms[chowtest.decision_form(variant)], k_used
@@ -347,7 +354,7 @@ def _size_rows(
     stats = _run_cell(
         spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
     )
-    ok = ~stats.failed[:, 0]
+    ok = ~stats.failed
     n_ok = int(ok.sum())
     results = []
     labels = ["auto"] if k_policy == "auto" else map(str, k_policy)
@@ -465,7 +472,7 @@ def power_experiment(
         grid = (0.0,) + grid
     bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
-    ok = ~stats.failed.any(axis=1)
+    ok = ~stats.failed
     n_ok = int(ok.sum())
     curves: dict[str, list[float]] = {}
     for variant in ("chisq-fourier", "f-transformed"):

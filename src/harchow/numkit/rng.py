@@ -13,8 +13,19 @@ than sharing one object.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.random import PCG64, SeedSequence
+
+
+def _require_integers(**values) -> None:
+    """``ValueError`` unless every value is a Python or numpy integer; a
+    bool or a float, integral or not, is refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 class RngStream:
     """One reproducible substream of the package-wide generator family."""
@@ -22,6 +33,7 @@ class RngStream:
     __slots__ = ("seed", "stream", "_bitgen")
 
     def __init__(self, seed: int, stream: int = 0):
+        _require_integers(seed=seed, stream=stream)
         if seed < 0 or stream < 0:
             raise ValueError("seed and stream must be nonnegative integers")
         self.seed = int(seed)

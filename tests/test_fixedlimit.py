@@ -3,13 +3,15 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace as dataclass_replace
 
 import numpy as np
 import pytest
 
 from harchow import fixedlimit
-from harchow.bases import break_index, fourier_matrix, kernel_matrix
+from harchow.bases import break_index, fourier_matrix, kernel_matrix, series_root
 from harchow.errors import KTooSmall, NotPositiveDefinite
 from harchow.fixedlimit import (
     _BLOCK_NORMALS,
@@ -23,7 +25,6 @@ from harchow.fixedlimit import (
     _base_draws,
     _cache_filename,
     _quad_forms,
-    _root,
     critical_value,
     empirical_p,
     export_csv,
@@ -150,30 +151,67 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # SHA-256 of the draws (quadratic forms, then eta_0) of 10k replications at
-# grid 100, lambda 0.4, seed 21, made by the factor followed by a separate
-# forward solve: the solve inside the factor must give the same bits. The
-# digests are those of this numpy and BLAS build with BLAS on two threads.
-# The K = 40 pins fail under OPENBLAS_NUM_THREADS=1: the product R Z in
-# _base_draws rounds differently on one thread (see fixedlimit's module
-# docstring). That is a known fault of the draws, not of these pins.
+# grid 100, lambda 0.4, seed 21: eta_0 a scaled row of each replication's
+# normals, eta_1..K one row-major product with R_G'. The digests are those of
+# this numpy and BLAS build, and they hold under OPENBLAS_NUM_THREADS=1 and 2
+# (see fixedlimit's module docstring for where the thread count still moves
+# the bits).
 PINNED_DRAWS = [
-    ("fourier-raw", 1, 4, "beb913e871705652f58095b296c07c5a6e318749f2506dff77beccbb991d818a"),
-    ("fourier-raw", 2, 8, "56c510e957ba500d173fe3a71c4f5f41b62755ce0340843a0cf514f86c792e66"),
-    ("fourier-raw", 3, 12, "aee48987d9f7af93e5a9a18005b7c09af7007629dce1ac1e71f373afea92b9b8"),
-    ("fourier-raw", 1, 40, "3303e301f8b7b4b2197ac14731da5243c8a6d0c224fa36fdc61d013984379890"),
-    ("fourier-transformed", 1, 4, "bacf95df20e4ecd3611186e2ba880f2cb30dffe077266c17399c9a4f9fc85b24"),
-    ("fourier-transformed", 2, 8, "88fad95116cfe9da2f1619b19c446fe1961b389740253dad2fb75703035c6e90"),
-    ("fourier-transformed", 3, 12, "69452f1c481c984314d5e7158c5a1f86eede5f3239677a5bcb43399566d0a477"),
-    ("fourier-transformed", 1, 40, "194d9906f1c70d7e23a2a9ce102d7127ef5d9aba51d1432d47e0be0617d93438"),
+    ("fourier-raw", 1, 4, "ceaa2010ada78893865e98a76971e0a6a9151d204f560dc0b1587842c3ffe638"),
+    ("fourier-raw", 2, 8, "9e91a55e54216868afe28730e85648dd3d2feb8aad4b493658ed0f51e3252dce"),
+    ("fourier-raw", 3, 12, "605bf9af976d0d50ab561f26366cd33cc0979f2585c0f45faf7f60da1bef2d0d"),
+    ("fourier-raw", 1, 40, "2b050a9724996aefc240bf2f41e3dd9ce6ee0b9bec46f4265fafb94eed92e646"),
+    ("fourier-transformed", 1, 4, "be526400ada88b45708b1f72f438c5c989cc975ec9d123eddeec4d9bf94179ab"),
+    ("fourier-transformed", 2, 8, "5d35108e7f6b25d6ee6288fbea2355b3594de81c170885b2e9d3f2b5150ad3dc"),
+    ("fourier-transformed", 3, 12, "309b6916bd3739918aca4b84996bb1c38d6f0b3318c65385ac5f07b4f55b7754"),
+    ("fourier-transformed", 1, 40, "b1f82c6eead6e0fdd880d1a3215acdcbf4b3efc974e428ccd0493fce9af070ab"),
 ]
 
 
-@pytest.mark.parametrize("family, p, k, digest", PINNED_DRAWS)
+@pytest.mark.parametrize(
+    "family, p, k, digest", PINNED_DRAWS,
+    ids=[f"{family}-{p}-{k}" for family, p, k, _ in PINNED_DRAWS],
+)
 def test_draws_are_pinned(family, p, k, digest):
     spec = LimitSpec(p=p, k=k, lam=0.4, family=family, grid_n=100, seed=21)
     quads, eta0, redraws, _ = _base_draws(spec)
     assert redraws == 0
     assert hashlib.sha256(quads.tobytes() + eta0.tobytes()).hexdigest() == digest
+
+
+_DRAW_DIGESTS = """
+import hashlib, json
+from harchow.fixedlimit import LimitSpec, _base_draws
+digests = {}
+for grid, lam in ((100, 0.4), (201, 0.37)):
+    for family in ("fourier-raw", "fourier-transformed"):
+        for p in (1, 2, 3):
+            for k in (4, 8, 12, 16, 24, 32, 40):
+                spec = LimitSpec(p=p, k=k, lam=lam, family=family, grid_n=grid,
+                                 replications=1000, seed=21)
+                quads, eta0, _, _ = _base_draws(spec)
+                digest = hashlib.sha256(quads.tobytes() + eta0.tobytes())
+                digests[f"{grid}-{lam}-{family}-{p}-{k}"] = digest.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_draws_do_not_depend_on_the_blas_thread_count():
+    # one subprocess per thread count, since OpenBLAS reads it at import; at
+    # lambda n = 40 and 74.37, both families, p = 1-3 and K up to 40
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fixedlimit.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _DRAW_DIGESTS], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) == 84
+    assert [case for case in runs[0] if runs[0][case] != runs[1][case]] == []
 
 
 @pytest.mark.parametrize("family", ["fourier-raw", "fourier-transformed"])
@@ -205,12 +243,21 @@ class TestExactDraw:
     def test_root_reproduces_the_row_covariance(self, family, n, k, lam):
         # the root comes from the regime sums; the grid's W'W is the oracle,
         # lambda n non-integer at the middle two points; the last is K = n - 2
-        # at even n with odd k* = 41, one step off the singular corner
-        spec = LimitSpec(p=1, k=k, lam=lam, family=family, grid_n=n)
+        # at even n with odd k* = 41, one step off the singular corner. W'W is
+        # diag(M_00, G): R_G is series_root's, and eta_0 is sqrt(lam (1 - lam)
+        # M_00) times row 0 of each replication's normals
+        spec = LimitSpec(p=1, k=k, lam=lam, family=family, grid_n=n, replications=1000)
         _, _, weights = grid_weights(spec)
-        root, mean_sq = _root(spec)
+        root, _ = series_root(n, k, lam, family)
         m = weights.T @ weights
-        assert np.max(np.abs(root @ root.T - m)) < 1e-12 * np.max(np.diag(m))
+        scale = np.max(np.diag(m))
+        assert np.max(np.abs(root @ root.T - m[1:, 1:])) < 1e-12 * scale
+        assert np.max(np.abs(m[0, 1:])) < 1e-12 * scale
+        _, eta0, _, mean_sq = _base_draws(spec)
+        block = min(_BLOCK_NORMALS // (k + 1), spec.replications) * (k + 1)
+        z0 = RngStream(spec.seed, stream=0).normals(block)[0]
+        m_00 = (eta0[0, 0] / z0) ** 2 / (lam * (1.0 - lam))
+        assert m_00 == pytest.approx(m[0, 0], rel=1e-12)
         assert mean_sq == pytest.approx(np.diag(m)[1:].mean(), rel=1e-12)
 
     @pytest.mark.parametrize("family", ["fourier-raw", "fourier-transformed"])
@@ -259,12 +306,19 @@ class TestExactDraw:
         keep = np.arange(spec.replications) != flagged
         assert np.array_equal(quads[keep], plain_quads[keep])
         assert np.array_equal(eta0[keep], plain_eta0[keep])
-        # the redraw comes from the replication's own substream reps + i
-        root, _ = _root(spec)
+        # the redraw comes from the replication's own substream reps + i:
+        # eta_0 scales its row 0 as replication 0's scales block 0's, and
+        # eta_1..K is R_G times its other rows
+        k, p = spec.k, spec.p
+        root, _ = series_root(spec.grid_n, k, spec.lam, spec.family)
         stream = RngStream(spec.seed, stream=spec.replications + flagged)
-        z = stream.normals((spec.k + 1) * spec.p).reshape(-1, spec.p)
-        eta = (root @ z).reshape(spec.k + 1, 1, spec.p)
-        expected, _ = original(np.sqrt(spec.lam * (1 - spec.lam)) * eta[0], eta[1:], spec.k)
+        z = stream.normals((k + 1) * p).reshape(1, k + 1, p)
+        first = RngStream(spec.seed, stream=0).normals(per_block * (k + 1) * p)[:p]
+        scale = plain_eta0[0] / first
+        assert eta0[flagged] == pytest.approx(z[0, 0] * scale, rel=1e-15)
+        etas = z[:, 1:].transpose(0, 2, 1).reshape(-1, k) @ root.T
+        etas = etas.reshape(1, p, k).transpose(2, 0, 1)
+        expected, _ = original(eta0[flagged][None], etas, k)
         assert quads[flagged] == expected[0]
 
     def test_one_stream_per_block(self, monkeypatch):
@@ -299,11 +353,10 @@ class TestExactDraw:
                     spec = LimitSpec(p=1, k=n - 2, lam=lam, family=family, grid_n=n)
                     if corner:
                         with pytest.raises(NotPositiveDefinite):
-                            _root(spec)
+                            _base_draws(spec)
                     else:
-                        assert _root(spec)[0].shape == (n - 1, n - 1)
-                    smaller = dataclass_replace(spec, k=n - 3)
-                    assert _root(smaller)[0].shape == (n - 2, n - 2)
+                        assert len(series_root(n, n - 2, lam, family)[1]) == n - 2
+                    assert len(series_root(n, n - 3, lam, family)[1]) == n - 3
 
     def test_large_grid_builds_no_grid_by_grid_array(self):
         # at a grid of 20000 the dense kernel alone would be 3.2 GB; at
@@ -409,7 +462,7 @@ class TestGridProperties:
     def test_infeasible_transformed_k_raises(self):
         # the grid of 100 points only carries 97 kernel-feasible columns
         with pytest.raises(NotPositiveDefinite):
-            _root(small_spec(p=1, k=98, grid_n=100))
+            _base_draws(small_spec(p=1, k=98, grid_n=100))
 
 
 class TestQuantilesAndPValues:
@@ -608,6 +661,34 @@ def test_spec_validation():
         LimitSpec(p=1, k=4, lam=0.4, replications=10)
     with pytest.raises(ValueError):
         LimitSpec(p=1, k=4, lam=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("p", "k", "grid_n", "replications", "seed")
+    for value in (8.5, 8.0, True, "8", None)
+] + [("seed", -1)], ids=repr)
+def test_spec_refuses_a_count_or_seed_that_is_no_integer(field, value):
+    # a fractional K used to fail deep in the draw with a TypeError, and a
+    # fractional seed to simulate seed 1's draws under a cache file of its own
+    base = dict(p=1, k=8, lam=0.4, grid_n=200, replications=1000, seed=3)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        LimitSpec(**{**base, field: value})
+
+
+def test_spec_keeps_numpy_ints_as_ints(tmp_path):
+    # numpy ints are accepted and stored as ints, so the cache header is JSON
+    spec = LimitSpec(
+        p=np.int64(1), k=np.int32(8), lam=0.4, grid_n=np.int64(200),
+        replications=np.int64(1000), seed=np.uint8(3),
+    )
+    assert spec == LimitSpec(p=1, k=8, lam=0.4, grid_n=200, replications=1000, seed=3)
+    assert all(type(getattr(spec, name)) is int
+               for name in ("p", "k", "grid_n", "replications", "seed"))
+    dist = CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+    assert CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF).draws.tobytes() == (
+        dist.draws.tobytes()
+    )
 
 
 def test_spec_rejects_k_beyond_the_simulation_grid():

@@ -97,6 +97,21 @@ class TestSimulateDgp:
         with pytest.raises(ValueError):
             DgpSpec(t=20, rho=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("t", "burn_in")
+        for value in (100.5, 100.0, True, "100", None)
+    ], ids=repr)
+    def test_refuses_a_size_that_is_no_integer(self, field, value):
+        # T = 100.5 used to fail deep in the simulation with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DgpSpec(**{"t": 100, "rho": 0.0, field: value})
+
+    def test_numpy_ints_are_accepted(self):
+        y, x = simulate_dgp(DgpSpec(t=np.int64(100), rho=0.0, burn_in=np.int32(5)),
+                            RngStream(1, 0))
+        assert y.shape == (100,) and x.shape == (100, 2)
+
 
 class TestRunCellConsistency:
     def test_block_statistic_matches_run_test(self):
@@ -135,7 +150,7 @@ class TestRunCellConsistency:
             spec, bases, master_seed=13, cell_id=0, rep_range=(0, 60),
             k_policy="auto", deltas=(0.0,),
         )
-        ok = ~stats.failed[:, 0]
+        ok = ~stats.failed
         reps = np.nonzero(ok)[0]
         assert len(reps) >= 50
         for name in F_VARIANTS:
@@ -190,7 +205,7 @@ class TestFailedReplications:
         bases = _cell_bases(spec.t, spec.lam)
         deltas = (0.0, 0.5)
         stats = _run_cell(spec, bases, 9, 0, 130, "auto", deltas)
-        expected = np.zeros((130, 2), dtype=bool)
+        expected = np.zeros(130, dtype=bool)
         expected[self.PLANTED] = True
         assert np.array_equal(stats.failed, expected)
         y, x = simulate_dgp(spec, _ZeroStream())
@@ -210,7 +225,7 @@ class TestFailedReplications:
                     assert stats.wald[family][rep, d_idx, 0] == pytest.approx(
                         report.statistic_raw, rel=1e-10
                     )
-                    assert stats.k_used[family][rep, d_idx, 0] == report.k
+                    assert stats.k_used[family][rep, 0] == report.k
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

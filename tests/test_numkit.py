@@ -569,3 +569,15 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(ValueError):
             RngStream(1, 0).normals(-3)
+
+    @pytest.mark.parametrize("seed, stream", [
+        (1.5, 0), (1.0, 0), (True, 0), ("1", 0), (1, 2.5), (1, 2.0), (1, False),
+    ], ids=repr)
+    def test_refuses_a_seed_or_stream_that_is_no_integer(self, seed, stream):
+        # int() used to truncate 1.5 to seed 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream)
+
+    def test_numpy_ints_name_the_same_stream(self):
+        a = RngStream(np.int64(7), np.uint32(3)).normals(10)
+        assert np.array_equal(a, RngStream(7, 3).normals(10))

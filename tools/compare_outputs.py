@@ -9,14 +9,19 @@ work through ``harchow.cli.main``:
 * ``harchow test`` reports on series written here from fixed seeds: every
   variant, auto K and K = 8, several T, break fractions and AR(1)
   persistences; a refused call keeps its exit code and message;
+* ``harchow simulate-cv`` laws at lambda 0.4: both families, p = 1 and 2,
+  K = 4, 12 and 40, kinds ``F_star_inf``, ``scaled_F_inf`` and
+  ``t_star_inf`` (p = 1 only); each reports its 10%, 5% and 1% critical
+  values (``simulated_cv``) and its redraw count;
 * the study CSVs of ``mc-size`` (table 1 with auto K and K = 8, the K-grid
   figure preset) and ``mc-power`` (T = 100, T = 200, K = 8), each at
   ``--workers 1`` and ``2``.
 
 It prints the largest relative difference of every numeric report field,
 and exits 1 if any CSV byte, exit code, or non-float report field (``k``,
-``k_requested``, ``reject``, ``reference``, ...) differs. ``--quick`` runs
-a few reports and small studies, to check the tool itself in seconds.
+``k_requested``, ``reject``, ``reference``, ``redraws``, ...) differs.
+``--quick`` runs a few reports, laws and small studies, to check the tool
+itself in seconds.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +50,20 @@ STUDIES = (
     ("power-100", ["mc-power", "--T", "100"]),
     ("power-200", ["mc-power", "--T", "200"]),
     ("power-100-k8", ["mc-power", "--T", "100", "--k", "8"]),
+)
+SIMULATIONS = tuple(
+    (f"simulate-cv {family} p={p} K={k} {kind}",
+     ["simulate-cv", "--kind", kind, "--p", str(p), "--k", str(k), "--lambda", "0.4",
+      "--family", family])
+    for family in ("fourier-raw", "fourier-transformed")
+    for p in (1, 2)
+    for k in (4, 12, 40)
+    for kind in ("F_star_inf", "scaled_F_inf", "t_star_inf")
+    if p == 1 or kind != "t_star_inf"
+)
+QUICK_SIMULATIONS = tuple(
+    (case, argv + ["--reps", "1000", "--grid", "200"])
+    for case, argv in SIMULATIONS if " K=4 " in case and "raw p=1" in case
 )
 QUICK_STUDIES = (
     ("size-cell", ["mc-size", "--cells", "0.6:0", "--T", "100", "--reps", "500",
@@ -94,9 +114,32 @@ def _cases(workdir: str, quick: bool) -> list[tuple[str, list[str]]]:
     return cases
 
 
+def _simulate(workdir: str, argv: list[str]) -> dict:
+    """One ``simulate-cv`` run: its exit code, stderr, and as ``result``
+    the critical values of its draws and its redraw count."""
+    from harchow import cli, fixedlimit
+
+    path = os.path.join(workdir, "draws.txt")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--cache-dir", os.path.join(workdir, "cv-cache"),
+                                "--csv", path])
+    result = None
+    if code == 0:
+        draws = np.loadtxt(path, skiprows=1)
+        redraws = re.search(r"\(redraws (\d+)\)", out.getvalue()).group(1)
+        result = {
+            "simulated_cv": [
+                fixedlimit.upper_quantile(draws, alpha) for alpha in (0.10, 0.05, 0.01)
+            ],
+            "redraws": int(redraws),
+        }
+    return {"code": code, "error": err.getvalue(), "result": result}
+
+
 def _dump(workdir: str, quick: bool) -> None:
-    """Run every case and study with the ``harchow`` on ``sys.path`` and write
-    ``reports.json`` and one CSV per study into ``workdir``."""
+    """Run every case, law and study with the ``harchow`` on ``sys.path``
+    and write ``reports.json`` and one CSV per study into ``workdir``."""
     from harchow import cli
 
     with open(os.path.join(workdir, "cases.json")) as fh:
@@ -108,6 +151,8 @@ def _dump(workdir: str, quick: bool) -> None:
             code = cli.main(argv + ["--cache-dir", os.path.join(workdir, "cache")])
         result = json.loads(out.getvalue())["result"] if code == 0 else None
         reports[case] = {"code": code, "error": err.getvalue(), "result": result}
+    for case, argv in QUICK_SIMULATIONS if quick else SIMULATIONS:
+        reports[case] = _simulate(workdir, argv)
     with open(os.path.join(workdir, "reports.json"), "w") as fh:
         json.dump(reports, fh)
     for name, argv in QUICK_STUDIES if quick else STUDIES:
@@ -178,7 +223,8 @@ def _compare(old_dir: str, new_dir: str) -> bool:
                 print(f"DIFFERS {case}: {field} {va!r} -> {vb!r}")
                 same = False
     codes = [r["code"] for r in old.values()]
-    print(f"{len(old)} reports, {codes.count(0)} run, "
+    laws = sum(case.startswith("simulate-cv") for case in old)
+    print(f"{len(old) - laws} reports and {laws} laws, {codes.count(0)} run, "
           f"{len(codes) - codes.count(0)} refused (exit codes equal: "
           f"{all(old[c]['code'] == new[c]['code'] for c in old)})")
     print("largest relative difference per float field:")
