@@ -4,11 +4,12 @@ Provides interleaved cosine/sine (Fourier) basis vectors, the break-geometry
 covariance kernel matrix, the within-regime demeaned ("tilde") transform of
 basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
 respect to the kernel inner product ``a' C_T b / T^2``.
-:func:`series_basis` builds a family's first K vectors for the Monte Carlo
-engine; :func:`series_sums` (a single test's sums) and :func:`series_root`
-(the limit simulator's root) need none of them. All three factor one
-``K x K`` kernel Gram, cut to one kernel-feasible K; the dense ``T x T``
-kernel and its Gram are references that no library path builds.
+:func:`series_sums` gives the score sums of ``run_test`` and of the Monte
+Carlo engine alike, and :func:`series_root` the limit simulator's root;
+neither forms a basis vector. Both factor one ``K x K`` kernel Gram, cut to
+one kernel-feasible K. :func:`series_basis` builds a family's first K
+vectors from the same factor; it, the dense ``T x T`` kernel and its Gram
+are references that no library path builds.
 
 The Gram comes from the regime-one Fourier sums
 ``E(h) = sum_{t <= k*} exp(2 pi i h t / T)``, one FFT of the regime-one
@@ -177,10 +178,16 @@ def norm_factor(
     k = basis.k if k is None else k
     if np.any((np.asarray(k) < 1) | (np.asarray(k) > basis.k)):
         raise ValueError(f"need 1 <= K <= {basis.k} basis columns, got K={k}")
+    return _leading_mean(cols, k)
+
+
+def _leading_mean(terms: np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
+    """Mean of the first K norm terms, ``terms[:k].mean()``; an array of K
+    gives one mean per entry, each distinct K reduced once."""
     if np.ndim(k) == 0:
-        return float(cols[:k].mean())
+        return float(terms[:k].mean())
     ks, where = np.unique(k, return_inverse=True)
-    factors = np.array([cols[:j].mean() for j in ks.tolist()])
+    factors = np.array([terms[:j].mean() for j in ks.tolist()])
     return factors[where].reshape(np.shape(k))
 
 
@@ -341,7 +348,8 @@ def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
     overstates the kernel rank: for some ``(T, lambda)`` a combination of
     the last Fourier columns falls in the kernel null space. The returned
     ``.k`` is the count kept. The transform factors the kernel Gram built
-    from the regime sums, as :func:`series_sums` does.
+    from the regime sums, as :func:`series_sums` does; this is the dense
+    reference its sums are checked against, and no library path calls it.
 
     Raises
     ------

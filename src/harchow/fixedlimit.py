@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
 import weakref
 from collections.abc import MutableMapping
@@ -102,6 +103,8 @@ class LimitSpec:
         _require_integers(**{name: getattr(self, name) for name in counts})
         for name in counts:  # a numpy int becomes an int, for the cache header
             object.__setattr__(self, name, int(getattr(self, name)))
+        if isinstance(self.lam, numbers.Real):  # and a numpy float a float
+            object.__setattr__(self, "lam", float(self.lam))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.p < 1 or self.k < 1:

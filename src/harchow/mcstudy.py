@@ -25,19 +25,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from . import autok, chowtest, fixedlimit, longrun
+from . import autok, chowtest, fixedlimit
 from .bases import (
-    FOURIER_RAW,
-    FOURIER_TRANSFORMED,
-    BasisSet,
-    break_index,
-    norm_factor,
-    series_basis,
+    FOURIER_RAW, FOURIER_TRANSFORMED, _leading_mean, break_index, series_sums,
 )
 from .errors import HarchowError
 from .numkit import RngStream
@@ -64,6 +59,7 @@ TABLE1_GRID = (
 
 _STREAM_CELL_STRIDE = 2**32
 _BLOCK = 64
+_FAMILIES = (FOURIER_RAW, FOURIER_TRANSFORMED)
 
 
 @dataclass(frozen=True)
@@ -158,33 +154,15 @@ def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
     return y[0], x[0]
 
 
-@lru_cache(maxsize=1)
-def _cell_bases(t: int, lam: float) -> dict[str, BasisSet]:
-    """Each family's basis at K = T - 2, shared by every replication of a
-    cell; the transformed basis keeps its kernel-feasible columns only.
-
-    The last ``(t, lam)`` is memoized, so consecutive cells of one design
-    build their bases once; the arrays are read-only, as every caller
-    shares them.
-    """
-    bases = {
-        family: series_basis(t, t - 2, lam, family)
-        for family in (FOURIER_RAW, FOURIER_TRANSFORMED)
-    }
-    for basis in bases.values():
-        basis.matrix.flags.writeable = False
-        basis.norms.flags.writeable = False
-    return bases
-
-
 class CellStats(NamedTuple):
     """Per-replication statistics of a cell or block, keyed by basis family:
-    the Wald statistic as (reps, n_deltas, n_k) arrays and the K used as
-    (reps, n_k) arrays, since a break size moves neither K nor the fit's
-    success; and a (reps,) failure mask."""
+    the Wald statistic as (reps, n_deltas, n_k) arrays, and the K used and
+    its norm factor as (reps, n_k) arrays, since a break size moves neither
+    K nor the fit's success; and a (reps,) failure mask."""
 
     wald: dict[str, np.ndarray]
     k_used: dict[str, np.ndarray]
+    nf: dict[str, np.ndarray]
     failed: np.ndarray
 
 
@@ -200,15 +178,17 @@ def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
 
 
 def _stack_statistics(
-    lam: float, bases: dict[str, BasisSet], k_policy, deltas: tuple[float, ...],
-    y: np.ndarray, x: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    lam: float, k_policy, deltas: tuple[float, ...], y: np.ndarray, x: np.ndarray,
+) -> tuple[dict[str, np.ndarray], ...]:
     """Wald statistic per basis family as ``(B, n_deltas, n_K)`` arrays, and
-    K used as ``(B, n_K)`` arrays, of a stack of ``B`` null series: run_test's
-    fit, plug-in rule and Wald form with a leading replication axis. Each
-    family uses ``min(K, basis.k)`` of its basis columns. A break of size
-    ``delta`` adds ``delta`` times the design's post-break columns to ``y``,
-    so it moves ``beta_2`` by ``delta`` and leaves residuals, K and sums."""
+    K used and its norm factor as ``(B, n_K)`` arrays, of a stack of ``B``
+    null series: run_test's fit, plug-in rule, sums and Wald form with a
+    leading replication axis. The sums are one :func:`series_sums` call per
+    family on the ``T x p`` proxies folded into ``T x (B p)`` columns, at
+    the largest K in use; K uses the leading ``min(K, kept)`` rows and their
+    mean norm term. A break of size ``delta`` adds ``delta`` times the
+    design's post-break columns to ``y``, so it moves ``beta_2`` by
+    ``delta`` and leaves residuals, K and sums."""
     hyp = full_break_hypothesis(2)
     r = hyp.contrast
     fit = ols_fit(RegressionData(y, x, None, lam), hyp)
@@ -218,20 +198,24 @@ def _stack_statistics(
         k_policy = [autok.mse_optimal_k(model, y.shape[-1], hyp.p)]
     shift = np.multiply.outer(deltas, np.repeat([0.0, 1.0], hyp.m))[:, None]
     moved = replace(fit, beta_hat=fit.beta_hat + shift)
-    wald, k_used = {}, {}
-    for family, basis in bases.items():
-        sums = longrun.score_sums(basis, v_series)
-        used = [np.minimum(k, basis.k) for k in k_policy]
-        k_used[family] = np.stack([np.broadcast_to(k, len(y)) for k in used], axis=-1)
+    b, t, p = v_series.shape
+    columns = v_series.transpose(1, 0, 2).reshape(t, b * p)
+    k_top = max(int(np.max(k)) for k in k_policy)
+    wald, k_used, nf = {}, {}, {}
+    for family in _FAMILIES:
+        g, norms = series_sums(columns, k_top, lam, family)
+        sums = g.reshape(len(norms), b, p).swapaxes(0, 1)
+        used = [np.minimum(k, len(norms)) for k in k_policy]
+        k_used[family] = np.stack([np.broadcast_to(k, b) for k in used], axis=-1)
+        nf[family] = _leading_mean(norms, k_used[family])
         wald[family] = np.stack(
             [chowtest.raw_statistic(sums, moved, r, "F", k) for k in used], axis=-1
         ).swapaxes(0, 1)
-    return wald, k_used
+    return wald, k_used, nf
 
 
 def _run_block(
     spec: DgpSpec,
-    bases: dict[str, BasisSet],
     master_seed: int,
     cell_id: int,
     k_policy,
@@ -251,10 +235,13 @@ def _run_block(
     y, x = _simulate_stack(replace(spec, delta=0.0), z)
     n_k = 1 if isinstance(k_policy, str) else len(k_policy)
     count = stop - start
-    wald = {family: np.full((count, len(deltas), n_k), np.nan) for family in bases}
-    k_used = {family: np.zeros((count, n_k), dtype=np.int64) for family in bases}
-    failed = np.zeros(count, dtype=bool)
-    evaluate = partial(_stack_statistics, spec.lam, bases, k_policy, deltas)
+    stats = CellStats(
+        {family: np.full((count, len(deltas), n_k), np.nan) for family in _FAMILIES},
+        {family: np.zeros((count, n_k), dtype=np.int64) for family in _FAMILIES},
+        {family: np.full((count, n_k), np.nan) for family in _FAMILIES},
+        np.zeros(count, dtype=bool),
+    )
+    evaluate = partial(_stack_statistics, spec.lam, k_policy, deltas)
     try:
         parts = [(slice(None), evaluate(y, x))]
     except HarchowError:
@@ -264,17 +251,16 @@ def _run_block(
             try:
                 parts.append((rows, evaluate(y[rows], x[rows])))
             except HarchowError:
-                failed[i] = True
-    for rows, (part_wald, part_k) in parts:
-        for family in bases:
-            wald[family][rows] = part_wald[family]
-            k_used[family][rows] = part_k[family]
-    return CellStats(wald, k_used, failed)
+                stats.failed[i] = True
+    for rows, part in parts:
+        for field, values in zip(stats, part):
+            for family in _FAMILIES:
+                field[family][rows] = values[family]
+    return stats
 
 
 def _run_cell(
     spec: DgpSpec,
-    bases: dict[str, BasisSet],
     master_seed: int,
     cell_id: int,
     reps: int,
@@ -292,41 +278,41 @@ def _run_cell(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     ranges = [(s, min(s + _BLOCK, reps)) for s in range(0, reps, _BLOCK)]
-    run = partial(_run_block, spec, bases, master_seed, cell_id, k_policy, deltas)
+    run = partial(_run_block, spec, master_seed, cell_id, k_policy, deltas)
     pool_size = min(workers, len(ranges), _usable_cpus())
     if pool_size == 1:
         parts = list(map(run, ranges))
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(run, ranges))
-    walds, k_useds, faileds = zip(*parts)
-    return CellStats(
-        {family: np.concatenate([w[family] for w in walds]) for family in bases},
-        {family: np.concatenate([k[family] for k in k_useds]) for family in bases},
-        np.concatenate(faileds),
-    )
+    *fields, faileds = zip(*parts)
+    merged = [
+        {family: np.concatenate([part[family] for part in field]) for family in _FAMILIES}
+        for field in fields
+    ]
+    return CellStats(*merged, np.concatenate(faileds))
 
 
 def _decision_values(
-    variant: chowtest.TestVariant, stats: CellStats, bases: dict[str, BasisSet],
-    lam: float, index: tuple,
+    variant: chowtest.TestVariant, stats: CellStats, lam: float, index: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(decision statistic, K used) of one variant at ``index = (rows,
     delta, K)`` into a cell's (replication, delta, K) statistic arrays; K
-    used is per (replication, K), so it broadcasts over a slice of deltas."""
+    used and its norm factor are per (replication, K), so they broadcast
+    over a slice of deltas."""
     family = variant.basis_family
     rows, deltas, k_idx = index
-    wald, k_used = stats.wald[family][index], stats.k_used[family][rows, k_idx]
+    wald = stats.wald[family][index]
+    k_used, nf = stats.k_used[family][rows, k_idx], stats.nf[family][rows, k_idx]
     if isinstance(deltas, slice):
-        k_used = k_used[:, None]
-    nf = norm_factor(bases[family], k_used)
+        k_used, nf = k_used[:, None], nf[:, None]
     forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
     return forms[chowtest.decision_form(variant)], k_used
 
 
 def _rejections(
-    variant: chowtest.TestVariant, stats: CellStats, bases: dict[str, BasisSet],
-    lam: float, index: tuple, references,
+    variant: chowtest.TestVariant, stats: CellStats, lam: float, index: tuple,
+    references,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(reject, K used) of one variant at ``index``, deciding each
     replication against ``references(variant, p, K, lam)`` of its own K.
@@ -334,7 +320,7 @@ def _rejections(
     An analytic law decides every replication in one call, given the array
     of K; a simulated law is looked up once per distinct K.
     """
-    values, k_used = _decision_values(variant, stats, bases, lam, index)
+    values, k_used = _decision_values(variant, stats, lam, index)
     if variant.reference != "nonstandard":
         return references(variant, 2, k_used, lam).decide(values)[1], k_used
     reject = np.zeros(len(values), dtype=bool)
@@ -350,9 +336,8 @@ def _size_rows(
 ) -> list[ExperimentResult]:
     """Rejection frequency per (K grid point, variant) of one cell, each row
     labelled by its K or by ``auto``."""
-    bases = _cell_bases(spec.t, spec.lam)
     stats = _run_cell(
-        spec, bases, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
+        spec, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
     )
     ok = ~stats.failed
     n_ok = int(ok.sum())
@@ -361,8 +346,8 @@ def _size_rows(
     for k_idx, label in enumerate(labels):
         for variant in variants:
             reject, k_used = _rejections(
-                chowtest.VARIANTS[variant], stats, bases, spec.lam,
-                (ok, 0, k_idx), references,
+                chowtest.VARIANTS[variant], stats, spec.lam, (ok, 0, k_idx),
+                references,
             )
             rate = float(reject.sum() / n_ok) if n_ok else float("nan")
             mc_se = float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0
@@ -470,15 +455,14 @@ def power_experiment(
         raise ValueError(f"break sizes must be finite, got {grid}")
     if 0.0 not in grid:
         grid = (0.0,) + grid
-    bases = _cell_bases(spec.t, spec.lam)
-    stats = _run_cell(spec, bases, master_seed, 0, reps, policy, grid, workers)
+    stats = _run_cell(spec, master_seed, 0, reps, policy, grid, workers)
     ok = ~stats.failed
     n_ok = int(ok.sum())
     curves: dict[str, list[float]] = {}
     for variant in ("chisq-fourier", "f-transformed"):
         variant_spec = chowtest.VARIANTS[variant]
         values, _ = _decision_values(
-            variant_spec, stats, bases, spec.lam, (ok, slice(None), 0)
+            variant_spec, stats, spec.lam, (ok, slice(None), 0)
         )
         cv = fixedlimit.upper_quantile(np.sort(values[:, 0]), alpha)
         curves[variant_spec.basis_family] = [

@@ -24,7 +24,6 @@ from harchow.bases import (
 from harchow.chowtest import run_test
 from harchow.mcstudy import (
     DgpSpec,
-    _cell_bases,
     _decision_values,
     _run_cell,
     size_experiment,
@@ -229,13 +228,10 @@ def test_criterion_08_size_adjusted_power():
     # statistic core. The raw pair shares its form under auto K; the
     # transformed pair only at a fixed K, since the F form scales by each
     # replication's own K.
-    bases = _cell_bases(spec.t, spec.lam)
-
     def adjusted_decisions(stats, variant):
         ok = ~stats.failed
         values, _ = _decision_values(
-            chowtest.VARIANTS[variant], stats, bases, spec.lam,
-            (ok, slice(None), 0),
+            chowtest.VARIANTS[variant], stats, spec.lam, (ok, slice(None), 0),
         )
         idx = int(np.ceil(int(ok.sum()) * 0.95)) - 1
         return values > np.sort(values[:, 0])[idx]
@@ -244,7 +240,7 @@ def test_criterion_08_size_adjusted_power():
         ("auto", ("chisq-fourier", "nonstandard-fourier")),
         ([12], ("chisq-transformed", "f-transformed")),
     ):
-        stats = _run_cell(spec, bases, 404, 0, 2000, policy, deltas, workers=2)
+        stats = _run_cell(spec, 404, 0, 2000, policy, deltas, workers=2)
         first, second = (adjusted_decisions(stats, v) for v in pair)
         assert np.array_equal(first, second), pair
     report(8, f"max power gap between bases {gap:.4f} (<= 0.03); pairs identical")

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/compare_outputs.py``: one tree against itself."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -17,3 +18,17 @@ def test_quick_comparison_of_a_tree_with_itself_passes():
     assert "DIFFERS" not in done.stdout
     assert done.stdout.rstrip().endswith("non-float field differs")
     assert "4 study CSVs compared byte for byte" in done.stdout
+    assert "35 run, 1 refused" in done.stdout  # the call without --lambda
+
+
+def test_a_call_argparse_refuses_keeps_its_exit_code_and_message():
+    # argparse exits by SystemExit inside the redirected streams; the tool
+    # records that as exit 2 and argparse's message, like any refused call
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", os.path.join(ROOT, "tools", "compare_outputs.py")
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    code, out, err = tool._call(["simulate-cv", "--p", "2", "--k", "8"])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --lambda" in err

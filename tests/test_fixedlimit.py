@@ -595,6 +595,18 @@ class TestCache:
         assert caplog.text.count("from disk") == 2
         assert "re-simulating" not in caplog.text
 
+    def test_a_numpy_lambda_shares_the_file_of_its_float(self, tmp_path, caplog):
+        # the file name used to print np.float64(0.4) as written, so an
+        # equal spec was simulated and stored a second time
+        specs = [small_spec(lam=np.float64(0.4)), small_spec(lam=0.4)]
+        assert specs[0] == specs[1] and type(specs[0].lam) is float
+        assert _cache_filename(specs[0], F_STAR_INF) == _cache_filename(specs[1], F_STAR_INF)
+        with caplog.at_level(logging.DEBUG, logger="harchow.fixedlimit"):
+            for spec in specs:
+                CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
+        assert os.listdir(tmp_path) == [_cache_filename(specs[1], F_STAR_INF)]
+        assert caplog.text.count("from disk") == 1
+
     def test_memory_cache_keys_on_the_exact_spec(self):
         cache = CriticalValueCache()
         base, near = small_spec(), small_spec(lam=0.4000001)

@@ -1,11 +1,14 @@
 import multiprocessing
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
 from harchow import mcstudy
-from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED
+from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_basis
 from harchow.chowtest import VARIANTS, reference, run_test
 from harchow.errors import HarchowError
 from harchow.fixedlimit import CriticalValueCache
@@ -13,11 +16,12 @@ from harchow.mcstudy import (
     F_VARIANTS,
     DgpSpec,
     _ar1_filter,
-    _cell_bases,
     _rejections,
     _rep_stream,
     _run_block,
     _run_cell,
+    _simulate_stack,
+    _stack_statistics,
     k_grid_experiment,
     power_experiment,
     simulate_dgp,
@@ -116,9 +120,8 @@ class TestSimulateDgp:
 class TestRunCellConsistency:
     def test_block_statistic_matches_run_test(self):
         spec = DgpSpec(t=100, rho=0.3)
-        bases = _cell_bases(spec.t, spec.lam)
         out = _run_block(
-            spec, bases, master_seed=9, cell_id=0, rep_range=(0, 3),
+            spec, master_seed=9, cell_id=0, rep_range=(0, 3),
             k_policy=[8], deltas=(0.0,),
         )
         for rep in range(3):
@@ -140,14 +143,13 @@ class TestRunCellConsistency:
         # the engine decides every F variant, replication by replication,
         # exactly as run_test does on the regenerated series
         spec = DgpSpec(t=100, rho=rho)
-        bases = _cell_bases(spec.t, spec.lam)
         cache = CriticalValueCache()
         references = partial(
             reference, alpha=0.05, cv_seed=0, cv_replications=1000, cv_grid=150,
             cache=cache,
         )
         stats = _run_block(
-            spec, bases, master_seed=13, cell_id=0, rep_range=(0, 60),
+            spec, master_seed=13, cell_id=0, rep_range=(0, 60),
             k_policy="auto", deltas=(0.0,),
         )
         ok = ~stats.failed
@@ -155,7 +157,7 @@ class TestRunCellConsistency:
         assert len(reps) >= 50
         for name in F_VARIANTS:
             reject, k_used = _rejections(
-                VARIANTS[name], stats, bases, spec.lam, (ok, 0, 0), references
+                VARIANTS[name], stats, spec.lam, (ok, 0, 0), references
             )
             for rep, engine_reject, engine_k in zip(reps, reject, k_used):
                 y, x = simulate_dgp(spec, _rep_stream(13, 0, rep))
@@ -170,13 +172,84 @@ class TestRunCellConsistency:
 
     def test_worker_counts_agree(self):
         spec = DgpSpec(t=60, rho=0.0)
-        bases = _cell_bases(spec.t, spec.lam)
-        serial = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=1)
-        parallel = _run_cell(spec, bases, 3, 0, 130, [4], (0.0,), workers=3)
-        for family in bases:
-            assert np.array_equal(serial.wald[family], parallel.wald[family])
-            assert np.array_equal(serial.k_used[family], parallel.k_used[family])
+        serial = _run_cell(spec, 3, 0, 130, [4], (0.0,), workers=1)
+        parallel = _run_cell(spec, 3, 0, 130, [4], (0.0,), workers=3)
+        for field in ("wald", "k_used", "nf"):
+            for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+                assert np.array_equal(
+                    getattr(serial, field)[family], getattr(parallel, field)[family]
+                )
         assert np.array_equal(serial.failed, parallel.failed)
+
+
+@pytest.mark.parametrize("t, lam", [
+    (51, 0.7), (101, 0.7), (101, 0.6), (201, 0.7), (60, 0.4), (150, 0.35),
+])
+def test_engine_keeps_the_kernel_feasible_k(t, lam):
+    # the engine takes its sums at the largest K of the policy; whatever
+    # that K, a replication at K keeps min(K, kept) transformed vectors,
+    # kept being the count of the dense basis at K = T - 2
+    kept = series_basis(t, t - 2, lam, FOURIER_TRANSFORMED).k
+    z = np.random.default_rng(t).standard_normal((2, 2 * (t + 500)))
+    y, x = _simulate_stack(DgpSpec(t=t, rho=0.3, lam=lam), z)
+    grid = list(range(2, t - 1))
+    _, k_used, _ = _stack_statistics(lam, grid, (0.0,), y, x)
+    assert k_used[FOURIER_RAW].tolist() == [grid] * 2
+    assert k_used[FOURIER_TRANSFORMED].tolist() == [[min(k, kept) for k in grid]] * 2
+    for k in sorted({2, kept - 1, kept, kept + 1, (kept + t) // 2} & set(grid)):
+        _, k_used, _ = _stack_statistics(lam, [k], (0.0,), y, x)
+        assert k_used[FOURIER_TRANSFORMED].tolist() == [[min(k, kept)]] * 2, k
+
+
+def test_studies_build_no_basis_or_kernel(monkeypatch):
+    # the engine takes run_test's FFT sums: no T x T kernel, no T x K basis
+    from harchow import bases, longrun
+
+    for module, name in ((bases, "kernel_matrix"), (bases, "fourier_matrix"),
+                         (bases, "series_basis"), (longrun, "score_sums")):
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"a study called {_name}")
+
+        monkeypatch.setattr(module, name, refused)
+    spec = DgpSpec(t=60, rho=0.3)
+    size_experiment([spec], F_VARIANTS[:1] + F_VARIANTS[2:], reps=500)
+    k_grid_experiment(spec, (4, 58), ("chisq-fourier", "f-transformed"), reps=500)
+    power_experiment(spec, (0.0, 0.5), reps=64)
+
+
+def _src_env(**extra) -> dict:
+    """The environment of a subprocess that imports this ``harchow``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcstudy.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+_STUDY_TABLES = """
+from harchow import cli
+for argv in (
+    ["mc-size", "--T", "200", "--cells", "0:0,0.6:0", "--reps", "500", "--seed", "3",
+     "--variants", "chisq-fourier,f-transformed"],
+    ["mc-power", "--T", "200", "--reps", "128", "--seed", "3"],
+):
+    assert cli.main(argv) == 0
+"""
+
+
+def test_study_tables_do_not_depend_on_the_blas_thread_count():
+    # one subprocess per thread count, since OpenBLAS reads it at import: an
+    # auto-K size study of two cells and a power study write the same bytes
+    tables = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _STUDY_TABLES],
+            env=_src_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        tables.append(done.stdout)
+    assert len(tables[0].splitlines()) == 1 + 2 * 2 + 1 + 2 * 7
+    assert tables[0] == tables[1]
 
 
 class _ZeroStream:
@@ -202,9 +275,8 @@ class TestFailedReplications:
     def test_planted_failure_is_flagged_alone(self, monkeypatch):
         real = self._plant(monkeypatch)
         spec = DgpSpec(t=100, rho=0.3)
-        bases = _cell_bases(spec.t, spec.lam)
         deltas = (0.0, 0.5)
-        stats = _run_cell(spec, bases, 9, 0, 130, "auto", deltas)
+        stats = _run_cell(spec, 9, 0, 130, "auto", deltas)
         expected = np.zeros(130, dtype=bool)
         expected[self.PLANTED] = True
         assert np.array_equal(stats.failed, expected)
@@ -266,9 +338,8 @@ class TestWorkerPool:
         monkeypatch.setattr(mcstudy, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(mcstudy, "_usable_cpus", lambda: 4)
         spec = DgpSpec(t=60, rho=0.0)
-        bases = _cell_bases(spec.t, spec.lam)
         for reps, workers in ((130, 10**6), (640, 10**6), (130, 2), (64, 8)):
-            _run_cell(spec, bases, 3, 0, reps, [4], (0.0,), workers=workers)
+            _run_cell(spec, 3, 0, reps, [4], (0.0,), workers=workers)
         # 3 blocks; 10 blocks on 4 CPUs; 2 workers; one block runs serially
         assert sizes == [3, 4, 2]
 
@@ -276,10 +347,7 @@ class TestWorkerPool:
     def test_rejects_fewer_than_one_worker(self, workers):
         spec = DgpSpec(t=60, rho=0.0)
         with pytest.raises(ValueError, match="at least one worker"):
-            _run_cell(
-                spec, _cell_bases(spec.t, spec.lam), 3, 0, 64, [4], (0.0,),
-                workers=workers,
-            )
+            _run_cell(spec, 3, 0, 64, [4], (0.0,), workers=workers)
 
 
 class TestSizeExperiment:
@@ -566,7 +634,19 @@ class TestPinnedTables:
         assert mcstudy.power_table_csv(power, spec) == pinned
 
 
-class TestCellBasesMemo:
+_COLD_TABLE = """
+from harchow import mcstudy
+print(mcstudy.size_table_csv(mcstudy.size_experiment(
+    [mcstudy.DgpSpec(t=60, rho=0.3)], ("chisq-fourier", "f-transformed"),
+    reps=500, master_seed=5,
+)), end="")
+"""
+
+
+class TestNoDesignState:
+    """The engine keeps nothing from one design for the next: a cell's
+    table and statistics depend on its own inputs only."""
+
     def _table(self):
         return size_table_csv(size_experiment(
             [DgpSpec(t=60, rho=0.3)], ("chisq-fourier", "f-transformed"),
@@ -574,21 +654,30 @@ class TestCellBasesMemo:
         ))
 
     def test_cold_and_warm_tables_agree(self):
-        _cell_bases.cache_clear()
-        cold = self._table()
-        assert _cell_bases.cache_info().misses == 1
-        warm = self._table()
-        info = _cell_bases.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert cold == warm
+        # cold in a fresh process; here after another (T, lambda), then again
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_TABLE], env=_src_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        size_experiment(
+            [DgpSpec(t=90, rho=0.3, lam=0.55)], ("chisq-fourier", "f-transformed"),
+            reps=500, master_seed=5,
+        )
+        after_other = self._table()
+        assert done.stdout == after_other == self._table()
 
-    def test_holds_one_design_with_read_only_arrays(self):
-        _cell_bases(60, 0.4)
-        first = _cell_bases(70, 0.4)
-        assert _cell_bases.cache_info().currsize == 1
-        assert _cell_bases(70, 0.4) is first
-        for basis in first.values():
-            for array in (basis.matrix, basis.norms):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
+    def test_block_statistics_ignore_the_previous_design(self):
+        spec, other = DgpSpec(t=60, rho=0.3), DgpSpec(t=90, rho=0.3, lam=0.55)
+        run = partial(_run_block, master_seed=5, cell_id=0, k_policy="auto",
+                      deltas=(0.0, 0.5), rep_range=(0, 64))
+        first = run(spec)
+        run(other)
+        second = run(spec)
+        for field in ("wald", "k_used", "nf"):
+            for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+                a, b = getattr(first, field)[family], getattr(second, field)[family]
+                assert np.array_equal(a, b), (field, family)
+        assert np.array_equal(first.failed, second.failed)
+        memos = [name for name, obj in vars(mcstudy).items() if hasattr(obj, "cache_info")]
+        assert memos == []

@@ -8,7 +8,8 @@ work through ``harchow.cli.main``:
 
 * ``harchow test`` reports on series written here from fixed seeds: every
   variant, auto K and K = 8, several T, break fractions and AR(1)
-  persistences; a refused call keeps its exit code and message;
+  persistences; a refused call keeps its exit code and message, and one
+  call that argparse refuses (no ``--lambda``) exits 2 with its message;
 * ``harchow simulate-cv`` laws at lambda 0.4: both families, p = 1 and 2,
   K = 4, 12 and 40, kinds ``F_star_inf``, ``scaled_F_inf`` and
   ``t_star_inf`` (p = 1 only); each reports its 10%, 5% and 1% critical
@@ -111,30 +112,46 @@ def _cases(workdir: str, quick: bool) -> list[tuple[str, list[str]]]:
                                 argv += ["--cv-reps", "1000", "--cv-grid", "200"]
                             cases.append((f"T={t} rho={rho} lam={lam} {variant} k={k}",
                                           argv))
+    cases.append(("test without --lambda", [
+        "test", "--data", path, "--y", "y", "--x", ",".join(columns[1:]), "--json", "-",
+    ]))
     return cases
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``harchow.cli.main(argv)``; a call
+    that argparse refuses exits with argparse's code and message."""
+    from harchow import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _simulate(workdir: str, argv: list[str]) -> dict:
     """One ``simulate-cv`` run: its exit code, stderr, and as ``result``
     the critical values of its draws and its redraw count."""
-    from harchow import cli, fixedlimit
+    from harchow import fixedlimit
 
     path = os.path.join(workdir, "draws.txt")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--cache-dir", os.path.join(workdir, "cv-cache"),
-                                "--csv", path])
+    code, out, err = _call(
+        argv + ["--cache-dir", os.path.join(workdir, "cv-cache"), "--csv", path]
+    )
     result = None
     if code == 0:
         draws = np.loadtxt(path, skiprows=1)
-        redraws = re.search(r"\(redraws (\d+)\)", out.getvalue()).group(1)
+        redraws = re.search(r"\(redraws (\d+)\)", out).group(1)
         result = {
             "simulated_cv": [
                 fixedlimit.upper_quantile(draws, alpha) for alpha in (0.10, 0.05, 0.01)
             ],
             "redraws": int(redraws),
         }
-    return {"code": code, "error": err.getvalue(), "result": result}
+    return {"code": code, "error": err, "result": result}
 
 
 def _dump(workdir: str, quick: bool) -> None:
@@ -146,11 +163,9 @@ def _dump(workdir: str, quick: bool) -> None:
         cases = json.load(fh)
     reports = {}
     for case, argv in cases:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv + ["--cache-dir", os.path.join(workdir, "cache")])
-        result = json.loads(out.getvalue())["result"] if code == 0 else None
-        reports[case] = {"code": code, "error": err.getvalue(), "result": result}
+        code, out, err = _call(argv + ["--cache-dir", os.path.join(workdir, "cache")])
+        result = json.loads(out)["result"] if code == 0 else None
+        reports[case] = {"code": code, "error": err, "result": result}
     for case, argv in QUICK_SIMULATIONS if quick else SIMULATIONS:
         reports[case] = _simulate(workdir, argv)
     with open(os.path.join(workdir, "reports.json"), "w") as fh:
