@@ -2,8 +2,9 @@
 
 One statistic core serves :func:`run_test` and the Monte Carlo engine:
 
-* :func:`raw_statistic`: the Wald or t statistic from the basis sums ``G``
-  of the ``T x p`` score proxy, with contrast variance ``V = G'G / K``;
+* :func:`series_statistics`: per K, the Wald or t statistic, with
+  contrast variance ``V = G'G / K``, the K used and its norm factor, from
+  one :func:`series_sums` call on the ``T x p`` score proxy or a stack;
 * :func:`statistic_forms`, on scalars or arrays: the "modified" form,
   rescaled by ``lam (1 - lam)`` and the average squared demeaned basis value
   (``norm_factor``) for a chi-square or normal reference; the "df-scaled"
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autok, fixedlimit, longrun
-from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_sums
+from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, _leading_mean, series_sums
 from .errors import KTooSmall
 from .numkit import (
     DistFamily, chi_square, dist_quantile, dist_sf, fisher_f, normal, student_t,
@@ -164,20 +165,31 @@ def _k_policy(k, t: int, grid: bool = False) -> str | list[int]:
     return ks
 
 
-def raw_statistic(
-    g: np.ndarray, fit: FitResult, r: np.ndarray, statistic: str,
-    k: int | np.ndarray | None = None,
-) -> Values:
-    """Wald (``"F"``) or t statistic from the sums ``G`` of the score proxy
-    (:func:`autok.score_series`) against the K basis vectors in use, one row
-    per vector; ``G'G / K`` is the contrast variance.
-
-    On a stack of fits and score sums the Wald statistic comes out per
-    member; ``k`` then may give each member's K, the count of leading rows
-    of its sums in use (all rows by default).
-    """
+def series_statistics(
+    fit: FitResult, r: np.ndarray, v_series: np.ndarray, lam: float, family: str,
+    statistic: str, ks: list,
+) -> list[tuple[Values, int | np.ndarray, float | np.ndarray]]:
+    """``(statistic, K used, norm factor)`` per K in ``ks``: the Wald
+    (``"F"``) or t statistic from the sums ``G`` of the score proxy
+    (:func:`autok.score_series`), ``G'G / K`` being the contrast variance.
+    A stack ``(..., T, p)`` is folded into ``T x (B p)`` columns for one
+    :func:`series_sums` call at the largest K; a K, or one per member, uses
+    the leading ``min(K, kept)`` rows and the mean of their norm terms.
+    :class:`KTooSmall` if a K used is below ``p``."""
+    *lead, t, p = v_series.shape
+    columns = np.moveaxis(v_series, -2, 0).reshape(t, -1)
+    g, norms = series_sums(columns, max(int(np.max(k)) for k in ks), lam, family)
+    sums = np.moveaxis(g.reshape(len(norms), *lead, p), 0, -2)
+    used = [np.minimum(k, len(norms)) for k in ks]
+    low = min(int(np.min(k)) for k in used)
+    if low < p:
+        raise KTooSmall(f"only {low} usable basis vectors for p={p}")
     stat = wald_stat if statistic == "F" else t_stat
-    return stat(fit.beta_hat, r, longrun.sums_outer(g, k), fit.residuals.shape[-1])
+    return [
+        (stat(fit.beta_hat, r, longrun.sums_outer(sums, k), t), k,
+         _leading_mean(norms, k))
+        for k in used
+    ]
 
 
 def statistic_forms(
@@ -351,13 +363,10 @@ def run_test(
     else:
         [k_requested] = k_policy
 
-    g, norms = series_sums(v_series, k_requested, data.lam, spec.basis_family)
-    k_used = len(norms)
-    if k_used < p:
-        raise KTooSmall(f"only {k_used} usable basis vectors for p={p}")
-
-    stat_raw = raw_statistic(g, fit, r, spec.statistic)
-    nf = float(norms.mean())
+    [(stat_raw, k_used, nf)] = series_statistics(
+        fit, r, v_series, data.lam, spec.basis_family, spec.statistic, [k_requested]
+    )
+    k_used = int(k_used)
     forms = statistic_forms(stat_raw, spec.statistic, nf, p, k_used, data.lam)
     form = decision_form(spec)
     ref = reference(

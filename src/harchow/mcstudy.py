@@ -10,10 +10,12 @@ numbers).
 
 Replications run in blocks of ``_BLOCK`` consecutive ones. A block is
 evaluated as one stack: its innovations are filtered as one matrix, and the
-fit, plug-in rule and score sums of :func:`harchow.chowtest.run_test` run
-once per replication, with a leading replication axis; a break of size
-``delta`` only moves ``beta_2`` by ``delta``. The block size is fixed and
-workers get whole blocks, so results are byte-identical for any worker count.
+fit, plug-in rule and :func:`harchow.chowtest.series_statistics` of
+:func:`harchow.chowtest.run_test` run with a leading replication axis, and
+a block returns each variant's decision statistic and K used; a break of
+size ``delta`` only moves ``beta_2`` by ``delta``. The block size is fixed
+and workers get whole blocks, so results are byte-identical for any worker
+count.
 
 Rejection counts are aggregated as integers in fixed block order; CSV output
 uses fixed-precision formatting so a table is reproducible byte for byte.
@@ -31,10 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autok, chowtest, fixedlimit
-from .bases import (
-    FOURIER_RAW, FOURIER_TRANSFORMED, _leading_mean, break_index, series_sums,
-)
-from .errors import HarchowError
+from .bases import break_index
+from .errors import HarchowError, RegimeTooSmall
 from .numkit import RngStream
 from .numkit.rng import _require_integers
 from .regression import RegressionData, full_break_hypothesis, ols_fit
@@ -59,7 +59,6 @@ TABLE1_GRID = (
 
 _STREAM_CELL_STRIDE = 2**32
 _BLOCK = 64
-_FAMILIES = (FOURIER_RAW, FOURIER_TRANSFORMED)
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,11 @@ class DgpSpec:
             raise ValueError(f"need T >= 50, got {self.t}")
         if self.burn_in < 0:
             raise ValueError("burn-in must be nonnegative")
+        k_star = break_index(self.lam, self.t)
+        if min(k_star, self.t - k_star) < 4:  # m + 2 points, m = 2
+            raise RegimeTooSmall(
+                f"break at {k_star} of {self.t} leaves a regime below m + 2 = 4"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,14 +159,13 @@ def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
 
 
 class CellStats(NamedTuple):
-    """Per-replication statistics of a cell or block, keyed by basis family:
-    the Wald statistic as (reps, n_deltas, n_k) arrays, and the K used and
-    its norm factor as (reps, n_k) arrays, since a break size moves neither
-    K nor the fit's success; and a (reps,) failure mask."""
+    """Per-replication statistics of a cell or block, keyed by variant: the
+    value the variant decides on as (reps, n_deltas, n_k) arrays, and the K
+    used as (reps, n_k) arrays, since a break size moves neither K nor the
+    fit's success; and a (reps,) failure mask."""
 
-    wald: dict[str, np.ndarray]
+    values: dict[str, np.ndarray]
     k_used: dict[str, np.ndarray]
-    nf: dict[str, np.ndarray]
     failed: np.ndarray
 
 
@@ -178,16 +181,14 @@ def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
 
 
 def _stack_statistics(
-    lam: float, k_policy, deltas: tuple[float, ...], y: np.ndarray, x: np.ndarray,
-) -> tuple[dict[str, np.ndarray], ...]:
-    """Wald statistic per basis family as ``(B, n_deltas, n_K)`` arrays, and
-    K used and its norm factor as ``(B, n_K)`` arrays, of a stack of ``B``
-    null series: run_test's fit, plug-in rule, sums and Wald form with a
-    leading replication axis. The sums are one :func:`series_sums` call per
-    family on the ``T x p`` proxies folded into ``T x (B p)`` columns, at
-    the largest K in use; K uses the leading ``min(K, kept)`` rows and their
-    mean norm term. A break of size ``delta`` adds ``delta`` times the
-    design's post-break columns to ``y``, so it moves ``beta_2`` by
+    lam: float, k_policy, deltas: tuple[float, ...], variants: tuple[str, ...],
+    y: np.ndarray, x: np.ndarray,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Decision statistic per variant as ``(B, n_deltas, n_K)`` arrays, and
+    K used as ``(B, n_K)`` arrays, of a stack of ``B`` null series: run_test's
+    fit, plug-in rule and :func:`chowtest.series_statistics`, once per basis
+    family the variants use. A break of size ``delta`` adds ``delta`` times
+    the design's post-break columns to ``y``, so it moves ``beta_2`` by
     ``delta`` and leaves residuals, K and sums."""
     hyp = full_break_hypothesis(2)
     r = hyp.contrast
@@ -198,20 +199,23 @@ def _stack_statistics(
         k_policy = [autok.mse_optimal_k(model, y.shape[-1], hyp.p)]
     shift = np.multiply.outer(deltas, np.repeat([0.0, 1.0], hyp.m))[:, None]
     moved = replace(fit, beta_hat=fit.beta_hat + shift)
-    b, t, p = v_series.shape
-    columns = v_series.transpose(1, 0, 2).reshape(t, b * p)
-    k_top = max(int(np.max(k)) for k in k_policy)
-    wald, k_used, nf = {}, {}, {}
-    for family in _FAMILIES:
-        g, norms = series_sums(columns, k_top, lam, family)
-        sums = g.reshape(len(norms), b, p).swapaxes(0, 1)
-        used = [np.minimum(k, len(norms)) for k in k_policy]
-        k_used[family] = np.stack([np.broadcast_to(k, b) for k in used], axis=-1)
-        nf[family] = _leading_mean(norms, k_used[family])
-        wald[family] = np.stack(
-            [chowtest.raw_statistic(sums, moved, r, "F", k) for k in used], axis=-1
-        ).swapaxes(0, 1)
-    return wald, k_used, nf
+    specs = [chowtest.VARIANTS[name] for name in variants]
+    values, k_used = {}, {}
+    for family in dict.fromkeys(spec.basis_family for spec in specs):
+        per_k = chowtest.series_statistics(
+            moved, r, v_series, lam, family, "F", k_policy
+        )
+        # each K's (n_deltas, B) Wald values, K used and norm factor alike
+        wald, used, nf = (
+            np.stack(part, axis=-1).swapaxes(0, 1)
+            for part in zip(*(np.broadcast_arrays(*out) for out in per_k))
+        )
+        forms = chowtest.statistic_forms(wald, "F", nf, hyp.p, used, lam)
+        for spec in specs:
+            if spec.basis_family == family:
+                values[spec.name] = forms[chowtest.decision_form(spec)]
+                k_used[spec.name] = used[:, 0]
+    return values, k_used
 
 
 def _run_block(
@@ -220,6 +224,7 @@ def _run_block(
     cell_id: int,
     k_policy,
     deltas: tuple[float, ...],
+    variants: tuple[str, ...],
     rep_range: tuple[int, int],
 ) -> CellStats:
     """Statistics for a contiguous block of replications, evaluated as one
@@ -236,12 +241,11 @@ def _run_block(
     n_k = 1 if isinstance(k_policy, str) else len(k_policy)
     count = stop - start
     stats = CellStats(
-        {family: np.full((count, len(deltas), n_k), np.nan) for family in _FAMILIES},
-        {family: np.zeros((count, n_k), dtype=np.int64) for family in _FAMILIES},
-        {family: np.full((count, n_k), np.nan) for family in _FAMILIES},
+        {v: np.full((count, len(deltas), n_k), np.nan) for v in variants},
+        {v: np.zeros((count, n_k), dtype=np.int64) for v in variants},
         np.zeros(count, dtype=bool),
     )
-    evaluate = partial(_stack_statistics, spec.lam, k_policy, deltas)
+    evaluate = partial(_stack_statistics, spec.lam, k_policy, deltas, variants)
     try:
         parts = [(slice(None), evaluate(y, x))]
     except HarchowError:
@@ -254,8 +258,8 @@ def _run_block(
                 stats.failed[i] = True
     for rows, part in parts:
         for field, values in zip(stats, part):
-            for family in _FAMILIES:
-                field[family][rows] = values[family]
+            for v in variants:
+                field[v][rows] = values[v]
     return stats
 
 
@@ -266,6 +270,7 @@ def _run_cell(
     reps: int,
     k_policy,
     deltas: tuple[float, ...],
+    variants: tuple[str, ...],
     workers: int = 1,
 ) -> CellStats:
     """All replication statistics for one cell, merged in block order.
@@ -278,7 +283,7 @@ def _run_cell(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     ranges = [(s, min(s + _BLOCK, reps)) for s in range(0, reps, _BLOCK)]
-    run = partial(_run_block, spec, master_seed, cell_id, k_policy, deltas)
+    run = partial(_run_block, spec, master_seed, cell_id, k_policy, deltas, variants)
     pool_size = min(workers, len(ranges), _usable_cpus())
     if pool_size == 1:
         parts = list(map(run, ranges))
@@ -287,27 +292,10 @@ def _run_cell(
             parts = list(pool.map(run, ranges))
     *fields, faileds = zip(*parts)
     merged = [
-        {family: np.concatenate([part[family] for part in field]) for family in _FAMILIES}
+        {v: np.concatenate([part[v] for part in field]) for v in variants}
         for field in fields
     ]
     return CellStats(*merged, np.concatenate(faileds))
-
-
-def _decision_values(
-    variant: chowtest.TestVariant, stats: CellStats, lam: float, index: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(decision statistic, K used) of one variant at ``index = (rows,
-    delta, K)`` into a cell's (replication, delta, K) statistic arrays; K
-    used and its norm factor are per (replication, K), so they broadcast
-    over a slice of deltas."""
-    family = variant.basis_family
-    rows, deltas, k_idx = index
-    wald = stats.wald[family][index]
-    k_used, nf = stats.k_used[family][rows, k_idx], stats.nf[family][rows, k_idx]
-    if isinstance(deltas, slice):
-        k_used, nf = k_used[:, None], nf[:, None]
-    forms = chowtest.statistic_forms(wald, "F", nf, 2, k_used, lam)
-    return forms[chowtest.decision_form(variant)], k_used
 
 
 def _rejections(
@@ -320,7 +308,8 @@ def _rejections(
     An analytic law decides every replication in one call, given the array
     of K; a simulated law is looked up once per distinct K.
     """
-    values, k_used = _decision_values(variant, stats, lam, index)
+    values = stats.values[variant.name][index]
+    k_used = stats.k_used[variant.name][index[0], index[2]]
     if variant.reference != "nonstandard":
         return references(variant, 2, k_used, lam).decide(values)[1], k_used
     reject = np.zeros(len(values), dtype=bool)
@@ -337,7 +326,7 @@ def _size_rows(
     """Rejection frequency per (K grid point, variant) of one cell, each row
     labelled by its K or by ``auto``."""
     stats = _run_cell(
-        spec, master_seed, cell_id, reps, k_policy, (spec.delta,), workers
+        spec, master_seed, cell_id, reps, k_policy, (spec.delta,), variants, workers
     )
     ok = ~stats.failed
     n_ok = int(ok.sum())
@@ -448,6 +437,7 @@ def power_experiment(
     (``delta = 0``) value under the same replication streams. The pairs'
     other members share the curve, except that under auto K
     ``chisq-transformed`` (no per-K scaling) can differ from ``f-transformed``.
+    With no successful replication every curve is ``nan``, as a size rate.
     """
     policy = _study_policy(k_policy, spec.t, (), alpha)
     grid = tuple(deltas)
@@ -455,19 +445,18 @@ def power_experiment(
         raise ValueError(f"break sizes must be finite, got {grid}")
     if 0.0 not in grid:
         grid = (0.0,) + grid
-    stats = _run_cell(spec, master_seed, 0, reps, policy, grid, workers)
+    pair = ("chisq-fourier", "f-transformed")
+    stats = _run_cell(spec, master_seed, 0, reps, policy, grid, pair, workers)
     ok = ~stats.failed
     n_ok = int(ok.sum())
     curves: dict[str, list[float]] = {}
-    for variant in ("chisq-fourier", "f-transformed"):
-        variant_spec = chowtest.VARIANTS[variant]
-        values, _ = _decision_values(
-            variant_spec, stats, spec.lam, (ok, slice(None), 0)
-        )
-        cv = fixedlimit.upper_quantile(np.sort(values[:, 0]), alpha)
-        curves[variant_spec.basis_family] = [
-            float((values[:, d] > cv).mean()) for d in range(len(grid))
-        ]
+    for variant in pair:
+        values = stats.values[variant][ok, :, 0]
+        curve = [math.nan] * len(grid)
+        if n_ok:
+            cv = fixedlimit.upper_quantile(np.sort(values[:, 0]), alpha)
+            curve = [float((values[:, d] > cv).mean()) for d in range(len(grid))]
+        curves[chowtest.VARIANTS[variant].basis_family] = curve
     return {
         "deltas": grid,
         "reps": reps,

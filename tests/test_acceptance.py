@@ -24,7 +24,7 @@ from harchow.bases import (
 from harchow.chowtest import run_test
 from harchow.mcstudy import (
     DgpSpec,
-    _decision_values,
+    _rep_stream,
     _run_cell,
     size_experiment,
 )
@@ -224,15 +224,13 @@ def test_criterion_08_size_adjusted_power():
     # pair check: the two tests of a pair decide on statistics that differ
     # by a factor the size adjustment discards, so under each member's own
     # empirical critical value their adjusted decisions coincide replication
-    # by replication. Each member's decision statistic comes from the
-    # statistic core. The raw pair shares its form under auto K; the
-    # transformed pair only at a fixed K, since the F form scales by each
-    # replication's own K.
+    # by replication. Each member's decision statistic is run_test's (checked
+    # on the first replications at every break size). The raw pair shares
+    # its form under auto K; the transformed pair only at a fixed K, since
+    # the F form scales by each replication's own K.
     def adjusted_decisions(stats, variant):
         ok = ~stats.failed
-        values, _ = _decision_values(
-            chowtest.VARIANTS[variant], stats, spec.lam, (ok, slice(None), 0),
-        )
+        values = stats.values[variant][ok, :, 0]
         idx = int(np.ceil(int(ok.sum()) * 0.95)) - 1
         return values > np.sort(values[:, 0])[idx]
 
@@ -240,9 +238,22 @@ def test_criterion_08_size_adjusted_power():
         ("auto", ("chisq-fourier", "nonstandard-fourier")),
         ([12], ("chisq-transformed", "f-transformed")),
     ):
-        stats = _run_cell(spec, 404, 0, 2000, policy, deltas, workers=2)
+        stats = _run_cell(spec, 404, 0, 2000, policy, deltas, pair, workers=2)
         first, second = (adjusted_decisions(stats, v) for v in pair)
         assert np.array_equal(first, second), pair
+        k = "auto" if policy == "auto" else policy[0]
+        for rep in range(3):
+            for d_idx, delta in enumerate(deltas):
+                shifted = DgpSpec(t=200, rho=0.6, delta=delta)
+                y, x = mcstudy.simulate_dgp(shifted, _rep_stream(404, 0, rep))
+                data = RegressionData(y, x, None, spec.lam)
+                for variant in pair:
+                    decision = run_test(
+                        data, variant=variant, k=k, cv_replications=1000, cv_grid=150
+                    ).decision_statistic
+                    assert stats.values[variant][rep, d_idx, 0] == pytest.approx(
+                        decision, rel=1e-10
+                    ), (variant, rep, delta)
     report(8, f"max power gap between bases {gap:.4f} (<= 0.03); pairs identical")
 
 

@@ -377,13 +377,26 @@ class TestRunTest:
             assert (report.statistic_scaled > scaled_cv) == direct
             assert report.reject == (report.p_value < report.alpha)
 
+    @pytest.mark.parametrize("variant", [
+        "chisq-fourier", "nonstandard-fourier", "chisq-transformed", "f-transformed",
+    ])
+    def test_one_vector_for_two_restrictions_is_k_too_small(self, variant):
+        # the K check comes before any Wald form: at K = 1 the 2 x 2 contrast
+        # variance is singular, and forming it first raised NotPositiveDefinite
+        data = simulated_data(4, t=100)
+        with pytest.raises(
+            KTooSmall, match=r"^only 1 usable basis vectors for p=2$"
+        ):
+            run_test(data, variant=variant, k=1)
+
     def test_boundary_statistic_decides_by_p_value(self, monkeypatch):
         # lam (1 - lam) times this Wald statistic lands on the chi-square(2)
         # quantile, where the break-weighted and df-scaled comparisons round
         # apart; run_test still returns and decides by p < alpha alone
-        monkeypatch.setattr(
-            chowtest, "raw_statistic", lambda *args, **kwargs: 28.530783557657067
-        )
+        real = chowtest.series_statistics
+        monkeypatch.setattr(chowtest, "series_statistics", lambda *args: [
+            (28.530783557657067, k, nf) for _, k, nf in real(*args)
+        ])
         data = simulated_data(3, t=100, lam=0.3)
         report = run_test(data, variant="chisq-transformed", k=4)
         assert (report.p, report.k, report.statistic_raw) == (2, 4, 28.530783557657067)
@@ -580,7 +593,7 @@ class TestStackedPipeline:
         k = autok.mse_optimal_k(model, 100, p)
         used = np.minimum(k, basis.k)
         g = longrun.score_sums(basis, v)
-        wald = chowtest.raw_statistic(g, fit, r, "F", used)
+        wald = chowtest.wald_stat(fit.beta_hat, r, longrun.sums_outer(g, used), 100)
         for i in range(len(y)):
             one = ols_fit(RegressionData(y[i], x[i], None, 0.4), hyp)
             v_one = autok.score_series(r, one.q_hat, one.xz, one.residuals)
@@ -588,11 +601,11 @@ class TestStackedPipeline:
             k_one = autok.mse_optimal_k(one_model, 100, p)
             assert (k[i], model.clamped[i]) == (k_one, one_model.clamped)
             g_one = longrun.score_sums(basis, v_one)
-            expected = chowtest.raw_statistic(g_one[:used[i]], one, r, "F")
+            var_one = longrun.sums_outer(g_one[:used[i]])
+            expected = chowtest.wald_stat(one.beta_hat, r, var_one, 100)
             # the stacked and the single V differ by rounding, which the
             # condition number of the contrast variance amplifies: ~100 units
             # of roundoff per unit of condition, and 1e-12 when well conditioned
-            var_one = longrun.sums_outer(g_one[:used[i]])
             rel = max(1e-12, 1e-14 * np.linalg.cond(var_one))
             assert wald[i] == pytest.approx(expected, rel=rel)
         if p == 2:

@@ -18,7 +18,8 @@ def test_quick_comparison_of_a_tree_with_itself_passes():
     assert "DIFFERS" not in done.stdout
     assert done.stdout.rstrip().endswith("non-float field differs")
     assert "4 study CSVs compared byte for byte" in done.stdout
-    assert "35 run, 1 refused" in done.stdout  # the call without --lambda
+    # the call without --lambda, and the one at K = 1 on two regressors
+    assert "35 run, 2 refused" in done.stdout
 
 
 def test_a_call_argparse_refuses_keeps_its_exit_code_and_message():

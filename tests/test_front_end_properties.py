@@ -148,3 +148,39 @@ def test_bad_deltas_exit_2(value):
 @given(value=bad_cells)
 def test_bad_cells_exit_2(value):
     _assert_one_validation_line(*_main_rejects(["mc-size", f"--cells={value}"]))
+
+
+@st.composite
+def small_regime_breaks(draw):
+    """``(T, lambda)`` whose break row ``floor(lambda T)`` leaves the first
+    regime, or the second, below m + 2 = 4 points, with T a study may run."""
+    t = draw(st.integers(50, 400))
+    k_star = draw(st.one_of(st.integers(0, 3), st.integers(t - 3, t - 1)))
+    return t, (k_star + draw(st.floats(0.01, 0.9))) / t
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=small_regime_breaks())
+def test_a_regime_below_four_points_exits_2_everywhere(case, tmp_path_factory):
+    # mc-size, mc-power and harchow test refuse the same break with the same
+    # line, before any replication: about 0.3 s for the 60 examples
+    t, lam = case
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    rows = np.random.default_rng(t).standard_normal((t, 2))
+    np.savetxt(path, np.column_stack([rows, np.ones(t)]), delimiter=",",
+               header="y,x1,c", comments="")
+    lines = set()
+    for argv in (
+        ["mc-size", "--cells", "0:0", "--T", str(t), "--reps", "500"],
+        ["mc-power", "--T", str(t), "--reps", "500"],
+        ["test", "--data", str(path), "--y", "y", "--x", "c,x1", "--k", "4"],
+    ):
+        err = io.StringIO()
+        started = AssertionError("a study started on an input it must reject")
+        with mock.patch.object(mcstudy, "_run_cell", side_effect=started):
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--lambda", repr(lam)])
+        _assert_one_validation_line(code, err.getvalue())
+        lines.add(err.getvalue())
+    [line] = lines
+    assert line.startswith("validation error (RegimeTooSmall): break at ")

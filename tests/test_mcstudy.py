@@ -2,15 +2,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from harchow import mcstudy
+from harchow import chowtest, mcstudy
 from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_basis
 from harchow.chowtest import VARIANTS, reference, run_test
-from harchow.errors import HarchowError
+from harchow.errors import HarchowError, RegimeTooSmall
 from harchow.fixedlimit import CriticalValueCache
 from harchow.mcstudy import (
     F_VARIANTS,
@@ -117,25 +118,35 @@ class TestSimulateDgp:
         assert y.shape == (100,) and x.shape == (100, 2)
 
 
+# the simulation settings of run_test's nonstandard references in these tests
+SMALL_CV = dict(cv_seed=0, cv_replications=1000, cv_grid=150)
+
+
+def assert_values_match_run_test(stats, variants, y, x, lam, k, rep, index):
+    """Each variant's value and K used at ``index`` are the decision
+    statistic (to 1e-10 relative) and K of run_test on the series."""
+    data = RegressionData(y, x, None, lam)
+    for name in variants:
+        report = run_test(data, variant=name, k=k, **SMALL_CV)
+        assert stats.values[name][index] == pytest.approx(
+            report.decision_statistic, rel=1e-10
+        ), (name, rep)
+        assert stats.k_used[name][index[0], index[-1]] == report.k, (name, rep)
+
+
 class TestRunCellConsistency:
     def test_block_statistic_matches_run_test(self):
         spec = DgpSpec(t=100, rho=0.3)
         out = _run_block(
             spec, master_seed=9, cell_id=0, rep_range=(0, 3),
-            k_policy=[8], deltas=(0.0,),
+            k_policy=[8], deltas=(0.0,), variants=F_VARIANTS,
         )
         for rep in range(3):
             y, x = simulate_dgp(
                 DgpSpec(t=100, rho=0.3, delta=0.0), _rep_stream(9, 0, rep)
             )
-            data = RegressionData(y, x, None, spec.lam)
-            rep_trans = run_test(data, variant="f-transformed", k=8)
-            rep_raw = run_test(data, variant="chisq-fourier", k=8)
-            assert out.wald[FOURIER_TRANSFORMED][rep, 0, 0] == pytest.approx(
-                rep_trans.statistic_raw, rel=1e-10
-            )
-            assert out.wald[FOURIER_RAW][rep, 0, 0] == pytest.approx(
-                rep_raw.statistic_raw, rel=1e-10
+            assert_values_match_run_test(
+                out, F_VARIANTS, y, x, spec.lam, 8, rep, (rep, 0, 0)
             )
 
     @pytest.mark.parametrize("rho", [0.0, 0.6, 0.9])
@@ -150,7 +161,7 @@ class TestRunCellConsistency:
         )
         stats = _run_block(
             spec, master_seed=13, cell_id=0, rep_range=(0, 60),
-            k_policy="auto", deltas=(0.0,),
+            k_policy="auto", deltas=(0.0,), variants=F_VARIANTS,
         )
         ok = ~stats.failed
         reps = np.nonzero(ok)[0]
@@ -172,12 +183,12 @@ class TestRunCellConsistency:
 
     def test_worker_counts_agree(self):
         spec = DgpSpec(t=60, rho=0.0)
-        serial = _run_cell(spec, 3, 0, 130, [4], (0.0,), workers=1)
-        parallel = _run_cell(spec, 3, 0, 130, [4], (0.0,), workers=3)
-        for field in ("wald", "k_used", "nf"):
-            for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
+        serial = _run_cell(spec, 3, 0, 130, [4], (0.0,), F_VARIANTS, workers=1)
+        parallel = _run_cell(spec, 3, 0, 130, [4], (0.0,), F_VARIANTS, workers=3)
+        for field in ("values", "k_used"):
+            for name in F_VARIANTS:
                 assert np.array_equal(
-                    getattr(serial, field)[family], getattr(parallel, field)[family]
+                    getattr(serial, field)[name], getattr(parallel, field)[name]
                 )
         assert np.array_equal(serial.failed, parallel.failed)
 
@@ -188,17 +199,24 @@ class TestRunCellConsistency:
 def test_engine_keeps_the_kernel_feasible_k(t, lam):
     # the engine takes its sums at the largest K of the policy; whatever
     # that K, a replication at K keeps min(K, kept) transformed vectors,
-    # kept being the count of the dense basis at K = T - 2
+    # kept being the count of the dense basis at K = T - 2, and decides on
+    # run_test's statistic at that K
     kept = series_basis(t, t - 2, lam, FOURIER_TRANSFORMED).k
     z = np.random.default_rng(t).standard_normal((2, 2 * (t + 500)))
     y, x = _simulate_stack(DgpSpec(t=t, rho=0.3, lam=lam), z)
     grid = list(range(2, t - 1))
-    _, k_used, _ = _stack_statistics(lam, grid, (0.0,), y, x)
-    assert k_used[FOURIER_RAW].tolist() == [grid] * 2
-    assert k_used[FOURIER_TRANSFORMED].tolist() == [[min(k, kept) for k in grid]] * 2
+    pair = ("chisq-fourier", "f-transformed")
+    _, k_used = _stack_statistics(lam, grid, (0.0,), pair, y, x)
+    assert k_used["chisq-fourier"].tolist() == [grid] * 2
+    assert k_used["f-transformed"].tolist() == [[min(k, kept) for k in grid]] * 2
     for k in sorted({2, kept - 1, kept, kept + 1, (kept + t) // 2} & set(grid)):
-        _, k_used, _ = _stack_statistics(lam, [k], (0.0,), y, x)
-        assert k_used[FOURIER_TRANSFORMED].tolist() == [[min(k, kept)]] * 2, k
+        values, k_used = _stack_statistics(lam, [k], (0.0,), pair, y, x)
+        assert k_used["f-transformed"].tolist() == [[min(k, kept)]] * 2, k
+        stats = mcstudy.CellStats(values, k_used, np.zeros(2, dtype=bool))
+        for rep in range(2):
+            assert_values_match_run_test(
+                stats, pair, y[rep], x[rep], lam, k, rep, (rep, 0, 0)
+            )
 
 
 def test_studies_build_no_basis_or_kernel(monkeypatch):
@@ -215,6 +233,45 @@ def test_studies_build_no_basis_or_kernel(monkeypatch):
     size_experiment([spec], F_VARIANTS[:1] + F_VARIANTS[2:], reps=500)
     k_grid_experiment(spec, (4, 58), ("chisq-fourier", "f-transformed"), reps=500)
     power_experiment(spec, (0.0, 0.5), reps=64)
+
+
+class TestOnePath:
+    """A study's statistics come from chowtest.series_statistics, which
+    calls series_sums once per basis family per block."""
+
+    def _families(self, monkeypatch):
+        calls = []
+        real = chowtest.series_sums
+
+        def recording(series, k, lam, family):
+            calls.append(family)
+            return real(series, k, lam, family)
+
+        monkeypatch.setattr(chowtest, "series_sums", recording)
+        return calls
+
+    def test_one_family_study_builds_only_its_sums(self, monkeypatch):
+        calls = self._families(monkeypatch)
+        [row] = size_experiment(
+            [DgpSpec(t=60, rho=0.3)], ("f-transformed",), reps=500, master_seed=5
+        )
+        assert row.failures == 0
+        assert calls == [FOURIER_TRANSFORMED] * 8  # 8 blocks of at most 64
+
+    def test_every_family_once_per_block(self, monkeypatch):
+        calls = self._families(monkeypatch)
+        results = size_experiment(
+            [DgpSpec(t=60, rho=0.3)], F_VARIANTS, k_policy=4, reps=500,
+            master_seed=5, cv_cache=CriticalValueCache(), cv_replications=1000,
+            cv_grid=150,
+        )
+        assert all(row.failures == 0 for row in results)
+        assert calls == [FOURIER_RAW, FOURIER_TRANSFORMED] * 8
+
+    def test_engine_holds_no_statistic_of_its_own(self):
+        held = {"series_sums", "_leading_mean", "raw_statistic"} & set(vars(mcstudy))
+        assert held == set()
+        assert "raw_statistic" not in vars(chowtest)
 
 
 def _src_env(**extra) -> dict:
@@ -276,28 +333,24 @@ class TestFailedReplications:
         real = self._plant(monkeypatch)
         spec = DgpSpec(t=100, rho=0.3)
         deltas = (0.0, 0.5)
-        stats = _run_cell(spec, 9, 0, 130, "auto", deltas)
+        pair = ("chisq-fourier", "f-transformed")
+        stats = _run_cell(spec, 9, 0, 130, "auto", deltas, pair)
         expected = np.zeros(130, dtype=bool)
         expected[self.PLANTED] = True
         assert np.array_equal(stats.failed, expected)
         y, x = simulate_dgp(spec, _ZeroStream())
         with pytest.raises(HarchowError):
             run_test(RegressionData(y, x, None, spec.lam), k="auto")
-        # its block-mates keep run_test's statistics and K
+        # its block-mates keep run_test's decision statistics and K
         for rep in range(64, 128):
             if rep == self.PLANTED:
                 continue
             for d_idx, delta in enumerate(deltas):
                 shifted = DgpSpec(t=100, rho=0.3, delta=delta)
                 y, x = simulate_dgp(shifted, real(9, 0, rep))
-                data = RegressionData(y, x, None, spec.lam)
-                for name in ("chisq-fourier", "f-transformed"):
-                    report = run_test(data, variant=name, k="auto")
-                    family = VARIANTS[name].basis_family
-                    assert stats.wald[family][rep, d_idx, 0] == pytest.approx(
-                        report.statistic_raw, rel=1e-10
-                    )
-                    assert stats.k_used[family][rep, 0] == report.k
+                assert_values_match_run_test(
+                    stats, pair, y, x, spec.lam, "auto", rep, (rep, d_idx, 0)
+                )
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -339,7 +392,7 @@ class TestWorkerPool:
         monkeypatch.setattr(mcstudy, "_usable_cpus", lambda: 4)
         spec = DgpSpec(t=60, rho=0.0)
         for reps, workers in ((130, 10**6), (640, 10**6), (130, 2), (64, 8)):
-            _run_cell(spec, 3, 0, reps, [4], (0.0,), workers=workers)
+            _run_cell(spec, 3, 0, reps, [4], (0.0,), F_VARIANTS, workers=workers)
         # 3 blocks; 10 blocks on 4 CPUs; 2 workers; one block runs serially
         assert sizes == [3, 4, 2]
 
@@ -347,7 +400,7 @@ class TestWorkerPool:
     def test_rejects_fewer_than_one_worker(self, workers):
         spec = DgpSpec(t=60, rho=0.0)
         with pytest.raises(ValueError, match="at least one worker"):
-            _run_cell(spec, 3, 0, 64, [4], (0.0,), workers=workers)
+            _run_cell(spec, 3, 0, 64, [4], (0.0,), F_VARIANTS, workers=workers)
 
 
 class TestSizeExperiment:
@@ -436,6 +489,15 @@ class TestPowerExperiment:
                 assert hi >= lo - 2 * se
             assert curve[-1] > curve[0]
 
+    def test_no_successful_replication_gives_nan_curves(self, monkeypatch):
+        # every replication fails, as a size row with failures = reps does
+        monkeypatch.setattr(mcstudy, "_rep_stream", lambda *args: _ZeroStream())
+        out = power_experiment(DgpSpec(t=60, rho=0.0), (0.5,), k_policy=4, reps=64)
+        assert out["n_ok"] == 0
+        assert set(out["power"]) == {FOURIER_RAW, FOURIER_TRANSFORMED}
+        for curve in out["power"].values():
+            assert len(curve) == 2 and np.isnan(curve).all()
+
     def test_common_random_numbers_make_pairs_identical(self):
         # one curve per basis family; that the tests of a pair share their
         # adjusted decisions is checked by acceptance criterion 8
@@ -515,11 +577,35 @@ class TestStudyFrontEnd:
         lambda: size_experiment([DgpSpec(t=60, rho=0.0)], k_policy=1, reps=500),
         lambda: power_experiment(DgpSpec(t=60, rho=0.0), (0.5,), k_policy=1),
         lambda: k_grid_experiment(DgpSpec(t=60, rho=0.0), (1, 4)),
+        # a break that leaves a regime below m + 2 = 4 points, or none at all
+        lambda: size_experiment([DgpSpec(t=100, rho=0.0, lam=0.02)], reps=500),
+        lambda: k_grid_experiment(DgpSpec(t=100, rho=0.0, lam=0.98), (4,)),
+        lambda: power_experiment(DgpSpec(t=100, rho=0.0, lam=0.02), (0.5,)),
+        lambda: size_experiment([DgpSpec(t=100, rho=0.0, lam=1.5)], reps=500),
+        lambda: power_experiment(DgpSpec(t=100, rho=0.0, lam=0.0), (0.5,)),
     ])
     def test_bad_input_fails_before_any_replication(self, study, monkeypatch):
         monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, RegimeTooSmall)):
             study()
+
+    @pytest.mark.parametrize("t, lam, k_star", [
+        (100, 0.02, 2), (100, 0.039, 3), (100, 0.97, 97), (50, 0.99, 49),
+        (1000, 0.003, 3),
+    ])
+    def test_design_refuses_a_regime_below_four_points(self, t, lam, k_star):
+        # the message of harchow test, which refuses the same break
+        with pytest.raises(RegimeTooSmall, match=(
+            rf"^break at {k_star} of {t} leaves a regime below m \+ 2 = 4$"
+        )):
+            DgpSpec(t=t, rho=0.0, lam=lam)
+        DgpSpec(t=t, rho=0.0, lam=4 / t)
+        DgpSpec(t=t, rho=0.0, lam=(t - 4) / t)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.4, 1.5, np.nan, np.inf])
+    def test_design_refuses_a_break_fraction_outside_the_unit_interval(self, lam):
+        with pytest.raises(ValueError, match="break fraction must lie in"):
+            DgpSpec(t=100, rho=0.0, lam=lam)
 
     def test_whole_k_is_labelled_as_an_int(self):
         spec = DgpSpec(t=60, rho=0.0)
@@ -670,14 +756,21 @@ class TestNoDesignState:
     def test_block_statistics_ignore_the_previous_design(self):
         spec, other = DgpSpec(t=60, rho=0.3), DgpSpec(t=90, rho=0.3, lam=0.55)
         run = partial(_run_block, master_seed=5, cell_id=0, k_policy="auto",
-                      deltas=(0.0, 0.5), rep_range=(0, 64))
+                      deltas=(0.0, 0.5), variants=F_VARIANTS, rep_range=(0, 64))
         first = run(spec)
         run(other)
         second = run(spec)
-        for field in ("wald", "k_used", "nf"):
-            for family in (FOURIER_RAW, FOURIER_TRANSFORMED):
-                a, b = getattr(first, field)[family], getattr(second, field)[family]
-                assert np.array_equal(a, b), (field, family)
+        for field in ("values", "k_used"):
+            for name in F_VARIANTS:
+                a, b = getattr(first, field)[name], getattr(second, field)[name]
+                assert np.array_equal(a, b), (field, name)
         assert np.array_equal(first.failed, second.failed)
+        # and they are run_test's, at both break sizes
+        for rep in range(3):
+            for d_idx, delta in enumerate((0.0, 0.5)):
+                y, x = simulate_dgp(replace(spec, delta=delta), _rep_stream(5, 0, rep))
+                assert_values_match_run_test(
+                    second, F_VARIANTS, y, x, spec.lam, "auto", rep, (rep, d_idx, 0)
+                )
         memos = [name for name, obj in vars(mcstudy).items() if hasattr(obj, "cache_info")]
         assert memos == []

@@ -8,8 +8,9 @@ work through ``harchow.cli.main``:
 
 * ``harchow test`` reports on series written here from fixed seeds: every
   variant, auto K and K = 8, several T, break fractions and AR(1)
-  persistences; a refused call keeps its exit code and message, and one
-  call that argparse refuses (no ``--lambda``) exits 2 with its message;
+  persistences; a refused call keeps its exit code and message: one call
+  that argparse refuses (no ``--lambda``) exits 2 with its message, and
+  one at K = 1 on two regressors exits 3 with ``KTooSmall``'s;
 * ``harchow simulate-cv`` laws at lambda 0.4: both families, p = 1 and 2,
   K = 4, 12 and 40, kinds ``F_star_inf``, ``scaled_F_inf`` and
   ``t_star_inf`` (p = 1 only); each reports its 10%, 5% and 1% critical
@@ -114,6 +115,11 @@ def _cases(workdir: str, quick: bool) -> list[tuple[str, list[str]]]:
                                           argv))
     cases.append(("test without --lambda", [
         "test", "--data", path, "--y", "y", "--x", ",".join(columns[1:]), "--json", "-",
+    ]))
+    two = os.path.join(workdir, f"series-{ts[0]}-{rhos[0]}-0.csv")
+    cases.append(("test --k 1 on two regressors", [
+        "test", "--data", two, "--y", "y", "--x", "c,x1", "--lambda", "0.4", "--k", "1",
+        "--json", "-",
     ]))
     return cases
 
