@@ -12,12 +12,7 @@ from .autok import (
     plugin_from_fit,
     score_series,
 )
-from .bases import (
-    BasisSet,
-    break_index,
-    fourier_matrix,
-    norm_factor,
-)
+from .bases import break_index
 from .chowtest import (
     DEFAULT_VARIANT,
     VARIANTS,
@@ -43,7 +38,6 @@ from .fixedlimit import (
     empirical_p,
     simulate_limit,
 )
-from .longrun import sandwich_variance
 from .mcstudy import (
     DgpSpec,
     ExperimentResult,
@@ -63,7 +57,6 @@ from .regression import (
 )
 
 __all__ = [
-    "BasisSet",
     "BreakHypothesis",
     "BreakTooExtreme",
     "CriticalValueCache",
@@ -90,17 +83,14 @@ __all__ = [
     "critical_value",
     "empirical_p",
     "fit_var1",
-    "fourier_matrix",
     "full_break_hypothesis",
     "k_grid_experiment",
     "mse_optimal_k",
-    "norm_factor",
     "ols_fit",
     "partial_out",
     "plugin_from_fit",
     "power_experiment",
     "run_test",
-    "sandwich_variance",
     "score_series",
     "simulate_limit",
     "size_experiment",

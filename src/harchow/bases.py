@@ -1,15 +1,14 @@
 """Basis construction for the series long-run variance estimator.
 
-Provides interleaved cosine/sine (Fourier) basis vectors, the break-geometry
-covariance kernel matrix, the within-regime demeaned ("tilde") transform of
-basis columns, and the Gram-Schmidt step that orthonormalizes a basis with
-respect to the kernel inner product ``a' C_T b / T^2``.
+The interleaved cosine/sine (Fourier) family, and its orthonormalization
+under the kernel inner product ``a' C_T b / T^2``, enter only through sums.
 :func:`series_sums` gives the score sums of ``run_test`` and of the Monte
 Carlo engine alike, and :func:`series_root` the limit simulator's root;
-neither forms a basis vector. Both factor one ``K x K`` kernel Gram, cut to
-one kernel-feasible K. :func:`series_basis` builds a family's first K
-vectors from the same factor; it, the dense ``T x T`` kernel and its Gram
-are references that no library path builds.
+both factor one ``K x K`` kernel Gram, cut to one kernel-feasible K, and
+give each vector's norm-factor term, the mean square of its demeaned
+("tilde") values. The dense forms (:func:`fourier_matrix`, the kernel, its
+Gram, :func:`gram_transform`, :func:`feasible_k`) are test references no
+command runs, kept because the benchmark tracer resolves them.
 
 The Gram comes from the regime-one Fourier sums
 ``E(h) = sum_{t <= k*} exp(2 pi i h t / T)``, one FFT of the regime-one
@@ -26,13 +25,13 @@ demeaned Gram ``tilde' tilde / T`` weighs ``a a'`` by
 
 The break splits ``{1, ..., T}`` at ``k* = floor(lambda * T)``: regime one is
 ``t <= k*`` and regime two is ``t > k*``. Every function here uses that same
-index so the kernel matrix, the demeaning, and the regression design can
+index so the kernel matrix, the regime sums and the regression design can
 never disagree about regime membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,36 +60,28 @@ def break_index(lam: float, t: int) -> int:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """A ``T x K`` matrix of basis vectors, column ``j`` sampled at ``t/T``.
-
-    ``norms`` holds each column's average squared demeaned value, the terms
-    of :func:`norm_factor`; :func:`series_basis` fills it from the regime
-    sums, and a basis built by hand leaves it ``None``.
-    """
+    """A ``T x K`` matrix of basis vectors, column ``j`` sampled at ``t/T``;
+    a test reference that the traced dense functions take and return."""
 
     t: int
     k: int
     lam: float
     family: str
     matrix: np.ndarray
-    norms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"break fraction must lie in (0, 1), got {self.lam}")
+        break_index(self.lam, self.t)  # refuses a lambda outside (0, 1)
         if self.matrix.shape != (self.t, self.k):
             raise ValueError("basis matrix shape does not match (T, K)")
-        if not (1 <= self.k <= self.t - 2):
-            raise ValueError(f"need 1 <= K <= T - 2, got K={self.k}, T={self.t}")
+        _check_dimensions(self.t, self.k)
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("basis entries must be finite")
-        if self.norms is not None and np.shape(self.norms) != (self.k,):
-            raise ValueError("one norm value per basis column is required")
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discrete covariance kernel of the break geometry, a ``T x T`` matrix."""
+    """Discrete covariance kernel of the break geometry, a ``T x T`` matrix,
+    as the traced test reference :func:`kernel_matrix` returns it."""
 
     t: int
     lam: float
@@ -102,7 +93,8 @@ def fourier_matrix(t: int, k: int, lam: float) -> BasisSet:
 
     Column order is ``sqrt(2) cos(2 pi r), sqrt(2) sin(2 pi r),
     sqrt(2) cos(4 pi r), sqrt(2) sin(4 pi r), ...``; an odd ``k`` simply
-    truncates the interleaved sequence.
+    truncates the interleaved sequence. A test reference kept because the
+    benchmark tracer resolves it.
     """
     _check_dimensions(t, k)
     r = np.arange(1, t + 1) / t
@@ -114,18 +106,21 @@ def fourier_matrix(t: int, k: int, lam: float) -> BasisSet:
     return BasisSet(t=t, k=k, lam=lam, family=FOURIER_RAW, matrix=cols)
 
 
-def _check_dimensions(t: int, k: int) -> None:
+def _check_dimensions(t: int, k: int, family: str = FOURIER_RAW) -> None:
     if t < 4:
         raise ValueError(f"need T >= 4, got {t}")
     if not (1 <= k <= t - 2):
         raise ValueError(f"need 1 <= K <= T - 2, got K={k}, T={t}")
+    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
+        raise ValueError(f"unknown basis family {family!r}")
 
 
 def kernel_matrix(t: int, lam: float) -> KernelMatrix:
     """Kernel matrix with blocks ``[T 1{i=j} - 1/w] / w^2`` per regime.
 
     ``w`` is the regime weight (``lambda`` in the first block, ``1 - lambda``
-    in the second); entries pairing the two regimes are zero.
+    in the second); entries pairing the two regimes are zero. A test
+    reference kept because the benchmark tracer resolves it.
     """
     k_star = _checked_break_row(lam, t)
     c = np.zeros((t, t))
@@ -146,41 +141,6 @@ def _checked_break_row(lam: float, t: int) -> int:
     return k_star
 
 
-def phi_tilde_matrix(matrix: np.ndarray, lam: float, t: int) -> np.ndarray:
-    """Within-regime demeaned and regime-weighted basis columns.
-
-    Takes one column (length T) or a ``T x K`` matrix. For ``t <= k*`` an
-    entry is ``(phi - mean over regime one) / lambda``; after the break it is
-    ``-(phi - mean over regime two) / (1 - lambda)``. Both regime portions of
-    each output column sum to zero exactly.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape[:1] != (t,):
-        raise ValueError(f"column length {m.shape} does not match T={t}")
-    k_star = _checked_break_row(lam, t)
-    out = np.empty_like(m)
-    out[:k_star] = (m[:k_star] - m[:k_star].mean(axis=0)) / lam
-    out[k_star:] = -(m[k_star:] - m[k_star:].mean(axis=0)) / (1.0 - lam)
-    return out
-
-
-def norm_factor(
-    basis: BasisSet, k: int | np.ndarray | None = None
-) -> float | np.ndarray:
-    """Average squared demeaned basis value ``(1/(KT)) sum_{j<=K} sum_i
-    tilde(phi)_j(i/T)^2`` of the first K columns, all by default; an array
-    of K values gives one factor per entry. The column terms are the
-    basis's ``norms``, or the demeaned columns' mean squares if it has
-    none. ``ValueError`` for any K outside ``1..basis.k``."""
-    cols = basis.norms
-    if cols is None:
-        cols = (phi_tilde_matrix(basis.matrix, basis.lam, basis.t) ** 2).mean(axis=0)
-    k = basis.k if k is None else k
-    if np.any((np.asarray(k) < 1) | (np.asarray(k) > basis.k)):
-        raise ValueError(f"need 1 <= K <= {basis.k} basis columns, got K={k}")
-    return _leading_mean(cols, k)
-
-
 def _leading_mean(terms: np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
     """Mean of the first K norm terms, ``terms[:k].mean()``; an array of K
     gives one mean per entry, each distinct K reduced once."""
@@ -192,7 +152,8 @@ def _leading_mean(terms: np.ndarray, k: int | np.ndarray) -> float | np.ndarray:
 
 
 def gram_matrix(basis: BasisSet, kern: KernelMatrix) -> np.ndarray:
-    """Kernel Gram matrix ``Phi' C_T Phi / T^2`` of the basis columns."""
+    """Kernel Gram matrix ``Phi' C_T Phi / T^2`` of the basis columns; a test
+    reference kept for the traced :func:`gram_transform` and :func:`feasible_k`."""
     if basis.t != kern.t:
         raise ValueError("basis and kernel dimensions differ")
     g = basis.matrix.T @ kern.matrix @ basis.matrix / kern.t**2
@@ -244,8 +205,8 @@ def _regime_sums(t: int, k: int, lam: float) -> _RegimeSums:
 
 
 def _raw_norms(sums: _RegimeSums) -> np.ndarray:
-    """Column terms of :func:`norm_factor` for the raw Fourier columns: the
-    diagonal of the demeaned Gram ``B - c_demeaned a a'``."""
+    """Norm-factor terms of the raw Fourier columns: the diagonal of the
+    demeaned Gram ``B - c_demeaned a a'``."""
     w1, w2 = sums.lam, 1.0 - sums.lam
     top = (len(sums.a) + 1) // 2
     c0, c2f = sums.cos[0], sums.cos[2 : 2 * top + 1 : 2]
@@ -306,7 +267,7 @@ def _kernel_factor(gram: np.ndarray, rhs: np.ndarray | None = None):
 def _kernel_solve(sums: _RegimeSums, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``U^{-T}`` times the kept leading ``rows`` (the raw columns as rows,
     or their sums against a series), with ``U`` the trimmed factor of the
-    regime-sum kernel Gram, and the kept columns' :func:`norm_factor` terms:
+    regime-sum kernel Gram, and the kept columns' norm-factor terms:
     one plus the gap between the demeaned and the kernel Gram along their
     regime-one sums ``y = U^{-T} a``. Both come out of the factor's rows;
     no separate triangular solve runs."""
@@ -322,7 +283,7 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
     Factors the Gram matrix as ``U' U`` (upper-triangular Cholesky, positive
     diagonal) and returns ``Phi U^{-1}``, whose Gram matrix is the identity.
     Column ``j`` of the result is a combination of raw columns ``1..j`` only.
-    A dense reference for :func:`series_basis`; no library path calls it.
+    A test reference kept because the benchmark tracer resolves it.
 
     Raises
     ------
@@ -339,36 +300,6 @@ def gram_transform(raw: BasisSet, kern: KernelMatrix) -> BasisSet:
     )
 
 
-def series_basis(t: int, k: int, lam: float, family: str) -> BasisSet:
-    """The first ``K`` vectors of a basis family, with their ``norms``.
-
-    ``fourier-raw`` gives :func:`fourier_matrix`. ``fourier-transformed``
-    gives the kernel-orthonormal transform of those columns, with ``K`` cut
-    to the kernel-feasible count when the nominal cap ``K <= T - 2``
-    overstates the kernel rank: for some ``(T, lambda)`` a combination of
-    the last Fourier columns falls in the kernel null space. The returned
-    ``.k`` is the count kept. The transform factors the kernel Gram built
-    from the regime sums, as :func:`series_sums` does; this is the dense
-    reference its sums are checked against, and no library path calls it.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If no column survives the kernel inner product.
-    """
-    raw = fourier_matrix(t, k, lam)
-    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
-        raise ValueError(f"unknown basis family {family!r}")
-    sums = _regime_sums(t, k, lam)
-    if family == FOURIER_RAW:
-        return replace(raw, norms=_raw_norms(sums))
-    rows, norms = _kernel_solve(sums, raw.matrix.T)
-    return BasisSet(
-        t=t, k=len(norms), lam=lam, family=FOURIER_TRANSFORMED,
-        matrix=np.ascontiguousarray(rows.T), norms=norms,
-    )
-
-
 def _fourier_sums(series: np.ndarray, k: int) -> np.ndarray:
     """Sums ``Phi_K' S`` of the first K Fourier columns against a ``T x d``
     series, from one ``rfft`` along time; equal to
@@ -382,11 +313,10 @@ def series_sums(
     series: np.ndarray, k: int, lam: float, family: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score sums ``Phi' S / sqrt(T)`` of a family's first K vectors against
-    a ``T x d`` series, and the vectors' :func:`norm_factor` terms, without
+    a ``T x d`` series, and the vectors' norm-factor terms, without
     forming a ``T x T``, ``T x K`` or dense-kernel array.
 
-    The vectors and the kept K are those of :func:`series_basis`. The
-    transformed family factors the kernel Gram built from the regime sums,
+    The transformed family factors the kernel Gram built from the regime sums,
     ``G = U' U``, cut by the same trim rule; its sums are ``U^{-T}`` times
     the raw ones. Costs ``O(T log T)`` plus ``O(K^3)`` for the factor.
 
@@ -397,9 +327,7 @@ def series_sums(
     """
     s = np.asarray(series, dtype=float)
     t = s.shape[0]
-    _check_dimensions(t, k)
-    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
-        raise ValueError(f"unknown basis family {family!r}")
+    _check_dimensions(t, k, family)
     g = _fourier_sums(s, k) / np.sqrt(t)
     sums = _regime_sums(t, k, lam)
     if family == FOURIER_RAW:
@@ -409,14 +337,12 @@ def series_sums(
 
 def series_root(t: int, k: int, lam: float, family: str) -> tuple[np.ndarray, np.ndarray]:
     """Lower root ``R`` of the demeaned Gram ``G = tilde' tilde / T`` of a
-    family's kept vectors, and their :func:`norm_factor` terms, the diagonal
+    family's kept vectors, and their norm-factor terms, the diagonal
     of ``G``. With ``V'V`` the raw columns' ``G``, ``R`` is ``V'``, or
     ``U^{-T} V'`` for the transformed vectors ``Phi U^{-1}`` (``U'U`` the
     kernel Gram). ``V`` and ``U`` are cut by one trim rule; ``len(R)`` is
     the count both keep. Raises ``NotPositiveDefinite`` if none passes."""
-    _check_dimensions(t, k)
-    if family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
-        raise ValueError(f"unknown basis family {family!r}")
+    _check_dimensions(t, k, family)
     sums = _regime_sums(t, k, lam)
     root = _kernel_factor(_kernel_gram(sums, sums.c_demeaned)).T
     if family == FOURIER_TRANSFORMED:
@@ -433,7 +359,8 @@ def feasible_k(raw: BasisSet, kern: KernelMatrix) -> int:
     ``(T, lambda)`` pairs a combination of the last Fourier columns falls in
     the kernel null space, so the usable count can be smaller. This runs the
     Cholesky pivots of the full Gram matrix and reports how many succeed;
-    :func:`series_basis` keeps the same count.
+    :func:`series_sums` keeps the same count. A test reference kept because
+    the benchmark tracer resolves it.
     """
     rank = leading_spd_rank(gram_matrix(raw, kern), rtol=_TRANSFORM_PIVOT_RTOL)
     if rank == 0:

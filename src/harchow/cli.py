@@ -25,6 +25,7 @@ from .errors import BreakTooExtreme, HarchowError, RegimeTooSmall
 from .regression import RegressionData
 
 CACHE_ENV = "HARCHOW_CACHE_DIR"
+_MAX_DELTAS = 100  # break sizes of one power study
 
 
 def _cache_dir(args) -> str | None:
@@ -289,7 +290,7 @@ def cmd_mc_size(args) -> int:
 def cmd_mc_power(args) -> int:
     spec = _spec(args, args.rho, args.psi)
     power = mcstudy.power_experiment(
-        spec, _parse_range(args.deltas), k_policy=args.k, reps=args.reps,
+        spec, _parse_range(args.deltas, _MAX_DELTAS), k_policy=args.k, reps=args.reps,
         master_seed=args.seed, alpha=args.alpha, workers=args.workers,
     )
     _emit(mcstudy.power_table_csv(power, spec), args.out)
@@ -393,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     power = sub.add_parser("mc-power", help="size-adjusted power study")
     _study_options(power, rho=0.6, note=None)
-    power.add_argument("--deltas", default="0:1.2:0.2")
+    power.add_argument(
+        "--deltas", default="0:1.2:0.2",
+        help=f"break sizes start:stop:step, at most {_MAX_DELTAS} points",
+    )
     power.set_defaults(func=cmd_mc_power)
 
     return parser

@@ -81,6 +81,9 @@ KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
 FILE_VERSION = 6
 _BLOCK_NORMALS = 2**16
+# caps on a simulation: a grid point costs 24 bytes, a replication 8 (p + 3)
+MAX_GRID = 10**6
+MAX_REPLICATIONS = 10**7
 
 logger = logging.getLogger(__name__)
 
@@ -113,15 +116,17 @@ class LimitSpec:
             raise ValueError(f"break fraction must lie in (0, 1), got {self.lam}")
         if self.family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
             raise ValueError(f"unknown basis family {self.family!r}")
-        if self.grid_n < 100:
-            raise ValueError("grid size must be at least 100")
+        if not 100 <= self.grid_n <= MAX_GRID:
+            raise ValueError(f"need 100..{MAX_GRID} grid points, got {self.grid_n}")
         if self.k > self.grid_n - 2:
             raise ValueError(
                 f"need K <= n - 2 = {self.grid_n - 2} on the simulation grid of"
                 f" n = {self.grid_n} points, got K={self.k}"
             )
-        if self.replications < 1000:
-            raise ValueError("need at least 1000 replications")
+        if not 1000 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(
+                f"need 1000..{MAX_REPLICATIONS} replications, got {self.replications}"
+            )
 
 
 @dataclass(frozen=True)

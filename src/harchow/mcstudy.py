@@ -34,10 +34,10 @@ import numpy as np
 
 from . import autok, chowtest, fixedlimit
 from .bases import break_index
-from .errors import HarchowError, RegimeTooSmall
+from .errors import HarchowError
 from .numkit import RngStream
 from .numkit.rng import _require_integers
-from .regression import RegressionData, full_break_hypothesis, ols_fit
+from .regression import RegressionData, check_regimes, full_break_hypothesis, ols_fit
 
 F_VARIANTS = (
     "chisq-fourier",
@@ -57,6 +57,7 @@ TABLE1_GRID = (
     (0.9, 0.9),
 )
 
+_M = 2  # regressors (1, q_t) of every study design, all tested: p = m
 _STREAM_CELL_STRIDE = 2**32
 _BLOCK = 64
 
@@ -83,11 +84,7 @@ class DgpSpec:
             raise ValueError(f"need T >= 50, got {self.t}")
         if self.burn_in < 0:
             raise ValueError("burn-in must be nonnegative")
-        k_star = break_index(self.lam, self.t)
-        if min(k_star, self.t - k_star) < 4:  # m + 2 points, m = 2
-            raise RegimeTooSmall(
-                f"break at {k_star} of {self.t} leaves a regime below m + 2 = 4"
-            )
+        check_regimes(self.lam, self.t, _M)
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,8 @@ def _simulate_stack(spec: DgpSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``(Y, X)`` of one replication from the design, discarding the
-    burn-in segment."""
+    """One replication's ``(Y, X)`` from the design, burn-in discarded; a test
+    reference kept because the benchmark tracer resolves it."""
     y, x = _simulate_stack(spec, rng.normals(2 * (spec.t + spec.burn_in))[None])
     return y[0], x[0]
 
@@ -190,7 +187,7 @@ def _stack_statistics(
     family the variants use. A break of size ``delta`` adds ``delta`` times
     the design's post-break columns to ``y``, so it moves ``beta_2`` by
     ``delta`` and leaves residuals, K and sums."""
-    hyp = full_break_hypothesis(2)
+    hyp = full_break_hypothesis(_M)
     r = hyp.contrast
     fit = ols_fit(RegressionData(y, x, None, lam), hyp)
     v_series = autok.score_series(r, fit.q_hat, fit.xz, fit.residuals)
@@ -311,11 +308,11 @@ def _rejections(
     values = stats.values[variant.name][index]
     k_used = stats.k_used[variant.name][index[0], index[2]]
     if variant.reference != "nonstandard":
-        return references(variant, 2, k_used, lam).decide(values)[1], k_used
+        return references(variant, _M, k_used, lam).decide(values)[1], k_used
     reject = np.zeros(len(values), dtype=bool)
     for k in np.unique(k_used).tolist():
         sel = k_used == k
-        reject[sel] = references(variant, 2, k, lam).decide(values[sel])[1]
+        reject[sel] = references(variant, _M, k, lam).decide(values[sel])[1]
     return reject, k_used
 
 
@@ -359,9 +356,11 @@ def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {alpha}")
     policy = chowtest._k_policy(k_policy, t, grid)
-    low = [] if policy == "auto" else [k for k in policy if k < 2]
+    low = [] if policy == "auto" else [k for k in policy if k < _M]
     if low:
-        raise ValueError(f"studies test p = 2 restrictions: need K >= 2, got K={low}")
+        raise ValueError(
+            f"studies test p = {_M} restrictions: need K >= {_M}, got K={low}"
+        )
     return policy
 
 

@@ -192,7 +192,8 @@ def cholesky(s: np.ndarray) -> np.ndarray:
 
 def leading_spd_rank(s: np.ndarray, rtol: float = _PIVOT_RTOL) -> int:
     """Number of leading columns of ``S`` with an acceptable Cholesky pivot,
-    ``rtol`` times the largest diagonal being the threshold."""
+    ``rtol`` times the largest diagonal being the threshold; a test
+    reference kept because the benchmark tracer resolves it."""
     return _pivot_factor(s, rtol)[1]
 
 

@@ -19,6 +19,16 @@ from .numkit import cholesky, spd_solve
 from .numkit.linalg import _t
 
 
+def check_regimes(lam: float, t: int, m: int) -> None:
+    """Raise ``RegimeTooSmall`` unless each regime of ``T`` points broken at
+    ``lam`` keeps ``m + 2`` of them, the fewest an m-regressor fit takes."""
+    k_star = break_index(lam, t)
+    if k_star < m + 2 or t - k_star < m + 2:
+        raise RegimeTooSmall(
+            f"break at {k_star} of {t} leaves a regime below m + 2 = {m + 2}"
+        )
+
+
 @dataclass(frozen=True)
 class RegressionData:
     """Observed series plus the break specification.
@@ -55,11 +65,7 @@ class RegressionData:
         n_z = 0 if z is None else z.shape[1]
         if t <= 2 * m + n_z + 2:
             raise ValueError(f"need T > 2m + l + 2, got T={t}, m={m}, l={n_z}")
-        k_star = break_index(self.lam, t)
-        if k_star < m + 2 or t - k_star < m + 2:
-            raise RegimeTooSmall(
-                f"break at {k_star} of {t} leaves a regime below m + 2 = {m + 2}"
-            )
+        check_regimes(self.lam, t, m)
 
     @property
     def t(self) -> int:

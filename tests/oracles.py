@@ -6,6 +6,13 @@ linear-algebra code paths: densities are written from their closed forms with
 substitution (smooth at the origin even for one degree of freedom), and
 quantiles invert the quadrature CDF by bisection. The matrix oracles write
 a quantity out in its textbook form, however wasteful.
+``series_basis``, ``phi_tilde_matrix``, ``norm_factor`` and ``score_sums``
+are the dense basis layer that no command runs: a family's first K vectors
+as a ``T x K`` matrix, with the norm-factor terms of ``bases.series_sums``,
+their demeaned columns, the norm factor, and the sums of a series against
+them. ``refuse_references`` patches the library's own dense references,
+which it keeps because the benchmark tracer resolves them, so that a test
+can show that no command runs them.
 ``kernel_factor_refactored`` is the trimmed kernel factor as it was before
 it became a slice of the one factorization: the kept block refactored from
 its own Gram. ``spd_solve_two_pass``
@@ -20,7 +27,10 @@ per cell of a ``csv`` module row.
 """
 
 import csv
+import importlib
 import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,6 +113,79 @@ def kernel_inner(a, b, kern):
     return float(a @ kern.matrix @ b) / kern.t**2
 
 
+@dataclass(frozen=True)
+class NormedBasis(bases.BasisSet):
+    """A basis with each column's norm-factor term, as ``series_basis``
+    gives it from the regime sums."""
+
+    norms: np.ndarray | None = None
+
+
+def series_basis(t, k, lam, family):
+    """The first ``K`` vectors of a basis family, with their ``norms``.
+
+    ``fourier-raw`` gives ``fourier_matrix``. ``fourier-transformed`` gives
+    the kernel-orthonormal transform of those columns, with ``K`` cut to the
+    kernel-feasible count: the regime-sum kernel Gram is factored and cut
+    as ``bases.series_sums`` does, and ``U^{-T}`` is applied to the raw
+    columns instead of their sums. The returned ``.k`` is the count kept.
+    """
+    raw = bases.fourier_matrix(t, k, lam)
+    if family not in (bases.FOURIER_RAW, bases.FOURIER_TRANSFORMED):
+        raise ValueError(f"unknown basis family {family!r}")
+    sums = bases._regime_sums(t, k, lam)
+    if family == bases.FOURIER_RAW:
+        return NormedBasis(t, k, lam, family, raw.matrix, bases._raw_norms(sums))
+    rows, norms = bases._kernel_solve(sums, raw.matrix.T)
+    return NormedBasis(
+        t, len(norms), lam, family, np.ascontiguousarray(rows.T), norms
+    )
+
+
+def phi_tilde_matrix(matrix, lam, t):
+    """Within-regime demeaned and regime-weighted basis columns.
+
+    Takes one column (length T) or a ``T x K`` matrix. For ``t <= k*`` an
+    entry is ``(phi - mean over regime one) / lambda``; after the break it is
+    ``-(phi - mean over regime two) / (1 - lambda)``. Both regime portions of
+    each output column sum to zero exactly.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.shape[:1] != (t,):
+        raise ValueError(f"column length {m.shape} does not match T={t}")
+    k_star = bases._checked_break_row(lam, t)
+    out = np.empty_like(m)
+    out[:k_star] = (m[:k_star] - m[:k_star].mean(axis=0)) / lam
+    out[k_star:] = -(m[k_star:] - m[k_star:].mean(axis=0)) / (1.0 - lam)
+    return out
+
+
+def norm_factor(basis, k=None):
+    """Average squared demeaned basis value ``(1/(KT)) sum_{j<=K} sum_i
+    tilde(phi)_j(i/T)^2`` of the first K columns, all by default; an array
+    of K values gives one factor per entry. The column terms are the
+    basis's ``norms``, or the demeaned columns' mean squares if it has
+    none. ``ValueError`` for any K outside ``1..basis.k``."""
+    cols = getattr(basis, "norms", None)
+    if cols is None:
+        cols = (phi_tilde_matrix(basis.matrix, basis.lam, basis.t) ** 2).mean(axis=0)
+    k = basis.k if k is None else k
+    if np.any((np.asarray(k) < 1) | (np.asarray(k) > basis.k)):
+        raise ValueError(f"need 1 <= K <= {basis.k} basis columns, got K={k}")
+    return bases._leading_mean(cols, k)
+
+
+def score_sums(basis, series):
+    """Basis-weighted partial sums ``G = Phi' S / sqrt(T)`` of a T x d series;
+    a stack ``(..., T, d)`` of series gives ``(..., K, d)`` in one product."""
+    s = np.asarray(series, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    if s.shape[-2] != basis.t:
+        raise ValueError("series rows must match the basis sample size")
+    return basis.matrix.T @ s / np.sqrt(basis.t)
+
+
 def pivot_factor_unblocked(s, rtol):
     """Cholesky pivots of one symmetric matrix in column order, up to the
     first failing one, by the plain row loop: pivot ``j`` is accepted above
@@ -180,9 +263,9 @@ def grid_weights(spec):
     ``eta``. The basis is ``series_basis``'s, every one of its K vectors
     kept."""
     n, lam = spec.grid_n, spec.lam
-    basis = bases.series_basis(n, spec.k, lam, spec.family)
+    basis = series_basis(n, spec.k, lam, spec.family)
     assert basis.k == spec.k
-    tilde = bases.phi_tilde_matrix(basis.matrix, lam, n)
+    tilde = phi_tilde_matrix(basis.matrix, lam, n)
     k_star = bases.break_index(lam, n)
     phi0 = np.where(np.arange(n) < k_star, 1.0 / lam, -1.0 / (1.0 - lam))
     return phi0, tilde, np.column_stack([phi0, tilde]) / math.sqrt(n)
@@ -229,7 +312,7 @@ def dense_report(data, hyp, variant, k, alpha=0.05, **reference_settings):
     v = longrun.sandwich_variance(r, fit.q_hat, g.T @ g / basis.k)
     stat_fn = chowtest.wald_stat if spec.statistic == "F" else chowtest.t_stat
     stat = stat_fn(fit.beta_hat, r, v, t)
-    tilde = bases.phi_tilde_matrix(basis.matrix, lam, t)
+    tilde = phi_tilde_matrix(basis.matrix, lam, t)
     nf = float((tilde**2).mean(axis=0).mean())
     forms = chowtest.statistic_forms(stat, spec.statistic, nf, p, basis.k, lam)
     form = chowtest.decision_form(spec)
@@ -242,3 +325,35 @@ def dense_report(data, hyp, variant, k, alpha=0.05, **reference_settings):
         "p_value": p_value, "critical_value": ref.critical_value,
         "reject": bool(reject), "norm_factor": nf,
     }
+
+
+# (module, name) of the test references the library keeps: the eight that
+# the benchmark tracer resolves, the dense Gram two of them build on, and
+# the two classes they take and return
+KEPT_REFERENCES = (
+    ("harchow.bases", "fourier_matrix"), ("harchow.bases", "kernel_matrix"),
+    ("harchow.bases", "gram_transform"), ("harchow.bases", "feasible_k"),
+    ("harchow.longrun", "series_lrv"), ("harchow.longrun", "sandwich_variance"),
+    ("harchow.mcstudy", "simulate_dgp"),
+    ("harchow.numkit.linalg", "leading_spd_rank"),
+    ("harchow.bases", "gram_matrix"),
+    ("harchow.bases", "BasisSet"), ("harchow.bases", "KernelMatrix"),
+)
+
+
+def refuse_references(monkeypatch, references=KEPT_REFERENCES):
+    """Make each ``(module, name)`` raise ``AssertionError`` when called, in
+    every loaded ``harchow`` module that binds it, as the benchmark tracer
+    wraps a traced name wherever it was imported."""
+    for module, name in references:
+        original = vars(importlib.import_module(module))[name]
+
+        def refused(*args, _name=f"{module}.{name}", **kwargs):
+            raise AssertionError(f"a library path called {_name}")
+
+        for mod in list(sys.modules.values()):
+            if not getattr(mod, "__name__", "").startswith("harchow"):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, refused)

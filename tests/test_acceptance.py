@@ -19,7 +19,6 @@ from harchow.bases import (
     gram_matrix,
     gram_transform,
     kernel_matrix,
-    phi_tilde_matrix,
 )
 from harchow.chowtest import run_test
 from harchow.mcstudy import (
@@ -35,6 +34,7 @@ from harchow.regression import (
     full_break_hypothesis,
     ols_fit,
 )
+from oracles import phi_tilde_matrix
 
 from test_chowtest import FIXTURE_F, FIXTURE_F_SCALED, dense_pipeline, fixture_data
 

@@ -8,12 +8,12 @@ from harchow.autok import (
     plugin_from_fit,
     score_series,
 )
-from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_basis, series_sums
+from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_sums
 from harchow.errors import NotPositiveDefinite
-from harchow.longrun import sandwich_variance, score_sums, series_lrv, sums_outer
+from harchow.longrun import sandwich_variance, series_lrv, sums_outer
 from harchow.numkit import RngStream
 from harchow.regression import RegressionData, full_break_hypothesis, ols_fit
-from oracles import commutation_matrix, mse_variance_trace
+from oracles import commutation_matrix, mse_variance_trace, score_sums, series_basis
 
 
 def fitted(t=12, seed=0):

@@ -12,13 +12,17 @@ from harchow.bases import (
     gram_matrix,
     gram_transform,
     kernel_matrix,
-    norm_factor,
-    phi_tilde_matrix,
-    series_basis,
 )
 from harchow.errors import BreakTooExtreme, NotPositiveDefinite
 from harchow.numkit.linalg import _pivot_factor
-from oracles import kernel_factor_refactored, kernel_inner, pivot_factor_unblocked
+from oracles import (
+    kernel_factor_refactored,
+    kernel_inner,
+    norm_factor,
+    phi_tilde_matrix,
+    pivot_factor_unblocked,
+    series_basis,
+)
 
 
 class TestBreakIndex:

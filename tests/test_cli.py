@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from harchow import cli
-from harchow.chowtest import run_test
+from harchow import bases, cli, longrun
+from harchow.chowtest import VARIANTS, run_test
 from harchow.mcstudy import DgpSpec, simulate_dgp
 from harchow.numkit import RngStream
 from harchow.regression import RegressionData
+import oracles
 
 
 @pytest.fixture()
@@ -535,6 +536,39 @@ def test_cache_dir_env_var(tmp_path, monkeypatch):
     assert len(os.listdir(tmp_path / "envcache")) == 1
 
 
+def test_commands_run_no_kept_reference(data_csv, tmp_path, monkeypatch):
+    # the library keeps its dense references only because the benchmark
+    # tracer resolves them: with each one made to raise wherever it is
+    # bound, every command still runs; the references no tracer names are
+    # gone from the library
+    for module, name in ((bases, "series_basis"), (bases, "phi_tilde_matrix"),
+                         (bases, "norm_factor"), (longrun, "score_sums")):
+        assert not hasattr(module, name), name
+    path, _, _ = data_csv
+    oracles.refuse_references(monkeypatch)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    laws = ["--cv-reps", "1000", "--cv-grid", "150"] + cache
+    columns = {"F": ["--x", "const,q"], "t": ["--x", "q", "--z", "const"]}
+    runs = [
+        ["test", "--data", path, "--y", "y", "--lambda", "0.4", "--variant", name,
+         "--k", k] + columns[variant.statistic] + laws
+        for name, variant in VARIANTS.items() for k in ("8", "auto")
+    ]
+    runs += [
+        ["simulate-cv", "--p", "1", "--k", "4", "--lambda", "0.4", "--family",
+         family, "--grid", "150", "--reps", "1000"] + cache
+        for family in (bases.FOURIER_RAW, bases.FOURIER_TRANSFORMED)
+    ]
+    study = ["--T", "60", "--reps", "500", "--out", str(tmp_path / "study.csv")]
+    runs += [
+        ["mc-size", "--cells", "0.3:0"] + study + laws,
+        ["mc-size", "--preset", "figure", "--k-grid", "2:10:4"] + study + laws,
+        ["mc-power", "--deltas", "0:0.5:0.5"] + study,
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+
+
 class TestStudyFrontEnd:
     """Every bad study input exits 2 with one validation line, before any
     replication runs."""
@@ -559,6 +593,45 @@ class TestStudyFrontEnd:
         code = cli.main(args + ["--T", "60", "--reps", "500"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_oversized_deltas_exit_2_before_expanding(self, capsys):
+        code = cli.main(["mc-power", "--T", "60", "--deltas", "0:1:1e-9"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "validation error: grid '0:1:1e-9' has 1000000000 points, more than 100\n"
+        )
+        with pytest.raises(SystemExit):
+            cli.main(["mc-power", "--help"])
+        assert "at most 100 points" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate-cv", "--grid", "10000000000"],
+         "need 100..1000000 grid points, got 10000000000"),
+        (["simulate-cv", "--reps", "100000000000"],
+         "need 1000..10000000 replications, got 100000000000"),
+        (["test", "--cv-grid", "10000000000"],
+         "need 100..1000000 grid points, got 10000000000"),
+        (["test", "--cv-reps", "100000000000"],
+         "need 1000..10000000 replications, got 100000000000"),
+        (["mc-size", "--cv-grid", "10000000000"],
+         "need 100..1000000 grid points, got 10000000000"),
+        (["mc-size", "--cv-reps", "100000000000"],
+         "need 1000..10000000 replications, got 100000000000"),
+    ])
+    def test_oversized_simulation_exits_2(self, args, message, data_csv, capsys):
+        # LimitSpec refuses a grid or a replication count it could not
+        # allocate, before any draw
+        command, *sizes = args
+        rest = {
+            "simulate-cv": ["--p", "1", "--k", "4", "--lambda", "0.4"],
+            "test": ["--data", data_csv[0], "--y", "y", "--x", "const,q",
+                     "--lambda", "0.4", "--variant", "nonstandard-fourier"],
+            "mc-size": ["--T", "60", "--cells", "0:0", "--reps", "500",
+                        "--variants", "nonstandard-fourier"],
+        }[command]
+        assert cli.main([command] + rest + sizes) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     def test_oversized_k_grid_exits_2_before_expanding(self, capsys):
         code = cli.main(

@@ -673,6 +673,12 @@ def test_spec_validation():
         LimitSpec(p=1, k=4, lam=0.4, replications=10)
     with pytest.raises(ValueError):
         LimitSpec(p=1, k=4, lam=1.5)
+    # the caps are accepted, and one past either is refused
+    top = dict(grid_n=fixedlimit.MAX_GRID, replications=fixedlimit.MAX_REPLICATIONS)
+    LimitSpec(p=1, k=4, lam=0.4, **top)
+    for field in top:
+        with pytest.raises(ValueError, match=f"got {top[field] + 1}$"):
+            LimitSpec(p=1, k=4, lam=0.4, **{**top, field: top[field] + 1})
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,9 +3,10 @@ import pytest
 
 from harchow.bases import fourier_matrix, gram_transform, kernel_matrix
 from harchow.errors import NotPositiveDefinite
-from harchow.longrun import sandwich_variance, score_sums, series_lrv, sums_outer
+from harchow.longrun import sandwich_variance, series_lrv, sums_outer
 from harchow.numkit import cholesky
 from harchow.regression import RegressionData, full_break_hypothesis, ols_fit
+from oracles import score_sums
 
 
 def fixture(t=12, seed=0):

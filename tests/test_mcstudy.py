@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from harchow import chowtest, mcstudy
-from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED, series_basis
+from harchow.bases import FOURIER_RAW, FOURIER_TRANSFORMED
 from harchow.chowtest import VARIANTS, reference, run_test
 from harchow.errors import HarchowError, RegimeTooSmall
 from harchow.fixedlimit import CriticalValueCache
@@ -31,6 +31,7 @@ from harchow.mcstudy import (
 )
 from harchow.numkit import RngStream
 from harchow.regression import RegressionData
+from oracles import refuse_references, series_basis
 
 
 class TestAr1Filter:
@@ -220,15 +221,9 @@ def test_engine_keeps_the_kernel_feasible_k(t, lam):
 
 
 def test_studies_build_no_basis_or_kernel(monkeypatch):
-    # the engine takes run_test's FFT sums: no T x T kernel, no T x K basis
-    from harchow import bases, longrun
-
-    for module, name in ((bases, "kernel_matrix"), (bases, "fourier_matrix"),
-                         (bases, "series_basis"), (longrun, "score_sums")):
-        def refused(*args, _name=name, **kwargs):
-            raise AssertionError(f"a study called {_name}")
-
-        monkeypatch.setattr(module, name, refused)
+    # the engine takes run_test's FFT sums: no T x T kernel, no T x K basis,
+    # none of the dense references
+    refuse_references(monkeypatch)
     spec = DgpSpec(t=60, rho=0.3)
     size_experiment([spec], F_VARIANTS[:1] + F_VARIANTS[2:], reps=500)
     k_grid_experiment(spec, (4, 58), ("chisq-fourier", "f-transformed"), reps=500)
