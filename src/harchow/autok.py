@@ -66,11 +66,12 @@ class PluginModel:
 def score_series(
     r: np.ndarray, q_hat: np.ndarray, xz: np.ndarray, u_hat: np.ndarray
 ) -> np.ndarray:
-    """Score proxy rows ``R Q^{-1} xz_t' u_t``, a T x p matrix."""
+    """Score proxy rows ``R Q^{-1} xz_t' u_t``, a T x p matrix, computed as
+    the T x 2m scores times ``Q^{-1} R'``: one ``2m x p`` solve per member
+    of a stack."""
     r = np.atleast_2d(np.asarray(r, dtype=float))
     scores = np.asarray(xz, dtype=float) * np.asarray(u_hat, dtype=float)[..., None]
-    solved = spd_solve(q_hat, _t(scores))
-    return _t(r @ solved)
+    return scores @ spd_solve(q_hat, r.T)
 
 
 def fit_var1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

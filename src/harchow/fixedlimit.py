@@ -81,9 +81,11 @@ KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
 FILE_VERSION = 6
 _BLOCK_NORMALS = 2**16
-# caps on a simulation: a grid point costs 24 bytes, a replication 8 (p + 3)
+# caps on a simulation: a grid point costs 24 bytes, a replication 8 (p + 3),
+# and K a K x K kernel Gram, its factor and root, 8 K^2 bytes each
 MAX_GRID = 10**6
 MAX_REPLICATIONS = 10**7
+MAX_K = 2000
 
 logger = logging.getLogger(__name__)
 
@@ -108,25 +110,37 @@ class LimitSpec:
             object.__setattr__(self, name, int(getattr(self, name)))
         if isinstance(self.lam, numbers.Real):  # and a numpy float a float
             object.__setattr__(self, "lam", float(self.lam))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_simulation(self.grid_n, self.replications, self.seed)
         if self.p < 1 or self.k < 1:
             raise ValueError("p and K must be positive")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"break fraction must lie in (0, 1), got {self.lam}")
         if self.family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
             raise ValueError(f"unknown basis family {self.family!r}")
-        if not 100 <= self.grid_n <= MAX_GRID:
-            raise ValueError(f"need 100..{MAX_GRID} grid points, got {self.grid_n}")
         if self.k > self.grid_n - 2:
             raise ValueError(
                 f"need K <= n - 2 = {self.grid_n - 2} on the simulation grid of"
                 f" n = {self.grid_n} points, got K={self.k}"
             )
-        if not 1000 <= self.replications <= MAX_REPLICATIONS:
-            raise ValueError(
-                f"need 1000..{MAX_REPLICATIONS} replications, got {self.replications}"
-            )
+        if self.k > MAX_K:
+            raise ValueError(f"need K <= {MAX_K} for a simulated law, got K={self.k}")
+
+
+def check_simulation(grid_n: int, replications: int, seed: int) -> None:
+    """``ValueError`` unless a simulation may draw ``replications`` times on
+    a grid of ``grid_n`` points from ``seed``: whole numbers, the grid within
+    ``100..MAX_GRID``, the replications within ``1000..MAX_REPLICATIONS``
+    and the seed nonnegative. :class:`LimitSpec` checks through it, and a
+    study with a simulated reference before its first replication."""
+    _require_integers(grid_n=grid_n, replications=replications, seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not 100 <= grid_n <= MAX_GRID:
+        raise ValueError(f"need 100..{MAX_GRID} grid points, got {grid_n}")
+    if not 1000 <= replications <= MAX_REPLICATIONS:
+        raise ValueError(
+            f"need 1000..{MAX_REPLICATIONS} replications, got {replications}"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,21 @@ from ``(master seed, cell id, replication index)``, and power experiments
 reuse the null innovations across the whole break-size grid (common random
 numbers).
 
-Replications run in blocks of ``_BLOCK`` consecutive ones. A block is
-evaluated as one stack: its innovations are filtered as one matrix, and the
-fit, plug-in rule and :func:`harchow.chowtest.series_statistics` of
+Replications are drawn in blocks of ``_BLOCK = 64`` consecutive ones: a
+block's innovations are filtered as one matrix. The statistics run on a
+stack of consecutive draw blocks, as many as keep the stack near
+``_STACK_VALUES = 2**15`` series values, at least one: 320 replications at
+T = 100, 128 at T = 200 and 64 from T = 512 up. The fit, plug-in rule and
+:func:`harchow.chowtest.series_statistics` of
 :func:`harchow.chowtest.run_test` run with a leading replication axis, and
-a block returns each variant's decision statistic and K used; a break of
-size ``delta`` only moves ``beta_2`` by ``delta``. The block size is fixed
-and workers get whole blocks, so results are byte-identical for any worker
-count.
+a stack returns each variant's decision statistic and K used; a break of
+size ``delta`` only moves ``beta_2`` by ``delta``. A stack that raises is
+evaluated again one draw block at a time, and a failing block one
+replication at a time, so exactly the failing replications are flagged.
+The stack size depends on T only and workers get whole stacks, so results
+are byte-identical for any worker count.
 
-Rejection counts are aggregated as integers in fixed block order; CSV output
+Rejection counts are aggregated as integers in fixed stack order; CSV output
 uses fixed-precision formatting so a table is reproducible byte for byte.
 """
 
@@ -59,7 +64,8 @@ TABLE1_GRID = (
 
 _M = 2  # regressors (1, q_t) of every study design, all tested: p = m
 _STREAM_CELL_STRIDE = 2**32
-_BLOCK = 64
+_BLOCK = 64  # replications drawn and filtered together
+_STACK_VALUES = 2**15  # series values a stack of draw blocks aims at
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ def simulate_dgp(spec: DgpSpec, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
 
 
 class CellStats(NamedTuple):
-    """Per-replication statistics of a cell or block, keyed by variant: the
+    """Per-replication statistics of a cell or stack, keyed by variant: the
     value the variant decides on as (reps, n_deltas, n_k) arrays, and the K
     used as (reps, n_k) arrays, since a break size moves neither K nor the
     fit's success; and a (reps,) failure mask."""
@@ -215,6 +221,50 @@ def _stack_statistics(
     return values, k_used
 
 
+def _stack_size(t: int) -> int:
+    """Replications per stack at sample size ``t``: the whole draw blocks
+    that hold at most ``_STACK_VALUES`` series values, at least one."""
+    return _BLOCK * max(1, _STACK_VALUES // (_BLOCK * t))
+
+
+def _draw_stack(
+    spec: DgpSpec, master_seed: int, cell_id: int, rep_range: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null ``(Y, X)`` of a contiguous range of replications, simulated one
+    draw block of ``_BLOCK`` at a time into the range's arrays."""
+    start, stop = rep_range
+    n = spec.t + spec.burn_in
+    null = replace(spec, delta=0.0)
+    y = np.empty((stop - start, spec.t))
+    x = np.empty((stop - start, spec.t, _M))
+    z = np.empty((min(_BLOCK, stop - start), 2 * n))
+    for lo in range(0, stop - start, _BLOCK):
+        hi = min(lo + _BLOCK, stop - start)
+        for i in range(lo, hi):
+            z[i - lo] = _rep_stream(master_seed, cell_id, start + i).normals(2 * n)
+        y[lo:hi], x[lo:hi] = _simulate_stack(null, z[: hi - lo])
+    return y, x
+
+
+def _evaluated(evaluate, y, x, lo: int, hi: int, sizes=(_BLOCK, 1)) -> list:
+    """``(rows, statistics)`` of replications ``lo..hi`` evaluated as one
+    stack. If that raises ``HarchowError``, the rows are evaluated again in
+    pieces of the next smaller of ``sizes``, each alike; a replication that
+    fails alone gives ``None``."""
+    rows = slice(lo, hi)
+    try:
+        return [(rows, evaluate(y[rows], x[rows]))]
+    except HarchowError:
+        smaller = [size for size in sizes if size < hi - lo]
+        if not smaller:
+            return [(rows, None)]
+        size, *rest = smaller
+        return [
+            part for s in range(lo, hi, size)
+            for part in _evaluated(evaluate, y, x, s, min(s + size, hi), rest)
+        ]
+
+
 def _run_block(
     spec: DgpSpec,
     master_seed: int,
@@ -224,36 +274,22 @@ def _run_block(
     variants: tuple[str, ...],
     rep_range: tuple[int, int],
 ) -> CellStats:
-    """Statistics for a contiguous block of replications, evaluated as one
-    stack at every break size. If that raises ``HarchowError``, each
-    replication is evaluated alone, through the same functions, and a
-    failing one is flagged once, for all break sizes."""
-    start, stop = rep_range
-    n = spec.t + spec.burn_in
-    z = np.stack([
-        _rep_stream(master_seed, cell_id, rep).normals(2 * n)
-        for rep in range(start, stop)
-    ])
-    y, x = _simulate_stack(replace(spec, delta=0.0), z)
+    """Statistics for a contiguous range of replications, evaluated as one
+    stack at every break size (:func:`_evaluated`); a failing replication
+    is flagged once, for all break sizes."""
+    y, x = _draw_stack(spec, master_seed, cell_id, rep_range)
     n_k = 1 if isinstance(k_policy, str) else len(k_policy)
-    count = stop - start
+    count = len(y)
     stats = CellStats(
         {v: np.full((count, len(deltas), n_k), np.nan) for v in variants},
         {v: np.zeros((count, n_k), dtype=np.int64) for v in variants},
         np.zeros(count, dtype=bool),
     )
     evaluate = partial(_stack_statistics, spec.lam, k_policy, deltas, variants)
-    try:
-        parts = [(slice(None), evaluate(y, x))]
-    except HarchowError:
-        parts = []
-        for i in range(len(y)):
-            rows = slice(i, i + 1)
-            try:
-                parts.append((rows, evaluate(y[rows], x[rows])))
-            except HarchowError:
-                stats.failed[i] = True
-    for rows, part in parts:
+    for rows, part in _evaluated(evaluate, y, x, 0, count):
+        if part is None:
+            stats.failed[rows] = True
+            continue
         for field, values in zip(stats, part):
             for v in variants:
                 field[v][rows] = values[v]
@@ -270,16 +306,17 @@ def _run_cell(
     variants: tuple[str, ...],
     workers: int = 1,
 ) -> CellStats:
-    """All replication statistics for one cell, merged in block order.
+    """All replication statistics for one cell, merged in stack order.
 
-    Blocks of ``_BLOCK`` replications go to a pool of at most ``workers``
-    processes, and no more than there are blocks or usable CPUs.
+    Stacks of ``_stack_size(T)`` replications go to a pool of at most
+    ``workers`` processes, and no more than there are stacks or usable CPUs.
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    ranges = [(s, min(s + _BLOCK, reps)) for s in range(0, reps, _BLOCK)]
+    size = _stack_size(spec.t)
+    ranges = [(s, min(s + size, reps)) for s in range(0, reps, size)]
     run = partial(_run_block, spec, master_seed, cell_id, k_policy, deltas, variants)
     pool_size = min(workers, len(ranges), _usable_cpus())
     if pool_size == 1:
@@ -364,9 +401,12 @@ def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
     return policy
 
 
-def _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid):
+def _references(variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid):
     """``chowtest.reference`` at level ``alpha`` with the simulation
-    settings bound."""
+    settings bound; those are checked here, before any replication runs,
+    when a variant's reference is simulated."""
+    if any(chowtest.VARIANTS[v].reference == "nonstandard" for v in variants):
+        fixedlimit.check_simulation(cv_grid, cv_replications, cv_seed)
     return partial(
         chowtest.reference, alpha=alpha, cv_seed=cv_seed,
         cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
@@ -392,7 +432,9 @@ def size_experiment(
     if not specs:
         raise ValueError("no cells requested")
     policy = _study_policy(k_policy, min(s.t for s in specs), variants, alpha)
-    references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
+    references = _references(
+        variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+    )
     results = []
     for cell_id, spec in enumerate(specs):
         results += _size_rows(
@@ -416,7 +458,9 @@ def k_grid_experiment(
 ) -> list[ExperimentResult]:
     """Rejection frequency across a fixed grid of K values (figure layout)."""
     policy = _study_policy(k_values, spec.t, variants, alpha, grid=True)
-    references = _references(alpha, cv_cache, cv_seed, cv_replications, cv_grid)
+    references = _references(
+        variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+    )
     return _size_rows(spec, 0, policy, variants, reps, master_seed, workers, references)
 
 

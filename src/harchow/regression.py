@@ -153,7 +153,7 @@ def ols_fit(data: RegressionData, hyp: BreakHypothesis) -> FitResult:
     if hyp.m != data.m:
         raise ValueError(f"hypothesis is {hyp.m}-variate but data has m={data.m}")
     design = build_break_design(data.x, data.lam)
-    xz = partial_out(design, data.z)
+    xz = design if data.z is None else partial_out(design, data.z)
     yz = partial_out(data.y[..., None], data.z)[..., 0]
     gram = _t(xz) @ xz
     beta = spd_solve(gram, _t(xz) @ yz[..., None])[..., 0]

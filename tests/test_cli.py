@@ -633,6 +633,23 @@ class TestStudyFrontEnd:
         assert cli.main([command] + rest + sizes) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    def test_oversized_k_of_a_simulated_law_exits_2(self, tmp_path, capsys):
+        # K above fixedlimit.MAX_K exits 2 before its K x K Gram is built
+        y, x = simulate_dgp(DgpSpec(t=2100, rho=0.3), RngStream(42, 0))
+        path = tmp_path / "long.csv"
+        np.savetxt(path, np.column_stack([y, x]), fmt="%.17g", delimiter=",",
+                   header="y,const,q", comments="")
+        message = "validation error: need K <= 2000 for a simulated law, got K=2001\n"
+        for argv in (
+            ["simulate-cv", "--p", "1", "--k", "2001", "--lambda", "0.4",
+             "--grid", "100000", "--reps", "1000"],
+            ["test", "--data", str(path), "--y", "y", "--x", "const,q",
+             "--lambda", "0.4", "--variant", "nonstandard-fourier", "--k", "2001",
+             "--cv-grid", "5000"],
+        ):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == message
+
     def test_oversized_k_grid_exits_2_before_expanding(self, capsys):
         code = cli.main(
             ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "2:1e10:2"]

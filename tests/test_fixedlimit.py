@@ -709,6 +709,15 @@ def test_spec_keeps_numpy_ints_as_ints(tmp_path):
     )
 
 
+def test_spec_caps_k():
+    # the K x K Gram a simulation factors is bounded whatever the grid
+    n = 10**5
+    assert LimitSpec(p=1, k=fixedlimit.MAX_K, lam=0.4, grid_n=n).k == fixedlimit.MAX_K
+    for k in (fixedlimit.MAX_K + 1, 50_000):
+        with pytest.raises(ValueError, match=f"simulated law, got K={k}$"):
+            LimitSpec(p=1, k=k, lam=0.4, grid_n=n)
+
+
 def test_spec_rejects_k_beyond_the_simulation_grid():
     # K = n - 2 is the largest basis the grid carries (the raw family's
     # degenerate Nyquist case included); beyond it the message names the

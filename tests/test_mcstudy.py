@@ -232,7 +232,7 @@ def test_studies_build_no_basis_or_kernel(monkeypatch):
 
 class TestOnePath:
     """A study's statistics come from chowtest.series_statistics, which
-    calls series_sums once per basis family per block."""
+    calls series_sums once per basis family per stack."""
 
     def _families(self, monkeypatch):
         calls = []
@@ -248,20 +248,20 @@ class TestOnePath:
     def test_one_family_study_builds_only_its_sums(self, monkeypatch):
         calls = self._families(monkeypatch)
         [row] = size_experiment(
-            [DgpSpec(t=60, rho=0.3)], ("f-transformed",), reps=500, master_seed=5
+            [DgpSpec(t=100, rho=0.3)], ("f-transformed",), reps=500, master_seed=5
         )
         assert row.failures == 0
-        assert calls == [FOURIER_TRANSFORMED] * 8  # 8 blocks of at most 64
+        assert calls == [FOURIER_TRANSFORMED] * 2  # stacks of 320 and 180
 
     def test_every_family_once_per_block(self, monkeypatch):
         calls = self._families(monkeypatch)
         results = size_experiment(
-            [DgpSpec(t=60, rho=0.3)], F_VARIANTS, k_policy=4, reps=500,
+            [DgpSpec(t=100, rho=0.3)], F_VARIANTS, k_policy=4, reps=500,
             master_seed=5, cv_cache=CriticalValueCache(), cv_replications=1000,
             cv_grid=150,
         )
         assert all(row.failures == 0 for row in results)
-        assert calls == [FOURIER_RAW, FOURIER_TRANSFORMED] * 8
+        assert calls == [FOURIER_RAW, FOURIER_TRANSFORMED] * 2  # 320 and 180
 
     def test_engine_holds_no_statistic_of_its_own(self):
         held = {"series_sums", "_leading_mean", "raw_statistic"} & set(vars(mcstudy))
@@ -385,10 +385,10 @@ class TestWorkerPool:
 
         monkeypatch.setattr(mcstudy, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(mcstudy, "_usable_cpus", lambda: 4)
-        spec = DgpSpec(t=60, rho=0.0)
-        for reps, workers in ((130, 10**6), (640, 10**6), (130, 2), (64, 8)):
+        spec = DgpSpec(t=200, rho=0.0)  # stacks of 128
+        for reps, workers in ((300, 10**6), (1280, 10**6), (300, 2), (128, 8)):
             _run_cell(spec, 3, 0, reps, [4], (0.0,), F_VARIANTS, workers=workers)
-        # 3 blocks; 10 blocks on 4 CPUs; 2 workers; one block runs serially
+        # 3 stacks; 10 stacks on 4 CPUs; 2 workers; one stack runs serially
         assert sizes == [3, 4, 2]
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -396,6 +396,74 @@ class TestWorkerPool:
         spec = DgpSpec(t=60, rho=0.0)
         with pytest.raises(ValueError, match="at least one worker"):
             _run_cell(spec, 3, 0, 64, [4], (0.0,), F_VARIANTS, workers=workers)
+
+
+class TestStacks:
+    """Statistics run on stacks of 64-replication draw blocks, as many as
+    T allows; the draws, the tables and the flagged failures are those of
+    the blocks evaluated alone."""
+
+    @pytest.mark.parametrize("t, size", [
+        (50, 640), (60, 512), (100, 320), (200, 128), (511, 64), (512, 64),
+        (5000, 64),
+    ])
+    def test_stack_size_follows_t(self, t, size):
+        assert mcstudy._stack_size(t) == size
+
+    def test_stack_draws_are_its_blocks_simulated_alone(self):
+        spec = DgpSpec(t=100, rho=0.6, psi=0.3, delta=0.5)
+        n = spec.t + spec.burn_in
+        y, x = mcstudy._draw_stack(spec, 7, 2, (320, 590))
+        assert y.shape == (270, 100) and x.shape == (270, 100, 2)
+        for lo in range(320, 590, 64):
+            reps = range(lo, min(lo + 64, 590))
+            z = np.stack([_rep_stream(7, 2, rep).normals(2 * n) for rep in reps])
+            y_alone, x_alone = _simulate_stack(replace(spec, delta=0.0), z)
+            rows = slice(lo - 320, lo - 320 + len(reps))
+            assert np.array_equal(y[rows], y_alone), lo
+            assert np.array_equal(x[rows], x_alone), lo
+
+    def test_multi_stack_csv_same_for_any_worker_count(self, monkeypatch):
+        # at T = 100, 700 replications are stacks of 320, 320 and 60
+        def table(workers):
+            return size_table_csv(size_experiment(
+                [DgpSpec(t=100, rho=0.3)], ("chisq-fourier", "f-transformed"),
+                reps=700, master_seed=11, workers=workers,
+            ))
+
+        tables = [table(workers) for workers in (1, 2, 3)]
+        monkeypatch.setattr(mcstudy, "_STACK_VALUES", 1)  # one draw block each
+        assert mcstudy._stack_size(100) == 64
+        assert tables[0] == tables[1] == tables[2] == table(1)
+
+    def test_failure_in_a_multi_block_stack_is_flagged_alone(self, monkeypatch):
+        spec, planted = DgpSpec(t=100, rho=0.3), 70
+        pair = ("chisq-fourier", "f-transformed")
+        clean = _run_cell(spec, 9, 0, 320, "auto", (0.0, 0.5), pair)
+        real_stream, real_statistics = mcstudy._rep_stream, mcstudy._stack_statistics
+        sizes = []
+
+        def stream(seed, cell, rep):
+            return _ZeroStream() if rep == planted else real_stream(seed, cell, rep)
+
+        def statistics(*args):
+            sizes.append(len(args[-1]))
+            return real_statistics(*args)
+
+        monkeypatch.setattr(mcstudy, "_rep_stream", stream)
+        monkeypatch.setattr(mcstudy, "_stack_statistics", statistics)
+        stats = _run_cell(spec, 9, 0, 320, "auto", (0.0, 0.5), pair)
+        assert np.flatnonzero(stats.failed).tolist() == [planted]
+        # the stack, its five blocks, and the failing block's 64 replications
+        assert sizes == [320, 64, 64] + [1] * 64 + [64] * 3
+        # and the others keep their K and, up to the kernel solve's rounding
+        # over a different column count, their statistics
+        keep = np.arange(320) != planted
+        for name in pair:
+            assert np.array_equal(stats.k_used[name][keep], clean.k_used[name][keep])
+            assert np.allclose(
+                stats.values[name][keep], clean.values[name][keep], rtol=1e-13, atol=0
+            ), name
 
 
 class TestSizeExperiment:
@@ -583,6 +651,27 @@ class TestStudyFrontEnd:
         monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
         with pytest.raises((ValueError, RegimeTooSmall)):
             study()
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(cv_grid=10**10), "need 100..1000000 grid points"),
+        (dict(cv_replications=999), "need 1000..10000000 replications"),
+        (dict(cv_seed=-1), "seed must be nonnegative"),
+    ])
+    def test_simulation_settings_checked_before_any_replication(
+        self, settings, message, monkeypatch
+    ):
+        # checked up front when a variant's reference is simulated, and not
+        # at all when none is
+        monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
+        spec = DgpSpec(t=60, rho=0.0)
+        for variants, raised, match in (
+            (("f-transformed", "nonstandard-fourier"), ValueError, message),
+            (("f-transformed",), AssertionError, "a replication ran"),
+        ):
+            with pytest.raises(raised, match=match):
+                size_experiment([spec], variants, reps=500, **settings)
+            with pytest.raises(raised, match=match):
+                k_grid_experiment(spec, (4,), variants, **settings)
 
     @pytest.mark.parametrize("t, lam, k_star", [
         (100, 0.02, 2), (100, 0.039, 3), (100, 0.97, 97), (50, 0.99, 49),
