@@ -117,13 +117,7 @@ class LimitSpec:
             raise ValueError(f"break fraction must lie in (0, 1), got {self.lam}")
         if self.family not in (FOURIER_RAW, FOURIER_TRANSFORMED):
             raise ValueError(f"unknown basis family {self.family!r}")
-        if self.k > self.grid_n - 2:
-            raise ValueError(
-                f"need K <= n - 2 = {self.grid_n - 2} on the simulation grid of"
-                f" n = {self.grid_n} points, got K={self.k}"
-            )
-        if self.k > MAX_K:
-            raise ValueError(f"need K <= {MAX_K} for a simulated law, got K={self.k}")
+        check_k(self.k, self.grid_n)
 
 
 def check_simulation(grid_n: int, replications: int, seed: int) -> None:
@@ -141,6 +135,20 @@ def check_simulation(grid_n: int, replications: int, seed: int) -> None:
         raise ValueError(
             f"need 1000..{MAX_REPLICATIONS} replications, got {replications}"
         )
+
+
+def check_k(k: int, grid_n: int) -> None:
+    """``ValueError`` unless a law of ``k`` basis functions may be simulated
+    on a grid of ``grid_n`` points: ``k <= grid_n - 2`` and ``k <= MAX_K``.
+    :class:`LimitSpec` checks through it, and a study with a simulated
+    reference checks its largest fixed K before its first replication."""
+    if k > grid_n - 2:
+        raise ValueError(
+            f"need K <= n - 2 = {grid_n - 2} on the simulation grid of"
+            f" n = {grid_n} points, got K={k}"
+        )
+    if k > MAX_K:
+        raise ValueError(f"need K <= {MAX_K} for a simulated law, got K={k}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ reuse the null innovations across the whole break-size grid (common random
 numbers).
 
 Replications are drawn in blocks of ``_BLOCK = 64`` consecutive ones: a
-block's innovations are filtered as one matrix. The statistics run on a
+block's streams are seeded and transformed together by
+:func:`harchow.numkit.rng.stream_normals`, bitwise equal to one stream per
+replication, and its innovations are filtered as one matrix. The statistics run on a
 stack of consecutive draw blocks, as many as keep the stack near
 ``_STACK_VALUES = 2**15`` series values, at least one: 320 replications at
 T = 100, 128 at T = 200 and 64 from T = 512 up. The fit, plug-in rule and
@@ -41,7 +43,7 @@ from . import autok, chowtest, fixedlimit
 from .bases import break_index
 from .errors import HarchowError
 from .numkit import RngStream
-from .numkit.rng import _require_integers
+from .numkit.rng import _require_integers, stream_normals
 from .regression import RegressionData, check_regimes, full_break_hypothesis, ols_fit
 
 F_VARIANTS = (
@@ -180,7 +182,16 @@ def _usable_cpus() -> int:
 
 
 def _rep_stream(master_seed: int, cell_id: int, rep: int) -> RngStream:
+    """The stream of replication ``rep`` of a cell."""
     return RngStream(master_seed, stream=cell_id * _STREAM_CELL_STRIDE + rep)
+
+
+def _block_normals(master_seed: int, cell_id: int, reps: range, n: int) -> np.ndarray:
+    """``len(reps) x n`` innovations of replications ``reps`` of a cell,
+    drawn together: row ``i`` is bitwise
+    ``_rep_stream(master_seed, cell_id, reps[i]).normals(n)``."""
+    streams = [cell_id * _STREAM_CELL_STRIDE + rep for rep in reps]
+    return stream_normals(master_seed, streams, n)
 
 
 def _stack_statistics(
@@ -230,19 +241,18 @@ def _stack_size(t: int) -> int:
 def _draw_stack(
     spec: DgpSpec, master_seed: int, cell_id: int, rep_range: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Null ``(Y, X)`` of a contiguous range of replications, simulated one
-    draw block of ``_BLOCK`` at a time into the range's arrays."""
+    """Null ``(Y, X)`` of a contiguous range of replications, drawn and
+    simulated one draw block of ``_BLOCK`` at a time into the range's
+    arrays."""
     start, stop = rep_range
     n = spec.t + spec.burn_in
     null = replace(spec, delta=0.0)
     y = np.empty((stop - start, spec.t))
     x = np.empty((stop - start, spec.t, _M))
-    z = np.empty((min(_BLOCK, stop - start), 2 * n))
-    for lo in range(0, stop - start, _BLOCK):
-        hi = min(lo + _BLOCK, stop - start)
-        for i in range(lo, hi):
-            z[i - lo] = _rep_stream(master_seed, cell_id, start + i).normals(2 * n)
-        y[lo:hi], x[lo:hi] = _simulate_stack(null, z[: hi - lo])
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        z = _block_normals(master_seed, cell_id, range(lo, hi), 2 * n)
+        y[lo - start : hi - start], x[lo - start : hi - start] = _simulate_stack(null, z)
     return y, x
 
 
@@ -401,12 +411,16 @@ def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
     return policy
 
 
-def _references(variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid):
+def _references(
+    variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+):
     """``chowtest.reference`` at level ``alpha`` with the simulation
-    settings bound; those are checked here, before any replication runs,
-    when a variant's reference is simulated."""
+    settings bound; those and every fixed K of ``policy`` are checked here,
+    before any replication runs, when a variant's reference is simulated."""
     if any(chowtest.VARIANTS[v].reference == "nonstandard" for v in variants):
         fixedlimit.check_simulation(cv_grid, cv_replications, cv_seed)
+        if policy != "auto":
+            fixedlimit.check_k(max(policy), cv_grid)
     return partial(
         chowtest.reference, alpha=alpha, cv_seed=cv_seed,
         cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
@@ -433,7 +447,7 @@ def size_experiment(
         raise ValueError("no cells requested")
     policy = _study_policy(k_policy, min(s.t for s in specs), variants, alpha)
     references = _references(
-        variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
     )
     results = []
     for cell_id, spec in enumerate(specs):
@@ -459,7 +473,7 @@ def k_grid_experiment(
     """Rejection frequency across a fixed grid of K values (figure layout)."""
     policy = _study_policy(k_values, spec.t, variants, alpha, grid=True)
     references = _references(
-        variants, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
     )
     return _size_rows(spec, 0, policy, variants, reps, master_seed, workers, references)
 

@@ -633,6 +633,14 @@ class TestStudyFrontEnd:
         assert cli.main([command] + rest + sizes) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("command", [["mc-size", "--cells", "0:0"], ["mc-power"]])
+    def test_negative_seed_exits_2(self, command, capsys):
+        # the first block draw refuses it, as a stream does
+        code = cli.main(command + ["--T", "60", "--reps", "500", "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: seed and stream must be nonnegative integers\n"
+
     def test_oversized_k_of_a_simulated_law_exits_2(self, tmp_path, capsys):
         # K above fixedlimit.MAX_K exits 2 before its K x K Gram is built
         y, x = simulate_dgp(DgpSpec(t=2100, rho=0.3), RngStream(42, 0))

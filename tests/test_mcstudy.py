@@ -312,17 +312,25 @@ class _ZeroStream:
         return np.zeros(n)
 
 
+def _plant_zero_rows(monkeypatch, planted):
+    """Replications ``planted`` of every cell draw all-zero innovations, as
+    a :class:`_ZeroStream` does, through the engine's block draw."""
+    real = mcstudy._block_normals
+
+    def block_normals(seed, cell, reps, n):
+        z = real(seed, cell, reps, n)
+        z[[i for i, rep in enumerate(reps) if rep in planted]] = 0.0
+        return z
+
+    monkeypatch.setattr(mcstudy, "_block_normals", block_normals)
+
+
 class TestFailedReplications:
     PLANTED = 70  # second block of 64, with 63 block-mates
 
     def _plant(self, monkeypatch):
-        real = mcstudy._rep_stream
-
-        def stream(seed, cell, rep):
-            return _ZeroStream() if rep == self.PLANTED else real(seed, cell, rep)
-
-        monkeypatch.setattr(mcstudy, "_rep_stream", stream)
-        return real
+        _plant_zero_rows(monkeypatch, {self.PLANTED})
+        return mcstudy._rep_stream
 
     def test_planted_failure_is_flagged_alone(self, monkeypatch):
         real = self._plant(monkeypatch)
@@ -440,17 +448,14 @@ class TestStacks:
         spec, planted = DgpSpec(t=100, rho=0.3), 70
         pair = ("chisq-fourier", "f-transformed")
         clean = _run_cell(spec, 9, 0, 320, "auto", (0.0, 0.5), pair)
-        real_stream, real_statistics = mcstudy._rep_stream, mcstudy._stack_statistics
+        real_statistics = mcstudy._stack_statistics
         sizes = []
-
-        def stream(seed, cell, rep):
-            return _ZeroStream() if rep == planted else real_stream(seed, cell, rep)
 
         def statistics(*args):
             sizes.append(len(args[-1]))
             return real_statistics(*args)
 
-        monkeypatch.setattr(mcstudy, "_rep_stream", stream)
+        _plant_zero_rows(monkeypatch, {planted})
         monkeypatch.setattr(mcstudy, "_stack_statistics", statistics)
         stats = _run_cell(spec, 9, 0, 320, "auto", (0.0, 0.5), pair)
         assert np.flatnonzero(stats.failed).tolist() == [planted]
@@ -554,7 +559,7 @@ class TestPowerExperiment:
 
     def test_no_successful_replication_gives_nan_curves(self, monkeypatch):
         # every replication fails, as a size row with failures = reps does
-        monkeypatch.setattr(mcstudy, "_rep_stream", lambda *args: _ZeroStream())
+        _plant_zero_rows(monkeypatch, range(64))
         out = power_experiment(DgpSpec(t=60, rho=0.0), (0.5,), k_policy=4, reps=64)
         assert out["n_ok"] == 0
         assert set(out["power"]) == {FOURIER_RAW, FOURIER_TRANSFORMED}
@@ -672,6 +677,28 @@ class TestStudyFrontEnd:
                 size_experiment([spec], variants, reps=500, **settings)
             with pytest.raises(raised, match=match):
                 k_grid_experiment(spec, (4,), variants, **settings)
+
+    @pytest.mark.parametrize("t, k, settings, message", [
+        (200, 150, dict(cv_grid=100), "need K <= n - 2 = 98 on the simulation grid"),
+        (2100, 2001, dict(cv_grid=5000), "need K <= 2000 for a simulated law"),
+    ])
+    def test_fixed_k_of_a_simulated_law_checked_before_any_replication(
+        self, t, k, settings, message, monkeypatch
+    ):
+        # a fixed K the simulated law refuses is refused up front, and a
+        # K every reference takes is not refused at all
+        monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
+        spec = DgpSpec(t=t, rho=0.0)
+        for variants, raised, match in (
+            (("f-transformed", "nonstandard-fourier"), ValueError, message),
+            (("f-transformed",), AssertionError, "a replication ran"),
+        ):
+            with pytest.raises(raised, match=match):
+                size_experiment([spec], variants, k_policy=k, reps=500, **settings)
+            with pytest.raises(raised, match=match):
+                k_grid_experiment(spec, (4, k), variants, **settings)
+        with pytest.raises(AssertionError, match="a replication ran"):
+            k_grid_experiment(spec, (4, 98), ("nonstandard-fourier",), cv_grid=100)
 
     @pytest.mark.parametrize("t, lam, k_star", [
         (100, 0.02, 2), (100, 0.039, 3), (100, 0.97, 97), (50, 0.99, 49),

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, SeedSequence
 
 from harchow import bases
+from harchow.numkit import rng
+from harchow.numkit.rng import stream_normals
 from harchow.errors import NotPositiveDefinite, Unstable
 from harchow.numkit.linalg import _pivot_factor
 from harchow.numkit import (
@@ -581,3 +584,55 @@ class TestRngStream:
     def test_numpy_ints_name_the_same_stream(self):
         a = RngStream(np.int64(7), np.uint32(3)).normals(10)
         assert np.array_equal(a, RngStream(7, 3).normals(10))
+
+
+class TestStreamNormals:
+    """The block draw seeds and transforms many streams of one seed at once,
+    each row bitwise the stream's own ``normals``."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**96 + 1)
+    STREAMS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one and two 32-bit words
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_array_seeding_is_numpys(self, seed):
+        # 5 seeds x 5 streams, about 5 ms
+        states = rng._pcg64_states(seed, list(self.STREAMS))
+        for stream, (state, inc) in zip(self.STREAMS, states, strict=True):
+            ref = PCG64(SeedSequence(seed, spawn_key=(stream,))).state["state"]
+            assert (state, inc) == (ref["state"], ref["inc"]), stream
+
+    def test_rows_are_each_streams_normals(self, monkeypatch):
+        # 5 sizes x 64 streams, one- and two-word, about 0.1 s; a row the
+        # first polar pass leaves short is drawn again on its own stream
+        streams = range(2**32 - 32, 2**32 + 32)
+        redrawn = {}
+
+        class Counting(RngStream):
+            def normals(self, n):
+                redrawn[n] += 1
+                return super().normals(n)
+
+        for n in (7, 1200, 1201, 1400, 3000):
+            ref = np.stack([RngStream(2**32 + 1, s).normals(n) for s in streams])
+            redrawn[n] = 0
+            monkeypatch.setattr(rng, "RngStream", Counting)
+            got = stream_normals(2**32 + 1, streams, n)
+            monkeypatch.undo()
+            assert got.shape == (64, n) and got.tobytes() == ref.tobytes(), n
+        assert redrawn[7] == 0 and redrawn[1200] > 0, redrawn
+
+    def test_no_streams_or_no_normals(self):
+        assert stream_normals(3, [], 5).shape == (0, 5)
+        assert stream_normals(3, [0, 1], 0).shape == (2, 0)
+
+    @pytest.mark.parametrize("seed, stream", [
+        (-1, 0), (1, -1), (True, 0), (1, False), (1.0, 0), (1, 2.0), (1.5, 0),
+    ], ids=repr)
+    def test_refuses_what_a_stream_refuses(self, seed, stream):
+        with pytest.raises(ValueError) as alone:
+            RngStream(seed, stream)
+        with pytest.raises(ValueError) as block:
+            stream_normals(seed, [0, stream], 10)
+        assert str(block.value) == str(alone.value)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            stream_normals(1, [0], -3)

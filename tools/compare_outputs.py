@@ -16,9 +16,10 @@ work through ``harchow.cli.main``:
   ``t_star_inf`` (p = 1 only); each reports its 10%, 5% and 1% critical
   values (``simulated_cv``) and its redraw count;
 * the study CSVs of ``mc-size`` (table 1 with auto K and K = 8, the K-grid
-  figure preset, and one cell each at T = 50 and T = 1000, where the
-  engine's stacks are largest and smallest) and ``mc-power`` (T = 100,
-  T = 200, K = 8), each at ``--workers 1`` and ``2``.
+  figure preset, one cell each at T = 50 and T = 1000, where the
+  engine's stacks are largest and smallest, and two cells from a seed of
+  two 32-bit words) and ``mc-power`` (T = 100, T = 200, K = 8), each at
+  ``--workers 1`` and ``2``.
 
 It prints the largest relative difference of every numeric report field,
 and exits 1 if any CSV byte, exit code, or non-float report field (``k``,
@@ -57,6 +58,10 @@ STUDIES = (
     # and stacks of one 64-replication draw block
     ("size-t50-stacks", ["mc-size", "--T", "50", "--cells", "0.6:0", "--reps", "1500"]),
     ("size-t1000-blocks", ["mc-size", "--T", "1000", "--cells", "0.3:0", "--reps", "640"]),
+    # a two-word seed, and cell 1's two-word stream ids: both branches of
+    # the block draw's seeding
+    ("size-two-word-seed", ["mc-size", "--T", "60", "--cells", "0.3:0,0.6:0",
+                            "--reps", "700", "--seed", "4294967297"]),
 )
 SIMULATIONS = tuple(
     (f"simulate-cv {family} p={p} K={k} {kind}",
