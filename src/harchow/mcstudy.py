@@ -11,11 +11,11 @@ numbers).
 Replications are drawn in blocks of ``_BLOCK = 64`` consecutive ones: a
 block's streams are seeded and transformed together by
 :func:`harchow.numkit.rng.stream_normals`, bitwise equal to one stream per
-replication, and its innovations are filtered as one matrix. The statistics run on a
-stack of consecutive draw blocks, as many as keep the stack near
-``_STACK_VALUES = 2**15`` series values, at least one: 320 replications at
-T = 100, 128 at T = 200 and 64 from T = 512 up. The fit, plug-in rule and
-:func:`harchow.chowtest.series_statistics` of
+replication, and its innovations are filtered as one matrix. The
+statistics run on a stack of consecutive draw blocks, as many as keep the
+stack near ``_STACK_VALUES = 2**15`` series values, at least one: 320
+replications at T = 100, 128 at T = 200 and 64 from T = 512 up. The fit,
+plug-in rule and :func:`harchow.chowtest.series_statistics` of
 :func:`harchow.chowtest.run_test` run with a leading replication axis, and
 a stack returns each variant's decision statistic and K used; a break of
 size ``delta`` only moves ``beta_2`` by ``delta``. A stack that raises is
@@ -249,10 +249,10 @@ def _draw_stack(
     null = replace(spec, delta=0.0)
     y = np.empty((stop - start, spec.t))
     x = np.empty((stop - start, spec.t, _M))
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        z = _block_normals(master_seed, cell_id, range(lo, hi), 2 * n)
-        y[lo - start : hi - start], x[lo - start : hi - start] = _simulate_stack(null, z)
+    for lo in range(0, stop - start, _BLOCK):
+        hi = min(lo + _BLOCK, stop - start)
+        z = _block_normals(master_seed, cell_id, range(start + lo, start + hi), 2 * n)
+        y[lo:hi], x[lo:hi] = _simulate_stack(null, z)
     return y, x
 
 
