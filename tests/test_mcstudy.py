@@ -685,8 +685,8 @@ class TestStudyFrontEnd:
     def test_fixed_k_of_a_simulated_law_checked_before_any_replication(
         self, t, k, settings, message, monkeypatch
     ):
-        # a fixed K the simulated law refuses is refused up front, and a
-        # K every reference takes is not refused at all
+        # a fixed K the simulated law refuses is refused up front; with
+        # analytic references alone, or at K = n - 2, the replications run
         monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
         spec = DgpSpec(t=t, rho=0.0)
         for variants, raised, match in (
