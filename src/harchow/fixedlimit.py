@@ -37,10 +37,11 @@ consecutive ones (``m = K + 1``, the rows of ``Z``), so a block draws about
 ``b`` draws the ``Z`` of all its replications from one call to
 ``RngStream(seed, b).normals``: its ``j``-th replication takes the ``j``-th
 run of ``m p`` normals as its ``m x p`` matrix. A replication ``i`` whose
-weighting matrix is singular is redrawn, in the same shape, from its own
-substream ``attempt * reps + i`` (``attempt = 1, 2, ...``) and counted;
-these ids never meet the block ids. Changing ``_BLOCK_NORMALS`` changes
-every simulated law's draws and needs a ``FILE_VERSION`` bump.
+weighting matrix is singular is redrawn, in the same shape, and counted:
+attempt ``a = 1, 2, ...`` takes a block's singular ones from one block draw
+(``stream_normals``), row ``i`` being substream ``a * reps + i``, ids that
+never meet the block ids. Changing ``_BLOCK_NORMALS`` changes every
+simulated law's draws and needs a ``FILE_VERSION`` bump.
 
 The draws' bits hold for one numpy and BLAS build. Under
 ``OPENBLAS_NUM_THREADS=1`` and ``2`` they were bitwise equal in every case
@@ -69,9 +70,8 @@ import numpy as np
 
 from .bases import FOURIER_RAW, FOURIER_TRANSFORMED, break_index, series_root
 from .errors import DegenerateSimulation, KTooSmall, NotPositiveDefinite
-from .numkit import RngStream
 from .numkit.linalg import _PIVOT_RTOL, _pivot_factor
-from .numkit.rng import _require_integers
+from .numkit.rng import RngStream, _require_integers, stream_normals
 
 F_INF = "F_inf"
 F_STAR_INF = "F_star_inf"
@@ -219,17 +219,10 @@ def _base_draws(spec: LimitSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
                 raise DegenerateSimulation(
                     f"{redraws} singular replications out of {reps}"
                 )
-            z = np.stack([
-                RngStream(spec.seed, stream=attempt * reps + int(rep))
-                .normals(m * p).reshape(m, p)
-                for rep in rep_ids[bad]
-            ])
-            eta0_r, quad_r, bad_r = forms(z)
-            quad[bad] = quad_r
-            eta0[bad] = eta0_r
-            bad[bad] = bad_r
-        quads[rep_ids] = quad
-        eta0_all[rep_ids] = eta0
+            z = stream_normals(spec.seed, attempt * reps + rep_ids[bad], m * p)
+            # assigned left to right, so ``bad`` narrows last
+            eta0[bad], quad[bad], bad[bad] = forms(z.reshape(-1, m, p))
+        quads[rep_ids], eta0_all[rep_ids] = quad, eta0
     return quads, eta0_all, redraws, float(norms.mean())
 
 
@@ -327,6 +320,8 @@ def load_distribution(path: str) -> SimulatedDistribution:
     draws = np.frombuffer(payload, dtype="<f8")
     if len(draws) != spec.replications:
         raise ValueError(f"cache file {path} is truncated")
+    if not (np.isfinite(draws).all() and (draws[1:] >= draws[:-1]).all()):
+        raise ValueError(f"cache file {path} holds unsorted or nonfinite draws")
     return SimulatedDistribution(spec=spec, kind=kind, draws=draws, redraws=redraws)
 
 
@@ -342,9 +337,10 @@ class CriticalValueCache:
 
     Lookups hit memory first, then the cache directory (when configured),
     and only then simulate; fresh simulations are written back to disk. A
-    truncated, malformed or wrong-version file, or one that holds another
-    kind or spec, is logged, re-simulated and overwritten. Each lookup logs
-    its source, redraw count and spec at DEBUG level.
+    truncated, malformed or wrong-version file, one whose draws are not
+    finite and sorted, or one that holds another kind or spec, is logged,
+    re-simulated and overwritten. Each lookup logs its source, redraw count
+    and spec at DEBUG level.
 
     Memory holds no second copy of what the directory holds: with a
     directory, a distribution stays in memory while a caller holds it and is

@@ -30,6 +30,7 @@ uses fixed-precision formatting so a table is reproducible byte for byte.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +46,8 @@ from .errors import HarchowError
 from .numkit import RngStream
 from .numkit.rng import _require_integers, stream_normals
 from .regression import RegressionData, check_regimes, full_break_hypothesis, ols_fit
+
+logger = logging.getLogger(__name__)
 
 F_VARIANTS = (
     "chisq-fourier",
@@ -412,15 +415,24 @@ def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
 
 
 def _references(
-    variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+    variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid, t
 ):
     """``chowtest.reference`` at level ``alpha`` with the simulation
     settings bound; those and every fixed K of ``policy`` are checked here,
-    before any replication runs, when a variant's reference is simulated."""
+    before any replication runs, when a variant's reference is simulated.
+    Under auto K, which can reach ``T - 2``, a largest cell size ``t`` whose
+    K may pass the simulated law's bound is warned about instead."""
     if any(chowtest.VARIANTS[v].reference == "nonstandard" for v in variants):
         fixedlimit.check_simulation(cv_grid, cv_replications, cv_seed)
+        bound = min(cv_grid - 2, fixedlimit.MAX_K)
         if policy != "auto":
             fixedlimit.check_k(max(policy), cv_grid)
+        elif t - 2 > bound:
+            logger.warning(
+                "auto K can reach T - 2 = %d at T = %d, above the simulated"
+                " reference's bound K <= %d (cv_grid %d): a cell whose K"
+                " passes it stops the study", t - 2, t, bound, cv_grid,
+            )
     return partial(
         chowtest.reference, alpha=alpha, cv_seed=cv_seed,
         cv_replications=cv_replications, cv_grid=cv_grid, cache=cv_cache,
@@ -447,7 +459,8 @@ def size_experiment(
         raise ValueError("no cells requested")
     policy = _study_policy(k_policy, min(s.t for s in specs), variants, alpha)
     references = _references(
-        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid,
+        max(s.t for s in specs),
     )
     results = []
     for cell_id, spec in enumerate(specs):
@@ -473,7 +486,8 @@ def k_grid_experiment(
     """Rejection frequency across a fixed grid of K values (figure layout)."""
     policy = _study_policy(k_values, spec.t, variants, alpha, grid=True)
     references = _references(
-        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid
+        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid,
+        spec.t,
     )
     return _size_rows(spec, 0, policy, variants, reps, master_seed, workers, references)
 

@@ -10,7 +10,8 @@ thread count or platform, so a stream's output is bit-reproducible anywhere.
 Streams are single-owner: parallel users derive their own stream ids rather
 than sharing one object. :func:`stream_normals` draws the normals of many
 streams of one seed at once: their seeding and first polar pass run on
-arrays, and each row is bitwise the stream's own ``normals``.
+arrays, a row that pass leaves short continues its own stream, and each row
+is bitwise the stream's own ``normals``.
 """
 
 from __future__ import annotations
@@ -81,22 +82,25 @@ class RngStream:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = _pass_words(n - filled)
-            u = 2.0 * self.uniforms(m) - 1.0
-            v = 2.0 * self.uniforms(m) - 1.0
-            z, _ = _polar(u, v)
-            take = min(len(z), n - filled)
-            out[filled : filled + take] = z[:take]
-            filled += take
-        return out
+        return _polar_fill(self._bitgen, np.empty(n), 0)
 
 
-def _polar(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normals of the accepted pairs of ``(u, v)``, two a pair, in the
-    pairs' row-major order, and the acceptance mask."""
+def _polar_fill(bitgen: PCG64, out: np.ndarray, filled: int) -> np.ndarray:
+    """Fill ``out[filled:]`` by polar passes on ``bitgen``; return ``out``."""
+    n = len(out)
+    while filled < n:
+        z, _ = _polar(bitgen.random_raw(2 * _pass_words(n - filled)))
+        out[filled : filled + len(z)] = z[: n - filled]
+        filled += len(z)
+    return out
+
+
+def _polar(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normals of the accepted pairs of each row of raw words, two a
+    pair, in row-major order, and the acceptance mask. A row's halves are its
+    pairs' ``u`` and ``v``, a word exactly ``2 x - 1`` for its uniform ``x``."""
+    u, v = (2.0**-52 * (w >> np.uint64(11)) - 1.0 for w in np.split(words, 2, -1))
+    del words  # so the transform's temporaries can reuse the words' memory
     s = u * u + v * v
     keep = (s > 0.0) & (s < 1.0)
     s = s[keep]
@@ -138,8 +142,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _pcg64_states(seed: int, streams: list[int]) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(s,)))`` for
+def _pcg64_states(seed: int, streams: list[int]) -> list[dict]:
+    """The ``state`` of ``PCG64(SeedSequence(seed, spawn_key=(s,)))`` for
     every stream ``s``: SeedSequence's mixing on uint32 arrays, a column a
     stream, then PCG64's two-step seeding on Python ints."""
     # the entropy is the seed's words, padded to the pool size, then the
@@ -172,7 +176,8 @@ def _pcg64_states(seed: int, streams: list[int]) -> list[tuple[int, int]]:
     for high, low, inc_high, inc_low in halves.tolist():
         inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK_128
         value = ((high << 64 | low) + inc) * _PCG_MULT + inc
-        states.append((value & _MASK_128, inc))
+        states.append({"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                       "state": {"state": value & _MASK_128, "inc": inc}})
     return states
 
 
@@ -184,31 +189,30 @@ def stream_normals(seed: int, streams, n: int) -> np.ndarray:
     first pass of raw words is drawn on one reused PCG64. The polar pass
     runs on ``_POLAR_ROWS`` rows at a time, and a row keeps its first
     ``ceil(n / 2)`` accepted pairs in order. A row that pass leaves short,
-    about 7% at ``n = 1200``, is drawn again on its own stream.
+    about 7% at ``n = 1200``, continues its own stream: its state advances
+    past the first pass, and the pass loop of ``normals`` fills the rest.
     """
     seed, _ = _stream_key(seed, 0)
     streams = [_stream_key(seed, stream)[1] for stream in streams]
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = _pass_words(n)
+    states = _pcg64_states(seed, streams)
     raw = np.empty((len(streams), 2 * m), dtype=np.uint64)
     bitgen = PCG64(0)
-    for row, (state, inc) in enumerate(_pcg64_states(seed, streams)):
-        bitgen.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
+    for row, state in enumerate(states):
+        bitgen.state = state
         raw[row] = bitgen.random_raw(2 * m)
     out = np.empty((len(streams), n))
     for lo in range(0, len(streams), _POLAR_ROWS):
-        # 2 u - 1 with u the top 53 bits: exact, as in RngStream.uniforms
-        uv = (raw[lo : lo + _POLAR_ROWS] >> np.uint64(11)) * (1.0 / (1 << 52)) - 1.0
-        z, keep = _polar(uv[:, :m], uv[:, m:])
+        z, keep = _polar(raw[lo : lo + _POLAR_ROWS])
         start = 0
         for row, accepted in enumerate(keep.sum(axis=1).tolist(), lo):
-            if 2 * accepted >= n:
-                out[row] = z[start : start + n]
-            else:
-                out[row] = RngStream(seed, streams[row]).normals(n)
+            filled = min(2 * accepted, n)
+            out[row, :filled] = z[start : start + filled]
+            if filled < n:
+                bitgen.state = states[row]
+                bitgen.advance(2 * m)
+                _polar_fill(bitgen, out[row], filled)
             start += 2 * accepted
     return out

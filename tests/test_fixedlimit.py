@@ -528,9 +528,10 @@ class TestCache:
         d2 = cache2.get(spec, SCALED_F_INF)
         assert np.array_equal(d1.draws, d2.draws)
 
-    @pytest.mark.parametrize(
-        "damage", ["payload", "header", "version", "field", "not-an-object"]
-    )
+    @pytest.mark.parametrize("damage", [
+        "payload", "header", "version", "field", "not-an-object", "sign-flip",
+        "nan-draw",
+    ])
     def test_damaged_file_is_resimulated(self, tmp_path, caplog, damage):
         spec = small_spec()
         CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
@@ -544,6 +545,13 @@ class TestCache:
             damaged = header[: len(header) // 2]
         elif damage == "not-an-object":
             damaged = b"[1, 2]\n" + payload
+        elif damage in ("sign-flip", "nan-draw"):
+            # the draw at 95% of the sorted positive draws turns negative
+            # (its sign bit flipped) or NaN; the header is intact
+            draws = np.frombuffer(payload, "<f8").copy()
+            at = len(draws) * 95 // 100
+            draws[at] = -draws[at] if damage == "sign-flip" else np.nan
+            damaged = header + b"\n" + draws.tobytes()
         else:
             fields = json.loads(header)
             if damage == "version":

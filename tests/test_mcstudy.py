@@ -1,3 +1,4 @@
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -699,6 +700,31 @@ class TestStudyFrontEnd:
                 k_grid_experiment(spec, (4, k), variants, **settings)
         with pytest.raises(AssertionError, match="a replication ran"):
             k_grid_experiment(spec, (4, 98), ("nonstandard-fourier",), cv_grid=100)
+
+    @pytest.mark.parametrize("t, grid, bound", [(1000, 100, 98), (2100, 5000, 2000)])
+    def test_auto_k_past_a_simulated_law_is_warned_before_any_replication(
+        self, t, grid, bound, monkeypatch, caplog
+    ):
+        # auto K can reach T - 2: the largest cell past the simulated law's
+        # bound is warned about once, before the replications that could
+        # reach it; cells the bound covers, or analytic references, warn not
+        monkeypatch.setattr(mcstudy, "_run_cell", _no_replications)
+        small = DgpSpec(t=60, rho=0.0)
+        both = [DgpSpec(t=t, rho=0.0), small]
+        for cells, variants, warned in (
+            (both, ("f-transformed", "nonstandard-fourier"), True),
+            ([small], ("nonstandard-fourier",), False),
+            (both, ("f-transformed",), False),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="harchow.mcstudy"):
+                with pytest.raises(AssertionError, match="a replication ran"):
+                    size_experiment(cells, variants, reps=500, cv_grid=grid)
+            records = [r for r in caplog.records if r.name == "harchow.mcstudy"]
+            assert len(records) == warned, variants
+            if warned:
+                message = records[0].getMessage()
+                assert f"T = {t}" in message and f"K <= {bound}" in message
 
     @pytest.mark.parametrize("t, lam, k_star", [
         (100, 0.02, 2), (100, 0.039, 3), (100, 0.97, 97), (50, 0.99, 49),

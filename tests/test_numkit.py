@@ -628,29 +628,34 @@ class TestStreamNormals:
     def test_array_seeding_is_numpys(self, seed):
         # 5 seeds x 5 streams, about 5 ms
         states = rng._pcg64_states(seed, list(self.STREAMS))
-        for stream, (state, inc) in zip(self.STREAMS, states, strict=True):
-            ref = PCG64(SeedSequence(seed, spawn_key=(stream,))).state["state"]
-            assert (state, inc) == (ref["state"], ref["inc"]), stream
+        for stream, state in zip(self.STREAMS, states, strict=True):
+            ref = PCG64(SeedSequence(seed, spawn_key=(stream,))).state
+            assert state == ref, stream
 
     def test_rows_are_each_streams_normals(self, monkeypatch):
         # 5 sizes x 64 streams, one- and two-word, about 0.1 s; a row the
-        # first polar pass leaves short is drawn again on its own stream
+        # first polar pass leaves short continues its own stream in the pass
+        # loop, and no RngStream is built
         streams = range(2**32 - 32, 2**32 + 32)
-        redrawn = {}
+        continued = {}
+        fill = rng._polar_fill
 
-        class Counting(RngStream):
-            def normals(self, n):
-                redrawn[n] += 1
-                return super().normals(n)
+        def counting_fill(bitgen, out, filled):
+            continued[len(out)] += 1
+            return fill(bitgen, out, filled)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("stream_normals built an RngStream")
 
         for n in (7, 1200, 1201, 1400, 3000):
             ref = np.stack([RngStream(2**32 + 1, s).normals(n) for s in streams])
-            redrawn[n] = 0
-            monkeypatch.setattr(rng, "RngStream", Counting)
+            continued[n] = 0
+            monkeypatch.setattr(rng, "RngStream", refused)
+            monkeypatch.setattr(rng, "_polar_fill", counting_fill)
             got = stream_normals(2**32 + 1, streams, n)
             monkeypatch.undo()
             assert got.shape == (64, n) and got.tobytes() == ref.tobytes(), n
-        assert redrawn[7] == 0 and redrawn[1200] > 0, redrawn
+        assert continued[7] == 0 and continued[1200] > 0, continued
 
     def test_no_streams_or_no_normals(self):
         assert stream_normals(3, [], 5).shape == (0, 5)
