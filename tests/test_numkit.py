@@ -615,6 +615,21 @@ class TestRngStream:
         assert digest(block) == (
             "1062651340c4500d6c53cb24dc24835d9e2641609cd21ea91b546d82f5eafb72"
         )
+        # pinned before the pass ran in cache-sized pieces; about 0.02 s.
+        # Passes of several pieces that end in a partial one
+        sizes = (12289, 2**17 + 3)
+        assert digest(*[RngStream(2**32 + 1).normals(n) for n in sizes]) == (
+            "12659d3855f689e51861e8644cf131921ccafa0ab0c191bffc54fcd08f8e5325"
+        )
+        # mc-power's block shape, whose last chunk of rows is partial
+        block = stream_normals(2**32 + 1, range(2**32 - 25, 2**32 + 25), 1400)
+        assert digest(block) == (
+            "03b9723d998ac0617fd0fb62a53e47b87f23d7127508cae381fa5c8ed3398807"
+        )
+        # rows so long that a chunk holds one
+        assert digest(stream_normals(7, range(3), 20000)) == (
+            "5cb04ec546535a482c4c2f55a928b5a36d1e90f038d1ccc327d36395693dced9"
+        )
 
 
 class TestStreamNormals:
