@@ -51,9 +51,11 @@ last, partial block, and whole blocks from K = 220; at K = 300
 ``series_root``'s blocked factor differs too.
 
 Simulated distributions can be cached in memory and on disk. The disk format
-is one JSON header line (version and spec fields) followed by the sorted
-draws as little-endian float64. A file whose version, kind or spec differs
-from the request is stale: it is re-simulated and overwritten.
+is one JSON header line (version, spec fields and the CRC-32 of the
+payload) followed by the sorted draws as little-endian float64. A file
+whose version, kind or spec differs from the request is stale, and one
+whose payload fails its checksum is damaged: either is re-simulated and
+overwritten.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import logging
 import numbers
 import os
 import weakref
+import zlib
 from collections.abc import MutableMapping
 from dataclasses import asdict, dataclass
 
@@ -79,7 +82,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 6
+FILE_VERSION = 7
 _BLOCK_NORMALS = 2**16
 # caps on a simulation: a grid point costs 24 bytes, a replication 8 (p + 3),
 # and K a K x K kernel Gram, its factor and root, 8 K^2 bytes each
@@ -288,14 +291,16 @@ def save_distribution(dist: SimulatedDistribution, path: str) -> None:
     """Write ``dist`` to a temporary file beside ``path``, then rename it
     over ``path``, so a concurrent reader sees the old file or the new one,
     never a partial one."""
-    header = {"version": FILE_VERSION, "kind": dist.kind, "redraws": dist.redraws}
+    payload = dist.draws.astype("<f8").tobytes()
+    header = {"version": FILE_VERSION, "kind": dist.kind, "redraws": dist.redraws,
+              "crc32": zlib.crc32(payload)}
     header.update(asdict(dist.spec))
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode())
             fh.write(b"\n")
-            fh.write(dist.draws.astype("<f8").tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -313,6 +318,7 @@ def load_distribution(path: str) -> SimulatedDistribution:
     try:
         kind = header.pop("kind")
         redraws = header.pop("redraws")
+        crc = header.pop("crc32")
         header.pop("version")
         spec = LimitSpec(**header)
     except (KeyError, TypeError) as exc:
@@ -320,6 +326,8 @@ def load_distribution(path: str) -> SimulatedDistribution:
     draws = np.frombuffer(payload, dtype="<f8")
     if len(draws) != spec.replications:
         raise ValueError(f"cache file {path} is truncated")
+    if zlib.crc32(payload) != crc:
+        raise ValueError(f"cache file {path} fails its checksum")
     if not (np.isfinite(draws).all() and (draws[1:] >= draws[:-1]).all()):
         raise ValueError(f"cache file {path} holds unsorted or nonfinite draws")
     return SimulatedDistribution(spec=spec, kind=kind, draws=draws, redraws=redraws)
@@ -337,8 +345,9 @@ class CriticalValueCache:
 
     Lookups hit memory first, then the cache directory (when configured),
     and only then simulate; fresh simulations are written back to disk. A
-    truncated, malformed or wrong-version file, one whose draws are not
-    finite and sorted, or one that holds another kind or spec, is logged,
+    truncated, malformed or wrong-version file, one whose payload fails its
+    checksum or whose draws are not finite and sorted, or one that holds
+    another kind or spec, is logged,
     re-simulated and overwritten. Each lookup logs its source, redraw count
     and spec at DEBUG level.
 

@@ -193,7 +193,8 @@ def _block_normals(master_seed: int, cell_id: int, reps: range, n: int) -> np.nd
     """``len(reps) x n`` innovations of replications ``reps`` of a cell,
     drawn together: row ``i`` is bitwise
     ``_rep_stream(master_seed, cell_id, reps[i]).normals(n)``."""
-    streams = [cell_id * _STREAM_CELL_STRIDE + rep for rep in reps]
+    first = cell_id * _STREAM_CELL_STRIDE
+    streams = range(first + reps.start, first + reps.stop, reps.step)
     return stream_normals(master_seed, streams, n)
 
 

@@ -2,16 +2,21 @@
 
 A stream is identified by ``(seed, stream)``. The chain is pinned end to
 end: raw 64-bit words come from a PCG64 bit generator keyed by
-``SeedSequence(seed, spawn_key=(stream,))``, uniforms take the top 53 bits
-of each word, and standard normals come from the polar (Marsaglia)
-rejection method applied to consecutive uniform pairs. Nothing in the chain depends on
-thread count or platform, so a stream's output is bit-reproducible anywhere.
+``SeedSequence(seed, spawn_key=(stream,))``; a word ``w`` is exactly
+``2 x - 1 = ((w >> 11) - 2^52) 2^-52`` for the uniform ``x`` on [0, 1) of
+its top 53 bits; and standard normals come from the polar (Marsaglia)
+rejection method. A pass of ``h`` pairs draws ``2 h`` words, the ``u`` of
+its pairs then their ``v``. Nothing in the chain depends on thread count,
+platform or how a pass is cut into pieces, so a stream's output is
+bit-reproducible anywhere.
 
 Streams are single-owner: parallel users derive their own stream ids rather
-than sharing one object. :func:`stream_normals` draws the normals of many
-streams of one seed at once: their seeding and first polar pass run on
-arrays, a row that pass leaves short continues its own stream, and each row
-is bitwise the stream's own ``normals``.
+than sharing one object. A pass runs in pieces of ``_PASS_PAIRS`` pairs, so
+its temporaries stay in cache, and each piece gathers its accepted pairs
+once. :func:`stream_normals` draws the normals of many streams of one seed
+at once: their seeding runs on arrays, their first passes are transformed a
+piece of rows at a time, a row that pass leaves short continues its own
+stream, and each row is bitwise the stream's own ``normals``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK_128 = (1 << 128) - 1
-_POLAR_ROWS = 8  # rows per array step of the first polar pass
+_PASS_PAIRS = 6144  # pairs per piece of a polar pass: 48 KB a double temporary
 
 
 def _require_integers(**values) -> None:
@@ -65,13 +70,6 @@ class RngStream:
         self.seed, self.stream = _stream_key(seed, stream)
         self._bitgen = PCG64(SeedSequence(self.seed, spawn_key=(self.stream,)))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [0, 1): top 53 bits of each raw word."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        raw = self._bitgen.random_raw(n)
-        return (raw >> np.uint64(11)) * (1.0 / (1 << 53))
-
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws by the polar rejection method.
 
@@ -86,29 +84,49 @@ class RngStream:
 
 
 def _polar_fill(bitgen: PCG64, out: np.ndarray, filled: int) -> np.ndarray:
-    """Fill ``out[filled:]`` by polar passes on ``bitgen``; return ``out``."""
+    """Fill ``out[filled:]`` by polar passes on ``bitgen``; return ``out``.
+    A pass of ``h`` pairs draws ``2 h`` words, ``u`` then ``v``, and runs in
+    pieces of ``_PASS_PAIRS`` pairs until ``out`` is full."""
     n = len(out)
     while filled < n:
-        z, _ = _polar(bitgen.random_raw(2 * _pass_words(n - filled)))
-        out[filled : filled + len(z)] = z[: n - filled]
-        filled += len(z)
+        h = _pass_words(n - filled)
+        words = bitgen.random_raw(2 * h)
+        for a in range(0, h, _PASS_PAIRS):
+            b = min(a + _PASS_PAIRS, h)
+            z, _ = _polar(words[a:b], words[h + a : h + b])
+            z = z.ravel()[: n - filled]
+            out[filled : filled + len(z)] = z
+            filled += len(z)
+            if filled == n:
+                break
     return out
 
 
-def _polar(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normals of the accepted pairs of each row of raw words, two a
-    pair, in row-major order, and the acceptance mask. A row's halves are its
-    pairs' ``u`` and ``v``, a word exactly ``2 x - 1`` for its uniform ``x``."""
-    u, v = (2.0**-52 * (w >> np.uint64(11)) - 1.0 for w in np.split(words, 2, -1))
-    del words  # so the transform's temporaries can reuse the words' memory
-    s = u * u + v * v
-    keep = (s > 0.0) & (s < 1.0)
-    s = s[keep]
-    factor = np.sqrt(-2.0 * np.log(s) / s)
-    z = np.empty((len(s), 2))
-    z[:, 0] = u[keep] * factor
-    z[:, 1] = v[keep] * factor
-    return z.ravel(), keep
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Each word's ``2 x - 1`` for its uniform ``x`` on [0, 1), the top 53
+    bits: ``((w >> 11) - 2^52) 2^-52``, exact in int64 and in the double."""
+    x = (words >> np.uint64(11)).view(np.int64)
+    x -= 1 << 52
+    return x * 2.0**-52
+
+
+def _polar(u_words: np.ndarray, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normals of the accepted pairs ``(u, v)`` of two equal-shaped word
+    arrays, as a ``(pairs, 2)`` array in row-major pair order, and the flat
+    indices of those pairs."""
+    u, v = _uniforms(u_words), _uniforms(v_words)
+    s = u * u
+    s += v * v
+    index = np.flatnonzero((s > 0.0) & (s < 1.0))
+    s, u, v = s.take(index), u.take(index), v.take(index)
+    factor = np.log(s)
+    factor *= -2.0
+    factor /= s
+    np.sqrt(factor, out=factor)
+    z = np.empty((len(index), 2))
+    np.multiply(u, factor, out=z[:, 0])
+    np.multiply(v, factor, out=z[:, 1])
+    return z, index
 
 
 def _words(value: int) -> list[int]:
@@ -185,34 +203,51 @@ def stream_normals(seed: int, streams, n: int) -> np.ndarray:
     """``(len(streams), n)`` standard normals whose row ``i`` is bitwise
     ``RngStream(seed, streams[i]).normals(n)``.
 
-    The streams are seeded together (:func:`_pcg64_states`), and each row's
-    first pass of raw words is drawn on one reused PCG64. The polar pass
-    runs on ``_POLAR_ROWS`` rows at a time, and a row keeps its first
-    ``ceil(n / 2)`` accepted pairs in order. A row that pass leaves short,
-    about 7% at ``n = 1200``, continues its own stream: its state advances
-    past the first pass, and the pass loop of ``normals`` fills the rest.
+    A ``range`` of stream ids is checked by its ends, any other iterable id
+    by id. The streams are seeded together (:func:`_pcg64_states`). The
+    first passes of ``_PASS_PAIRS // m`` rows of ``m`` pairs are drawn into
+    one reused buffer, on one reused PCG64, and transformed at once while
+    they are in cache; a row keeps its first ``ceil(n / 2)`` accepted pairs
+    in order. A row that pass leaves short, about 7% at ``n = 1200``,
+    continues its own stream: its state advances past the first pass, and
+    the pass loop of ``normals`` fills the rest. A row longer than a piece
+    runs that loop from its start.
     """
     seed, _ = _stream_key(seed, 0)
-    streams = [_stream_key(seed, stream)[1] for stream in streams]
+    if isinstance(streams, range):
+        if streams and min(streams[0], streams[-1]) < 0:
+            _stream_key(seed, min(streams[0], streams[-1]))
+    else:
+        streams = [_stream_key(seed, stream)[1] for stream in streams]
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = _pass_words(n)
     states = _pcg64_states(seed, streams)
-    raw = np.empty((len(streams), 2 * m), dtype=np.uint64)
+    out = np.empty((len(states), n))
     bitgen = PCG64(0)
-    for row, state in enumerate(states):
-        bitgen.state = state
-        raw[row] = bitgen.random_raw(2 * m)
-    out = np.empty((len(streams), n))
-    for lo in range(0, len(streams), _POLAR_ROWS):
-        z, keep = _polar(raw[lo : lo + _POLAR_ROWS])
+    rows = _PASS_PAIRS // m
+    if rows == 0:
+        for row, state in enumerate(states):
+            bitgen.state = state
+            _polar_fill(bitgen, out[row], 0)
+        return out
+    words = np.empty((min(rows, len(states)), 2 * m), dtype=np.uint64)
+    for lo in range(0, len(states), rows):
+        chunk = states[lo : lo + rows]
+        for i, state in enumerate(chunk):
+            bitgen.state = state
+            words[i] = bitgen.random_raw(2 * m)
+        z, index = _polar(words[: len(chunk), :m], words[: len(chunk), m:])
+        z = z.ravel()
+        # each row's accepted pairs end where the next row's indices begin
+        ends = np.searchsorted(index, m * np.arange(1, len(chunk) + 1)).tolist()
         start = 0
-        for row, accepted in enumerate(keep.sum(axis=1).tolist(), lo):
-            filled = min(2 * accepted, n)
-            out[row, :filled] = z[start : start + filled]
+        for row, end in enumerate(ends, lo):
+            filled = min(2 * (end - start), n)
+            out[row, :filled] = z[2 * start : 2 * start + filled]
             if filled < n:
                 bitgen.state = states[row]
                 bitgen.advance(2 * m)
                 _polar_fill(bitgen, out[row], filled)
-            start += 2 * accepted
+            start = end
     return out

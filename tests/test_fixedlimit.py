@@ -530,7 +530,7 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", [
         "payload", "header", "version", "field", "not-an-object", "sign-flip",
-        "nan-draw",
+        "nan-draw", "low-bit-flip",
     ])
     def test_damaged_file_is_resimulated(self, tmp_path, caplog, damage):
         spec = small_spec()
@@ -552,6 +552,12 @@ class TestCache:
             at = len(draws) * 95 // 100
             draws[at] = -draws[at] if damage == "sign-flip" else np.nan
             damaged = header + b"\n" + draws.tobytes()
+        elif damage == "low-bit-flip":
+            # the low bit of draw 950's lowest mantissa byte: the draws stay
+            # finite and sorted, and only the checksum sees the damage
+            flipped = bytearray(payload)
+            flipped[950 * 8] ^= 1
+            damaged = header + b"\n" + bytes(flipped)
         else:
             fields = json.loads(header)
             if damage == "version":

@@ -564,9 +564,16 @@ class TestRngStream:
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) <= 0.01
 
-    def test_uniform_range(self):
-        u = RngStream(4, 2).uniforms(10_000)
-        assert u.min() >= 0.0 and u.max() < 1.0
+    def test_polar_maps_words_by_the_documented_chain(self):
+        # words 0, 2^11 - 1, 2^63 and 2^64 - 1 are u = -1, -1, 0 and
+        # 1 - 2^-52 exactly: beside v = 0, the first three fall on the
+        # rejected s = 1 and s = 0, and the last is kept with its own factor
+        words = np.array([0, 2**11 - 1, 2**63, 2**64 - 1], np.uint64)
+        z, index = rng._polar(words, np.full(4, 2**63, np.uint64))
+        u = 1.0 - 2.0**-52
+        factor = np.sqrt(-2.0 * np.log(u * u) / (u * u))
+        assert index.tolist() == [3]
+        assert z.tolist() == [[u * factor, 0.0]]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -671,6 +678,25 @@ class TestStreamNormals:
             monkeypatch.undo()
             assert got.shape == (64, n) and got.tobytes() == ref.tobytes(), n
         assert continued[7] == 0 and continued[1200] > 0, continued
+
+    @pytest.mark.parametrize("pairs", [1, 7, 785, 10**6])
+    def test_piece_size_is_a_pure_performance_choice(self, monkeypatch, pairs):
+        # 3 blocks and one limit draw per piece size, about 4 s at 1 pair
+        streams = range(2**32 - 32, 2**32 + 32)
+        blocks = {n: stream_normals(2**32 + 1, streams, n) for n in (7, 1200, 1201)}
+        limit = RngStream(5, 1).normals(65536)
+        monkeypatch.setattr(rng, "_PASS_PAIRS", pairs)
+        for n, block in blocks.items():
+            assert stream_normals(2**32 + 1, streams, n).tobytes() == block.tobytes()
+        assert RngStream(5, 1).normals(65536).tobytes() == limit.tobytes()
+
+    @pytest.mark.parametrize("streams", [
+        range(-1, 3), range(2, -2, -1), [0, True], (0, 1.0),
+    ], ids=repr)
+    def test_refuses_a_range_or_list_that_holds_no_stream(self, streams):
+        # a range is checked by its ends, any other iterable id by id
+        with pytest.raises(ValueError):
+            stream_normals(1, streams, 10)
 
     def test_no_streams_or_no_normals(self):
         assert stream_normals(3, [], 5).shape == (0, 5)
