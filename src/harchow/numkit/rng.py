@@ -205,32 +205,25 @@ def stream_normals(seed: int, streams, n: int) -> np.ndarray:
 
     A ``range`` of stream ids is checked by its ends, any other iterable id
     by id. The streams are seeded together (:func:`_pcg64_states`). The
-    first passes of ``_PASS_PAIRS // m`` rows of ``m`` pairs are drawn into
-    one reused buffer, on one reused PCG64, and transformed at once while
+    first passes of ``max(1, _PASS_PAIRS // m)`` rows of ``m`` pairs are
+    drawn into one reused buffer, on one reused PCG64, and transformed at once while
     they are in cache; a row keeps its first ``ceil(n / 2)`` accepted pairs
     in order. A row that pass leaves short, about 7% at ``n = 1200``,
     continues its own stream: its state advances past the first pass, and
-    the pass loop of ``normals`` fills the rest. A row longer than a piece
-    runs that loop from its start.
+    the pass loop of ``normals`` fills the rest.
     """
     seed, _ = _stream_key(seed, 0)
-    if isinstance(streams, range):
-        if streams and min(streams[0], streams[-1]) < 0:
-            _stream_key(seed, min(streams[0], streams[-1]))
-    else:
+    if not isinstance(streams, range):
         streams = [_stream_key(seed, stream)[1] for stream in streams]
+    elif streams:  # a range's ids are ints between its ends
+        _stream_key(seed, min(streams[0], streams[-1]))
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = _pass_words(n)
     states = _pcg64_states(seed, streams)
     out = np.empty((len(states), n))
     bitgen = PCG64(0)
-    rows = _PASS_PAIRS // m
-    if rows == 0:
-        for row, state in enumerate(states):
-            bitgen.state = state
-            _polar_fill(bitgen, out[row], 0)
-        return out
+    rows = max(1, _PASS_PAIRS // m)
     words = np.empty((min(rows, len(states)), 2 * m), dtype=np.uint64)
     for lo in range(0, len(states), rows):
         chunk = states[lo : lo + rows]

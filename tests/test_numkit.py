@@ -681,7 +681,7 @@ class TestStreamNormals:
 
     @pytest.mark.parametrize("pairs", [1, 7, 785, 10**6])
     def test_piece_size_is_a_pure_performance_choice(self, monkeypatch, pairs):
-        # 3 blocks and one limit draw per piece size, about 4 s at 1 pair
+        # 3 blocks and one limit draw per piece size, about 1 s at 1 pair
         streams = range(2**32 - 32, 2**32 + 32)
         blocks = {n: stream_normals(2**32 + 1, streams, n) for n in (7, 1200, 1201)}
         limit = RngStream(5, 1).normals(65536)
