@@ -102,7 +102,7 @@ def _polar_fill(bitgen: PCG64, out: np.ndarray, filled: int) -> np.ndarray:
     return out
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
+def _signed_uniforms(words: np.ndarray) -> np.ndarray:
     """Each word's ``2 x - 1`` for its uniform ``x`` on [0, 1), the top 53
     bits: ``((w >> 11) - 2^52) 2^-52``, exact in int64 and in the double."""
     x = (words >> np.uint64(11)).view(np.int64)
@@ -113,8 +113,9 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 def _polar(u_words: np.ndarray, v_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The normals of the accepted pairs ``(u, v)`` of two equal-shaped word
     arrays, as a ``(pairs, 2)`` array in row-major pair order, and the flat
-    indices of those pairs."""
-    u, v = _uniforms(u_words), _uniforms(v_words)
+    indices of those pairs. A pair is accepted when ``0 < s < 1`` for
+    ``s = u^2 + v^2``, and gives ``(u, v) sqrt(-2 log(s) / s)``."""
+    u, v = _signed_uniforms(u_words), _signed_uniforms(v_words)
     s = u * u
     s += v * v
     index = np.flatnonzero((s > 0.0) & (s < 1.0))
