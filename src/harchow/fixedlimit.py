@@ -347,9 +347,8 @@ class CriticalValueCache:
     and only then simulate; fresh simulations are written back to disk. A
     truncated, malformed or wrong-version file, one whose payload fails its
     checksum or whose draws are not finite and sorted, or one that holds
-    another kind or spec, is logged,
-    re-simulated and overwritten. Each lookup logs its source, redraw count
-    and spec at DEBUG level.
+    another kind or spec, is logged, re-simulated and overwritten. Each
+    lookup logs its source, redraw count and spec at DEBUG level.
 
     Memory holds no second copy of what the directory holds: with a
     directory, a distribution stays in memory while a caller holds it and is

@@ -207,11 +207,11 @@ def stream_normals(seed: int, streams, n: int) -> np.ndarray:
     A ``range`` of stream ids is checked by its ends, any other iterable id
     by id. The streams are seeded together (:func:`_pcg64_states`). The
     first passes of ``max(1, _PASS_PAIRS // m)`` rows of ``m`` pairs are
-    drawn into one reused buffer, on one reused PCG64, and transformed at once while
-    they are in cache; a row keeps its first ``ceil(n / 2)`` accepted pairs
-    in order. A row that pass leaves short, about 7% at ``n = 1200``,
-    continues its own stream: its state advances past the first pass, and
-    the pass loop of ``normals`` fills the rest.
+    drawn into one reused buffer, on one reused PCG64, and transformed at
+    once while they are in cache; a row keeps its first ``ceil(n / 2)``
+    accepted pairs in order. A row that pass leaves short, about 7% at
+    ``n = 1200``, continues its own stream: its state advances past the
+    first pass, and the pass loop of ``normals`` fills the rest.
     """
     seed, _ = _stream_key(seed, 0)
     if not isinstance(streams, range):
