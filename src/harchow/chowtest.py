@@ -150,13 +150,14 @@ def _k_policy(k, t: int, grid: bool = False) -> str | list[int]:
     ``1..T-2``."""
     if isinstance(k, str) and k == "auto":
         return "auto"
-    values = list(k) if grid and np.ndim(k) else [k]
+    many = grid and np.ndim(k) > 0
+    values = list(k) if many else [k]
     if not values:
         raise ValueError("no K values requested")
     for v in values:
         if not (isinstance(v, numbers.Integral)
                 or isinstance(v, numbers.Real) and float(v).is_integer()):
-            what = "K grid points must be integers" if grid else "need an integer K"
+            what = "K grid points must be integers" if many else "need an integer K"
             raise ValueError(f"{what} or 'auto', got {v!r}")
     ks = [int(v) for v in values]
     bad = [v for v in ks if not 1 <= v <= t - 2]

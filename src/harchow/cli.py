@@ -261,6 +261,8 @@ def _spec(args, rho: float, psi: float) -> mcstudy.DgpSpec:
 def _parse_cells(args) -> list[mcstudy.DgpSpec]:
     if args.preset == "table1":
         grid = mcstudy.TABLE1_GRID
+    elif args.preset == "figure":
+        grid = [(args.rho, args.psi)]
     else:
         cells = [cell.partition(":") for cell in (args.cells or "").split(",") if cell]
         grid = [(float(rho), float(psi or 0.0)) for rho, _, psi in cells]
@@ -270,19 +272,14 @@ def _parse_cells(args) -> list[mcstudy.DgpSpec]:
 
 
 def cmd_mc_size(args) -> int:
-    variants = tuple(args.variants.split(","))
-    common = dict(
-        reps=args.reps, master_seed=args.seed, alpha=args.alpha, workers=args.workers,
+    specs = _parse_cells(args)
+    k = _parse_range(args.k_grid, args.T - 2) if args.preset == "figure" else args.k
+    results = mcstudy.size_experiment(
+        specs, tuple(args.variants.split(",")), k, reps=args.reps,
+        master_seed=args.seed, alpha=args.alpha, workers=args.workers,
         cv_cache=fixedlimit.CriticalValueCache(_cache_dir(args)),
         cv_seed=args.cv_seed, cv_replications=args.cv_reps, cv_grid=args.cv_grid,
     )
-    if args.preset == "figure":
-        spec = _spec(args, args.rho, args.psi)
-        k_values = _parse_range(args.k_grid, max_points=args.T - 2)
-        results = mcstudy.k_grid_experiment(spec, k_values, variants, **common)
-    else:
-        specs = _parse_cells(args)
-        results = mcstudy.size_experiment(specs, variants, args.k, **common)
     _emit(mcstudy.size_table_csv(results), args.out)
     return 0
 

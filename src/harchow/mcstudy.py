@@ -367,36 +367,6 @@ def _rejections(
     return reject, k_used
 
 
-def _size_rows(
-    spec: DgpSpec, cell_id: int, k_policy, variants: tuple[str, ...], reps: int,
-    master_seed: int, workers: int, references,
-) -> list[ExperimentResult]:
-    """Rejection frequency per (K grid point, variant) of one cell, each row
-    labelled by its K or by ``auto``."""
-    stats = _run_cell(
-        spec, master_seed, cell_id, reps, k_policy, (spec.delta,), variants, workers
-    )
-    ok = ~stats.failed
-    n_ok = int(ok.sum())
-    results = []
-    labels = ["auto"] if k_policy == "auto" else map(str, k_policy)
-    for k_idx, label in enumerate(labels):
-        for variant in variants:
-            reject, k_used = _rejections(
-                chowtest.VARIANTS[variant], stats, spec.lam, (ok, 0, k_idx),
-                references,
-            )
-            rate = float(reject.sum() / n_ok) if n_ok else float("nan")
-            mc_se = float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0
-            ave_k = float(k_used.mean()) if n_ok else 0.0
-            results.append(ExperimentResult(
-                t=spec.t, rho=spec.rho, psi=spec.psi, delta=spec.delta,
-                variant=variant, k_policy=label, reps=reps, rejection=rate,
-                mc_se=mc_se, ave_k=ave_k, failures=reps - n_ok,
-            ))
-    return results
-
-
 def _study_policy(k_policy, t: int, variants, alpha: float, grid: bool = False):
     """The parsed K policy of a study, once its inputs are checked before
     any replication runs: F variants only, a level in (0, 1), and every
@@ -443,7 +413,7 @@ def _references(
 def size_experiment(
     specs: list[DgpSpec],
     variants: tuple[str, ...] = F_VARIANTS,
-    k_policy: int | str = "auto",
+    k_policy: int | str | tuple[int, ...] = "auto",
     reps: int = 2000,
     master_seed: int = 0,
     alpha: float = 0.05,
@@ -453,21 +423,40 @@ def size_experiment(
     cv_replications: int = 10_000,
     cv_grid: int = 1000,
 ) -> list[ExperimentResult]:
-    """Null rejection probability per (cell, variant) at one K policy."""
-    if reps < 500:
-        raise ValueError("need at least 500 replications")
+    """Null rejection probability per (cell, K, variant), in that order, at
+    ``"auto"``, one K or a K grid; each row is labelled by its K or ``auto``.
+    Inputs are checked before the first replication runs; the cell engine
+    refuses fewer than one replication, as in every study."""
     if not specs:
         raise ValueError("no cells requested")
-    policy = _study_policy(k_policy, min(s.t for s in specs), variants, alpha)
+    t_min = min(s.t for s in specs)
+    policy = _study_policy(k_policy, t_min, variants, alpha, grid=True)
     references = _references(
         variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid,
         max(s.t for s in specs),
     )
+    labels = ["auto"] if policy == "auto" else [str(k) for k in policy]
     results = []
     for cell_id, spec in enumerate(specs):
-        results += _size_rows(
-            spec, cell_id, policy, variants, reps, master_seed, workers, references
+        stats = _run_cell(
+            spec, master_seed, cell_id, reps, policy, (spec.delta,), variants, workers
         )
+        ok = ~stats.failed
+        n_ok = int(ok.sum())
+        for k_idx, label in enumerate(labels):
+            for variant in variants:
+                reject, k_used = _rejections(
+                    chowtest.VARIANTS[variant], stats, spec.lam, (ok, 0, k_idx),
+                    references,
+                )
+                rate = float(reject.sum() / n_ok) if n_ok else float("nan")
+                mc_se = float(np.sqrt(rate * (1.0 - rate) / n_ok)) if n_ok else 0.0
+                ave_k = float(k_used.mean()) if n_ok else 0.0
+                results.append(ExperimentResult(
+                    t=spec.t, rho=spec.rho, psi=spec.psi, delta=spec.delta,
+                    variant=variant, k_policy=label, reps=reps, rejection=rate,
+                    mc_se=mc_se, ave_k=ave_k, failures=reps - n_ok,
+                ))
     return results
 
 
@@ -484,13 +473,13 @@ def k_grid_experiment(
     cv_replications: int = 10_000,
     cv_grid: int = 1000,
 ) -> list[ExperimentResult]:
-    """Rejection frequency across a fixed grid of K values (figure layout)."""
-    policy = _study_policy(k_values, spec.t, variants, alpha, grid=True)
-    references = _references(
-        variants, policy, alpha, cv_cache, cv_seed, cv_replications, cv_grid,
-        spec.t,
+    """Rejection frequency across a fixed grid of K values (figure layout):
+    the size study of one cell at that grid."""
+    return size_experiment(
+        [spec], variants, k_values, reps=reps, master_seed=master_seed, alpha=alpha,
+        workers=workers, cv_cache=cv_cache, cv_seed=cv_seed,
+        cv_replications=cv_replications, cv_grid=cv_grid,
     )
-    return _size_rows(spec, 0, policy, variants, reps, master_seed, workers, references)
 
 
 def power_experiment(

@@ -515,14 +515,35 @@ class TestSizeExperiment:
             k_grid_experiment(spec, (4,), ("f-transformed",), reps=500, alpha=alpha)
 
     def test_validation(self):
+        spec = DgpSpec(t=60, rho=0.0)
         with pytest.raises(ValueError):
             size_experiment([], reps=500)
         with pytest.raises(ValueError):
-            size_experiment([DgpSpec(t=60, rho=0.0)], reps=100)
-        with pytest.raises(ValueError):
-            size_experiment(
-                [DgpSpec(t=60, rho=0.0)], ("t-transformed",), reps=500
-            )
+            size_experiment([spec], ("t-transformed",), reps=500)
+        # one replication rule for every study: 100 replications run, and
+        # fewer than one are refused
+        [row] = size_experiment([spec], ("f-transformed",), 4, reps=100)
+        assert row.reps == 100 and row.failures == 0
+        for reps in (0, -1):
+            for study in (
+                lambda: size_experiment([spec], ("f-transformed",), 4, reps=reps),
+                lambda: k_grid_experiment(spec, (4,), ("f-transformed",), reps=reps),
+                lambda: power_experiment(spec, (0.0, 0.5), 4, reps=reps),
+            ):
+                with pytest.raises(ValueError, match="at least one replication"):
+                    study()
+
+    def test_a_k_grid_lists_cells_then_ks_then_variants(self):
+        specs = [DgpSpec(t=60, rho=0.3), DgpSpec(t=80, rho=0.6, psi=0.3)]
+        variants, ks = ("chisq-fourier", "f-transformed"), (4, 8, 12)
+        study = partial(size_experiment, variants=variants, k_policy=ks, reps=128,
+                        master_seed=7)
+        rows = study(specs)
+        assert [(r.t, r.rho, r.psi, r.k_policy, r.variant) for r in rows] == [
+            (s.t, s.rho, s.psi, str(k), v) for s in specs for k in ks for v in variants
+        ]
+        assert rows[: len(ks) * len(variants)] == study(specs[:1])
+        assert [r.ave_k for r in rows] == [k for _ in specs for k in ks for _ in variants]
 
 
 class TestPowerExperiment:
@@ -844,6 +865,20 @@ class TestPinnedTables:
             cv_replications=1000, cv_grid=150,
         )
         assert size_table_csv(results) == PINNED_K_GRID_CSV
+
+    def test_a_size_study_at_a_k_grid_is_the_k_grid_study(self):
+        variants = ("chisq-fourier", "nonstandard-fourier", "f-transformed")
+        settings = dict(reps=500, master_seed=23, cv_replications=1000, cv_grid=150)
+        spec = DgpSpec(t=60, rho=0.3)
+        tables = [
+            size_table_csv(size_experiment(
+                [spec], variants, (4, 8, 16), cv_cache=CriticalValueCache(), **settings
+            )),
+            size_table_csv(k_grid_experiment(
+                spec, (4, 8, 16), variants, cv_cache=CriticalValueCache(), **settings
+            )),
+        ]
+        assert tables == [PINNED_K_GRID_CSV, PINNED_K_GRID_CSV]
 
     @pytest.mark.parametrize("k_policy, pinned", [
         ("auto", PINNED_POWER_AUTO_K_CSV), (8, PINNED_POWER_K8_CSV),
