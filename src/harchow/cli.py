@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -230,6 +231,9 @@ def cmd_simulate_cv(args) -> int:
         replications=args.reps,
         seed=args.seed,
     )
+    other_spec = None
+    if args.convergence_grid:  # checked before the first law is simulated
+        other_spec = dataclasses.replace(spec, grid_n=args.convergence_grid)
     directory = _cache_dir(args) or "harchow-cache"
     cache = fixedlimit.CriticalValueCache(directory)
     dist = cache.get(spec, args.kind)
@@ -237,12 +241,8 @@ def cmd_simulate_cv(args) -> int:
     print("alpha  critical value")
     for alpha in (0.10, 0.05, 0.01):
         print(f"{alpha:.2f}   {fixedlimit.critical_value(dist, alpha):.6f}")
-    if args.convergence_grid:
-        import dataclasses
-
-        other = cache.get(
-            dataclasses.replace(spec, grid_n=args.convergence_grid), args.kind
-        )
+    if other_spec:
+        other = cache.get(other_spec, args.kind)
         print(f"grid convergence check against n={args.convergence_grid}:")
         for alpha in (0.10, 0.05, 0.01):
             a = fixedlimit.critical_value(dist, alpha)
@@ -259,6 +259,13 @@ def _spec(args, rho: float, psi: float) -> mcstudy.DgpSpec:
 
 
 def _parse_cells(args) -> list[mcstudy.DgpSpec]:
+    """The cells of ``mc-size``'s layout: the table-1 grid, the ``--cells``
+    pairs, or the figure preset's one ``--rho:--psi`` cell. ``--cells`` with
+    a preset, and a fixed ``--k`` with the figure's K grid, are refused."""
+    if args.preset and args.cells is not None:
+        raise ValueError("--preset and --cells both name the cells: give one")
+    if args.preset == "figure" and args.k != "auto":
+        raise ValueError("--preset figure takes its K values from --k-grid, not --k")
     if args.preset == "table1":
         grid = mcstudy.TABLE1_GRID
     elif args.preset == "figure":

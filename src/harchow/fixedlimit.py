@@ -51,10 +51,11 @@ last, partial block, and whole blocks from K = 220; at K = 300
 ``series_root``'s blocked factor differs too.
 
 Simulated distributions can be cached in memory and on disk. The disk format
-is one JSON header line (version, spec fields and the CRC-32 of the
-payload) followed by the sorted draws as little-endian float64. A file
-whose version, kind or spec differs from the request is stale, and one
-whose payload fails its checksum is damaged: either is re-simulated and
+is one JSON header line (version, kind, redraw count, spec fields and a
+CRC-32) followed by the sorted draws as little-endian float64. The CRC-32
+covers the canonical JSON of the header's other fields, then the payload.
+A file whose version, kind or spec differs from the request is stale, and
+one that fails its checksum is damaged: either is re-simulated and
 overwritten.
 """
 
@@ -82,7 +83,7 @@ SCALED_F_INF = "scaled_F_inf"
 T_STAR_INF = "t_star_inf"
 KINDS = (F_INF, F_STAR_INF, SCALED_F_INF, T_STAR_INF)
 
-FILE_VERSION = 7
+FILE_VERSION = 8
 _BLOCK_NORMALS = 2**16
 # caps on a simulation: a grid point costs 24 bytes, a replication 8 (p + 3),
 # and K a K x K kernel Gram, its factor and root, 8 K^2 bytes each
@@ -287,14 +288,20 @@ def _cache_filename(spec: LimitSpec, kind: str) -> str:
     )
 
 
+def _checksum(fields: dict, payload: bytes) -> int:
+    """CRC-32 of a cache file's header fields, as canonical JSON, then of
+    its payload: a header that parses to other values fails it too."""
+    return zlib.crc32(payload, zlib.crc32(json.dumps(fields, sort_keys=True).encode()))
+
+
 def save_distribution(dist: SimulatedDistribution, path: str) -> None:
     """Write ``dist`` to a temporary file beside ``path``, then rename it
     over ``path``, so a concurrent reader sees the old file or the new one,
     never a partial one."""
     payload = dist.draws.astype("<f8").tobytes()
-    header = {"version": FILE_VERSION, "kind": dist.kind, "redraws": dist.redraws,
-              "crc32": zlib.crc32(payload)}
+    header = {"version": FILE_VERSION, "kind": dist.kind, "redraws": dist.redraws}
     header.update(asdict(dist.spec))
+    header["crc32"] = _checksum(header, payload)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -315,10 +322,11 @@ def load_distribution(path: str) -> SimulatedDistribution:
         raise ValueError(f"malformed header in cache file {path}: not an object")
     if header.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported cache version in {path}")
+    if header.pop("crc32", None) != _checksum(header, payload):
+        raise ValueError(f"cache file {path} fails its checksum")
     try:
         kind = header.pop("kind")
         redraws = header.pop("redraws")
-        crc = header.pop("crc32")
         header.pop("version")
         spec = LimitSpec(**header)
     except (KeyError, TypeError) as exc:
@@ -326,8 +334,6 @@ def load_distribution(path: str) -> SimulatedDistribution:
     draws = np.frombuffer(payload, dtype="<f8")
     if len(draws) != spec.replications:
         raise ValueError(f"cache file {path} is truncated")
-    if zlib.crc32(payload) != crc:
-        raise ValueError(f"cache file {path} fails its checksum")
     if not (np.isfinite(draws).all() and (draws[1:] >= draws[:-1]).all()):
         raise ValueError(f"cache file {path} holds unsorted or nonfinite draws")
     return SimulatedDistribution(spec=spec, kind=kind, draws=draws, redraws=redraws)

@@ -685,6 +685,40 @@ class TestStudyFrontEnd:
         assert code == 2
         assert "need finite rho, psi and delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--preset", "table1", "--cells", "0.3:0"],
+         "--preset and --cells both name the cells: give one"),
+        (["--preset", "figure", "--cells", "0.3:0"],
+         "--preset and --cells both name the cells: give one"),
+        (["--preset", "figure", "--k", "8", "--k-grid", "4:4:1"],
+         "--preset figure takes its K values from --k-grid, not --k"),
+    ])
+    def test_mc_size_refuses_an_option_its_layout_ignores(
+        self, args, message, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.mcstudy, "_run_cell", _no_replications)
+        code = cli.main(["mc-size", "--T", "60", "--reps", "100"] + args)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
+    @pytest.mark.parametrize("k, grid, message", [
+        ("40", "50", "need 100..1000000 grid points, got 50"),
+        ("120", "100",
+         "need K <= n - 2 = 98 on the simulation grid of n = 100 points, got K=120"),
+    ])
+    def test_convergence_grid_is_checked_before_the_first_law(
+        self, k, grid, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.fixedlimit, "simulate_limit", _no_replications)
+        cache = tmp_path / "cache"
+        code = cli.main([
+            "simulate-cv", "--p", "2", "--k", k, "--lambda", "0.4", "--reps", "200000",
+            "--cache-dir", str(cache), "--convergence-grid", grid,
+        ])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        assert not cache.exists()
+
     def test_shared_options_keep_their_defaults(self):
         parser = cli.build_parser()
         size = parser.parse_args(["mc-size", "--T", "60"])

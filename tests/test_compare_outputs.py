@@ -17,7 +17,7 @@ def test_quick_comparison_of_a_tree_with_itself_passes():
     assert done.returncode == 0, done.stdout + done.stderr
     assert "DIFFERS" not in done.stdout
     assert done.stdout.rstrip().endswith("non-float field differs")
-    assert "4 study CSVs compared byte for byte" in done.stdout
+    assert "6 study CSVs compared byte for byte" in done.stdout
     # the call without --lambda, and the one at K = 1 on two regressors
     assert "35 run, 2 refused" in done.stdout
 

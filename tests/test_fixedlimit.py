@@ -530,7 +530,7 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", [
         "payload", "header", "version", "field", "not-an-object", "sign-flip",
-        "nan-draw", "low-bit-flip",
+        "nan-draw", "low-bit-flip", "redraws-digit",
     ])
     def test_damaged_file_is_resimulated(self, tmp_path, caplog, damage):
         spec = small_spec()
@@ -558,6 +558,11 @@ class TestCache:
             flipped = bytearray(payload)
             flipped[950 * 8] ^= 1
             damaged = header + b"\n" + bytes(flipped)
+        elif damage == "redraws-digit":
+            # the header still parses, with another redraw count; only the
+            # checksum over the header's fields sees it
+            assert b'"redraws": 0,' in header
+            damaged = header.replace(b'"redraws": 0,', b'"redraws": 7,') + b"\n" + payload
         else:
             fields = json.loads(header)
             if damage == "version":
@@ -569,7 +574,9 @@ class TestCache:
             fh.write(damaged)
         with caplog.at_level(logging.WARNING, logger="harchow.fixedlimit"):
             dist = CriticalValueCache(str(tmp_path)).get(spec, F_STAR_INF)
-        assert np.array_equal(dist.draws, simulate_limit(spec, F_STAR_INF).draws)
+        fresh = simulate_limit(spec, F_STAR_INF)
+        assert np.array_equal(dist.draws, fresh.draws)
+        assert dist.redraws == fresh.redraws
         assert name in caplog.text
         # the damaged file was overwritten and no temporary file is left
         assert os.listdir(tmp_path) == [name]

@@ -543,7 +543,8 @@ class TestSizeExperiment:
             (s.t, s.rho, s.psi, str(k), v) for s in specs for k in ks for v in variants
         ]
         assert rows[: len(ks) * len(variants)] == study(specs[:1])
-        assert [r.ave_k for r in rows] == [k for _ in specs for k in ks for _ in variants]
+        # a fixed K below T - 2 is used as given
+        assert [r.ave_k for r in rows] == [k for s in specs for k in ks for v in variants]
 
 
 class TestPowerExperiment:
@@ -867,18 +868,14 @@ class TestPinnedTables:
         assert size_table_csv(results) == PINNED_K_GRID_CSV
 
     def test_a_size_study_at_a_k_grid_is_the_k_grid_study(self):
-        variants = ("chisq-fourier", "nonstandard-fourier", "f-transformed")
-        settings = dict(reps=500, master_seed=23, cv_replications=1000, cv_grid=150)
-        spec = DgpSpec(t=60, rho=0.3)
-        tables = [
-            size_table_csv(size_experiment(
-                [spec], variants, (4, 8, 16), cv_cache=CriticalValueCache(), **settings
-            )),
-            size_table_csv(k_grid_experiment(
-                spec, (4, 8, 16), variants, cv_cache=CriticalValueCache(), **settings
-            )),
-        ]
-        assert tables == [PINNED_K_GRID_CSV, PINNED_K_GRID_CSV]
+        # the inputs of the K-grid table above, through size_experiment
+        results = size_experiment(
+            [DgpSpec(t=60, rho=0.3)],
+            ("chisq-fourier", "nonstandard-fourier", "f-transformed"), (4, 8, 16),
+            reps=500, master_seed=23, cv_cache=CriticalValueCache(),
+            cv_replications=1000, cv_grid=150,
+        )
+        assert size_table_csv(results) == PINNED_K_GRID_CSV
 
     @pytest.mark.parametrize("k_policy, pinned", [
         ("auto", PINNED_POWER_AUTO_K_CSV), (8, PINNED_POWER_K8_CSV),

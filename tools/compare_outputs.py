@@ -24,8 +24,9 @@ work through ``harchow.cli.main``:
 It prints the largest relative difference of every numeric report field,
 and exits 1 if any CSV byte, exit code, or non-float report field (``k``,
 ``k_requested``, ``reject``, ``reference``, ``redraws``, ...) differs.
-``--quick`` runs a few reports, laws and small studies, to check the tool
-itself in seconds.
+``--quick`` runs a few reports, laws and small studies (a table cell, the
+K-grid figure preset and a power curve), to check the tool itself in
+seconds.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ QUICK_STUDIES = (
     ("size-cell", ["mc-size", "--cells", "0.6:0", "--T", "100", "--reps", "500",
                    "--variants", "chisq-fourier,f-transformed"]),
     ("power-100-k8", STUDIES[5][1] + ["--reps", "40"]),
+    ("size-figure", ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "4:8:4",
+                     "--reps", "500", "--variants", "chisq-fourier,f-transformed"]),
 )
 
 
