@@ -115,8 +115,9 @@ def _read_csv_rows(path: str, names: list[str]) -> dict[str, np.ndarray]:
 
 def _parse_k(text: str):
     """``--k`` as given: an int or a float where the text reads as one, else
-    the text. The library's K policy (``chowtest._k_policy``) accepts it or
-    refuses it with a validation error."""
+    the text. ``mc-size`` reads a text holding ``:`` as a K grid
+    (:func:`_parse_range`); the library's K policy (``chowtest._k_policy``)
+    accepts the rest or refuses it with a validation error."""
     for number in (int, float):
         try:
             return number(text)
@@ -232,7 +233,7 @@ def cmd_simulate_cv(args) -> int:
         seed=args.seed,
     )
     other_spec = None
-    if args.convergence_grid:  # checked before the first law is simulated
+    if args.convergence_grid is not None:  # checked before the first law is simulated
         other_spec = dataclasses.replace(spec, grid_n=args.convergence_grid)
     directory = _cache_dir(args) or "harchow-cache"
     cache = fixedlimit.CriticalValueCache(directory)
@@ -259,17 +260,9 @@ def _spec(args, rho: float, psi: float) -> mcstudy.DgpSpec:
 
 
 def _parse_cells(args) -> list[mcstudy.DgpSpec]:
-    """The cells of ``mc-size``'s layout: the table-1 grid, the ``--cells``
-    pairs, or the figure preset's one ``--rho:--psi`` cell. ``--cells`` with
-    a preset, and a fixed ``--k`` with the figure's K grid, are refused."""
-    if args.preset and args.cells is not None:
-        raise ValueError("--preset and --cells both name the cells: give one")
-    if args.preset == "figure" and args.k != "auto":
-        raise ValueError("--preset figure takes its K values from --k-grid, not --k")
+    """The cells of ``mc-size``: the table-1 grid or the ``--cells`` pairs."""
     if args.preset == "table1":
         grid = mcstudy.TABLE1_GRID
-    elif args.preset == "figure":
-        grid = [(args.rho, args.psi)]
     else:
         cells = [cell.partition(":") for cell in (args.cells or "").split(",") if cell]
         grid = [(float(rho), float(psi or 0.0)) for rho, _, psi in cells]
@@ -280,7 +273,7 @@ def _parse_cells(args) -> list[mcstudy.DgpSpec]:
 
 def cmd_mc_size(args) -> int:
     specs = _parse_cells(args)
-    k = _parse_range(args.k_grid, args.T - 2) if args.preset == "figure" else args.k
+    k = _parse_range(args.k, args.T - 2) if ":" in str(args.k) else args.k
     results = mcstudy.size_experiment(
         specs, tuple(args.variants.split(",")), k, reps=args.reps,
         master_seed=args.seed, alpha=args.alpha, workers=args.workers,
@@ -301,12 +294,9 @@ def cmd_mc_power(args) -> int:
     return 0
 
 
-def _study_options(parser, rho: float, note: str | None) -> None:
-    """The options ``mc-size`` and ``mc-power`` share; ``note`` is the help
-    of ``--rho`` and ``--psi``."""
+def _study_options(parser) -> None:
+    """The options ``mc-size`` and ``mc-power`` share."""
     parser.add_argument("--T", type=int, required=True)
-    parser.add_argument("--rho", type=float, default=rho, help=note)
-    parser.add_argument("--psi", type=float, default=0.0, help=note)
     parser.add_argument("--lambda", dest="break_fraction", type=float, default=0.4)
     parser.add_argument("--k", type=_parse_k, default="auto")
     parser.add_argument("--reps", type=int, default=2000)
@@ -379,13 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.set_defaults(func=cmd_simulate_cv)
 
-    size = sub.add_parser("mc-size", help="null rejection study")
-    _study_options(size, rho=0.0, note="figure preset only")
-    size.add_argument("--preset", choices=["table1", "figure"], default=None)
-    size.add_argument("--cells", default=None, help="rho:psi pairs, comma separated")
-    size.add_argument(
-        "--k-grid", default="2:20:2", help="figure preset K grid start:stop:step"
-    )
+    size = sub.add_parser("mc-size", help="null rejection study",
+                          description="--k: auto, one K or a start:stop:step K grid")
+    _study_options(size)
+    cells = size.add_mutually_exclusive_group()
+    cells.add_argument("--preset", choices=["table1"], default=None)
+    cells.add_argument("--cells", default=None, help="rho:psi pairs, comma separated")
     size.add_argument(
         "--variants", default=",".join(mcstudy.F_VARIANTS),
         help="comma-separated variant names",
@@ -397,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     size.set_defaults(func=cmd_mc_size)
 
     power = sub.add_parser("mc-power", help="size-adjusted power study")
-    _study_options(power, rho=0.6, note=None)
+    _study_options(power)
+    power.add_argument("--rho", type=float, default=0.6)
+    power.add_argument("--psi", type=float, default=0.0)
     power.add_argument(
         "--deltas", default="0:1.2:0.2",
         help=f"break sizes start:stop:step, at most {_MAX_DELTAS} points",

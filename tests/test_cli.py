@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from harchow import bases, cli, longrun
+from harchow import bases, cli, longrun, mcstudy
 from harchow.chowtest import VARIANTS, run_test
 from harchow.mcstudy import DgpSpec, simulate_dgp
 from harchow.numkit import RngStream
@@ -370,13 +370,13 @@ class TestMcCommands:
         code = cli.main(["mc-size", "--T", "60", "--cells", "", "--reps", "500"])
         assert code == 2
 
-    @pytest.mark.parametrize("layout", [["--cells", "0:0"], ["--preset", "figure"]])
+    @pytest.mark.parametrize("layout", [[], ["--k", "2:6:2"]])
     @pytest.mark.parametrize("variant", ["bogus", "normal-fourier"])
     def test_mc_size_rejects_unknown_and_t_variants(self, layout, variant, capsys):
-        # both layouts validate before simulating: an unknown name or a t
-        # variant is a validation error, never a traceback or a silent rate
+        # auto K and a K grid validate before simulating: an unknown name or
+        # a t variant is a validation error, never a traceback or a silent rate
         code = cli.main(
-            ["mc-size", "--T", "60", "--k-grid", "2:6:2", "--reps", "500",
+            ["mc-size", "--T", "60", "--cells", "0:0", "--reps", "500",
              "--variants", variant] + layout
         )
         assert code == 2
@@ -385,8 +385,8 @@ class TestMcCommands:
     @pytest.mark.parametrize("args", [
         ["mc-size", "--cells", "0:0", "--k", "200"],
         ["mc-size", "--cells", "0:0", "--k", "0"],
-        ["mc-size", "--preset", "figure", "--k-grid", "0:4:2"],
-        ["mc-size", "--preset", "figure", "--k-grid", "50:60:5"],
+        ["mc-size", "--cells", "0:0", "--k", "0:4:2"],
+        ["mc-size", "--cells", "0:0", "--k", "50:60:5"],
         ["mc-power", "--k", "200"],
         ["mc-power", "--k", "0"],
     ])
@@ -399,7 +399,7 @@ class TestMcCommands:
     def test_mc_size_non_integer_k_grid_exits_2(self, capsys):
         # 2:7:2.5 asks for K = 4.5, which must not run (and be labelled) as 4
         code = cli.main(
-            ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "2:7:2.5",
+            ["mc-size", "--cells", "0:0", "--T", "60", "--k", "2:7:2.5",
              "--reps", "500", "--variants", "chisq-fourier"]
         )
         assert code == 2
@@ -407,7 +407,7 @@ class TestMcCommands:
 
     @pytest.mark.parametrize("command", [
         ["mc-power"],
-        ["mc-size", "--preset", "figure", "--k-grid", "2:4:2"],
+        ["mc-size", "--cells", "0:0", "--k", "2:4:2"],
     ])
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_mc_without_replications_exits_2(self, command, reps, capsys):
@@ -417,7 +417,7 @@ class TestMcCommands:
 
     @pytest.mark.parametrize("command", [
         ["mc-size", "--cells", "0", "--k", "4", "--alpha", "1.5"],
-        ["mc-size", "--preset", "figure", "--k-grid", "2:4:2", "--alpha", "-1"],
+        ["mc-size", "--cells", "0:0", "--k", "2:4:2", "--alpha", "-1"],
     ])
     def test_mc_size_level_outside_unit_interval_exits_2(self, command, capsys):
         # a level of 1.5 used to report rejection 1.000, and -1 0.000
@@ -439,11 +439,12 @@ class TestMcCommands:
         assert "need at least one worker" in capsys.readouterr().err
 
     def test_mc_size_figure_preset(self, tmp_path):
+        # the size-against-K figure: one cell over a K grid
         out = tmp_path / "figure.csv"
         code = cli.main(
             [
-                "mc-size", "--preset", "figure", "--T", "60", "--rho", "0.0",
-                "--k-grid", "2:6:2", "--reps", "500",
+                "mc-size", "--cells", "0:0", "--T", "60", "--k", "2:6:2",
+                "--reps", "500",
                 "--variants", "chisq-fourier,f-transformed",
                 "--out", str(out),
             ]
@@ -453,6 +454,33 @@ class TestMcCommands:
         # header + 3 K values x 2 variants
         assert len(lines) == 7
         assert {row.split(",")[5] for row in lines[1:]} == {"2", "4", "6"}
+
+    def test_mc_size_table1_at_a_k_grid(self, capsys):
+        # the 8 table-1 cells at K = 4 and 8: cell by cell, then K by K
+        variants = ("chisq-fourier", "f-transformed")
+        code = cli.main(
+            ["mc-size", "--preset", "table1", "--T", "60", "--k", "4:8:4",
+             "--reps", "64", "--variants", ",".join(variants)]
+        )
+        assert code == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.split()[1:]]
+        assert [(row[1], row[2], row[5], row[4]) for row in rows] == [
+            (f"{rho:.6f}", f"{psi:.6f}", k, variant)
+            for rho, psi in mcstudy.TABLE1_GRID for k in ("4", "8")
+            for variant in variants
+        ]
+
+    def test_mc_size_cell_at_a_k_grid_is_the_k_grid_study(self, capsys):
+        variants = ("chisq-fourier", "f-transformed")
+        code = cli.main(
+            ["mc-size", "--cells", "0.3:0", "--T", "60", "--k", "4:8:4",
+             "--reps", "500", "--variants", ",".join(variants)]
+        )
+        assert code == 0
+        results = mcstudy.k_grid_experiment(
+            DgpSpec(60, 0.3), (4, 8), variants, reps=500, master_seed=0
+        )
+        assert capsys.readouterr().out == mcstudy.size_table_csv(results)
 
     def test_mc_power(self, tmp_path):
         out = tmp_path / "power.csv"
@@ -562,7 +590,7 @@ def test_commands_run_no_kept_reference(data_csv, tmp_path, monkeypatch):
     study = ["--T", "60", "--reps", "500", "--out", str(tmp_path / "study.csv")]
     runs += [
         ["mc-size", "--cells", "0.3:0"] + study + laws,
-        ["mc-size", "--preset", "figure", "--k-grid", "2:10:4"] + study + laws,
+        ["mc-size", "--cells", "0:0", "--k", "2:10:4"] + study + laws,
         ["mc-power", "--deltas", "0:0.5:0.5"] + study,
     ]
     for argv in runs:
@@ -587,7 +615,7 @@ class TestStudyFrontEnd:
     @pytest.mark.parametrize("args", [
         ["mc-power", "--deltas", "0:inf:0.2"],
         ["mc-power", "--deltas", "0:1:nan"],
-        ["mc-size", "--preset", "figure", "--k-grid", "2:inf:2"],
+        ["mc-size", "--cells", "0:0", "--k", "2:inf:2"],
     ])
     def test_non_finite_grid_exits_2(self, args, capsys):
         code = cli.main(args + ["--T", "60", "--reps", "500"])
@@ -660,7 +688,7 @@ class TestStudyFrontEnd:
 
     def test_oversized_k_grid_exits_2_before_expanding(self, capsys):
         code = cli.main(
-            ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "2:1e10:2"]
+            ["mc-size", "--cells", "0:0", "--T", "60", "--k", "2:1e10:2"]
         )
         assert code == 2
         assert "more than 58" in capsys.readouterr().err
@@ -685,24 +713,27 @@ class TestStudyFrontEnd:
         assert code == 2
         assert "need finite rho, psi and delta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args, message", [
-        (["--preset", "table1", "--cells", "0.3:0"],
-         "--preset and --cells both name the cells: give one"),
-        (["--preset", "figure", "--cells", "0.3:0"],
-         "--preset and --cells both name the cells: give one"),
-        (["--preset", "figure", "--k", "8", "--k-grid", "4:4:1"],
-         "--preset figure takes its K values from --k-grid, not --k"),
-    ])
-    def test_mc_size_refuses_an_option_its_layout_ignores(
-        self, args, message, monkeypatch, capsys
-    ):
+    def test_mc_size_refuses_an_option_its_layout_ignores(self, monkeypatch, capsys):
+        # argparse refuses both names for the cells, and the options only
+        # mc-power keeps, before any replication
         monkeypatch.setattr(cli.mcstudy, "_run_cell", _no_replications)
-        code = cli.main(["mc-size", "--T", "60", "--reps", "100"] + args)
-        assert code == 2
-        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+        for args, message in (
+            (["--preset", "table1", "--cells", "0.3:0"],
+             "argument --cells: not allowed with argument --preset"),
+            (["--cells", "0:0", "--rho", "0.9"], "unrecognized arguments: --rho 0.9"),
+            (["--cells", "0:0", "--psi", "0.9"], "unrecognized arguments: --psi 0.9"),
+            (["--cells", "0:0", "--k-grid", "4:4:1"],
+             "unrecognized arguments: --k-grid 4:4:1"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["mc-size", "--T", "60", "--reps", "100"] + args)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("k, grid, message", [
         ("40", "50", "need 100..1000000 grid points, got 50"),
+        ("4", "0", "need 100..1000000 grid points, got 0"),
         ("120", "100",
          "need K <= n - 2 = 98 on the simulation grid of n = 100 points, got K=120"),
     ])
@@ -723,17 +754,10 @@ class TestStudyFrontEnd:
         parser = cli.build_parser()
         size = parser.parse_args(["mc-size", "--T", "60"])
         power = parser.parse_args(["mc-power", "--T", "60"])
-        shared = ("T", "psi", "break_fraction", "k", "reps", "seed", "alpha",
-                  "workers", "out")
+        shared = ("T", "break_fraction", "k", "reps", "seed", "alpha", "workers", "out")
         assert [getattr(size, n) for n in shared] == [getattr(power, n) for n in shared]
-        assert (size.rho, power.rho) == (0.0, 0.6)
-        assert power.deltas == "0:1.2:0.2" and size.k_grid == "2:20:2"
-
-    def test_figure_preset_notes_stay_on_mc_size(self, capsys):
-        for command, notes in (("mc-size", 2), ("mc-power", 0)):
-            with pytest.raises(SystemExit):
-                cli.main([command, "--help"])
-            assert capsys.readouterr().out.count("figure preset only") == notes
+        assert not {"rho", "psi", "k_grid"} & set(vars(size))
+        assert (power.rho, power.psi, power.deltas) == (0.6, 0.0, "0:1.2:0.2")
 
 
 def _no_replications(*args, **kwargs):

@@ -92,7 +92,7 @@ def _with_one_bad(good):
 
 bad_k_grids = st.one_of(
     _with_one_bad(small),
-    malformed,
+    malformed.filter(lambda s: ":" in s),  # without one, --k reads a single K
     st.integers(-100, 0).map(lambda a: f"{a}:10:1"),  # K below 1
     st.integers(1, 58).map(lambda b: f"1:{b}:1"),  # K below p = 2
     st.integers(59, 10**9).map(lambda b: f"2:{b}:1"),  # K above T - 2 = 58
@@ -134,7 +134,7 @@ def _assert_one_validation_line(code, err):
 @given(value=bad_k_grids)
 def test_bad_k_grid_exits_2(value):
     _assert_one_validation_line(
-        *_main_rejects(["mc-size", "--preset", "figure", f"--k-grid={value}"])
+        *_main_rejects(["mc-size", "--cells", "0:0", f"--k={value}"])
     )
 
 

@@ -15,17 +15,17 @@ work through ``harchow.cli.main``:
   K = 4, 12 and 40, kinds ``F_star_inf``, ``scaled_F_inf`` and
   ``t_star_inf`` (p = 1 only); each reports its 10%, 5% and 1% critical
   values (``simulated_cv``) and its redraw count;
-* the study CSVs of ``mc-size`` (table 1 with auto K and K = 8, the K-grid
-  figure preset, one cell each at T = 50 and T = 1000, where the
-  engine's stacks are largest and smallest, and two cells from a seed of
-  two 32-bit words) and ``mc-power`` (T = 100, T = 200, K = 8), each at
-  ``--workers 1`` and ``2``.
+* the study CSVs of ``mc-size`` (table 1 with auto K and K = 8, the
+  figure's one cell over the K grid 2:20:2, one cell each at T = 50 and
+  T = 1000, where the engine's stacks are largest and smallest, and two
+  cells from a seed of two 32-bit words) and ``mc-power`` (T = 100,
+  T = 200, K = 8), each at ``--workers 1`` and ``2``.
 
 It prints the largest relative difference of every numeric report field,
 and exits 1 if any CSV byte, exit code, or non-float report field (``k``,
 ``k_requested``, ``reject``, ``reference``, ``redraws``, ...) differs.
-``--quick`` runs a few reports, laws and small studies (a table cell, the
-K-grid figure preset and a power curve), to check the tool itself in
+``--quick`` runs a few reports, laws and small studies (a table cell, one
+cell over a K grid and a power curve), to check the tool itself in
 seconds.
 """
 
@@ -51,7 +51,7 @@ VARIANTS = (
 STUDIES = (
     ("size-table1-auto", ["mc-size", "--preset", "table1", "--T", "100"]),
     ("size-table1-k8", ["mc-size", "--preset", "table1", "--T", "100", "--k", "8"]),
-    ("size-figure", ["mc-size", "--preset", "figure", "--T", "100", "--rho", "0.6"]),
+    ("size-figure", ["mc-size", "--cells", "0.6:0", "--T", "100", "--k", "2:20:2"]),
     ("power-100", ["mc-power", "--T", "100"]),
     ("power-200", ["mc-power", "--T", "200"]),
     ("power-100-k8", ["mc-power", "--T", "100", "--k", "8"]),
@@ -82,7 +82,7 @@ QUICK_STUDIES = (
     ("size-cell", ["mc-size", "--cells", "0.6:0", "--T", "100", "--reps", "500",
                    "--variants", "chisq-fourier,f-transformed"]),
     ("power-100-k8", STUDIES[5][1] + ["--reps", "40"]),
-    ("size-figure", ["mc-size", "--preset", "figure", "--T", "60", "--k-grid", "4:8:4",
+    ("size-figure", ["mc-size", "--cells", "0:0", "--T", "60", "--k", "4:8:4",
                      "--reps", "500", "--variants", "chisq-fourier,f-transformed"]),
 )
 
