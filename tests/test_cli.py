@@ -713,23 +713,40 @@ class TestStudyFrontEnd:
         assert code == 2
         assert "need finite rho, psi and delta" in capsys.readouterr().err
 
-    def test_mc_size_refuses_an_option_its_layout_ignores(self, monkeypatch, capsys):
-        # argparse refuses both names for the cells, and the options only
-        # mc-power keeps, before any replication
+    @pytest.mark.parametrize("args, rule", [
+        (["--preset", "table1", "--cells", "0.3:0"],
+         "--preset and --cells both name the cells: give one"),
+        (["--cells", "0.3:0", "--preset", "table1"],
+         "--preset and --cells both name the cells: give one"),
+    ])
+    def test_mc_size_refuses_an_option_its_layout_ignores(
+        self, args, rule, monkeypatch, capsys
+    ):
+        # argparse's mutually exclusive group refuses the pair in either
+        # order, naming the later option, before any replication
         monkeypatch.setattr(cli.mcstudy, "_run_cell", _no_replications)
-        for args, message in (
-            (["--preset", "table1", "--cells", "0.3:0"],
-             "argument --cells: not allowed with argument --preset"),
-            (["--cells", "0:0", "--rho", "0.9"], "unrecognized arguments: --rho 0.9"),
-            (["--cells", "0:0", "--psi", "0.9"], "unrecognized arguments: --psi 0.9"),
-            (["--cells", "0:0", "--k-grid", "4:4:1"],
-             "unrecognized arguments: --k-grid 4:4:1"),
-        ):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["mc-size", "--T", "60", "--reps", "100"] + args)
-            assert exc.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.endswith(f"error: {message}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mc-size", "--T", "60", "--reps", "100"] + args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            f"error: argument {args[2]}: not allowed with argument {args[0]}\n"
+        )
+
+    @pytest.mark.parametrize("option", [
+        ["--rho", "0.9"], ["--psi", "0.9"], ["--k-grid", "4:4:1"],
+    ])
+    def test_mc_size_refuses_the_options_only_mc_power_keeps(
+        self, option, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.mcstudy, "_run_cell", _no_replications)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mc-size", "--T", "60", "--reps", "100", "--cells", "0:0"] + option)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            f"error: unrecognized arguments: {' '.join(option)}\n"
+        )
 
     @pytest.mark.parametrize("k, grid, message", [
         ("40", "50", "need 100..1000000 grid points, got 50"),
